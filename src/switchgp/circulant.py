@@ -24,14 +24,19 @@ from the same block spectrum.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .errors import SingularEmbeddingError
-from .kernels import MaternKernel, NoiseModel, TaskCovariance, matern_eval, task_cov_assemble
+from .kernels import (
+    LOG_2PI,
+    NoiseModel,
+    channel_basis,
+    gaussian_logpdf,
+    matern_eval,
+    task_cov_assemble,
+)
 
 # Relative eigenvalue floor below which a circulant is treated as singular.
 SINGULAR_TOL = 1e-12
@@ -63,30 +68,6 @@ class CirculantSpec:
     @property
     def size(self) -> int:
         return self.first_row.shape[0]
-
-
-@dataclass(frozen=True)
-class BlockCirculantSpec:
-    """Blockwise circulant embedding of kron(task, toeplitz(temporal)).
-
-    The scalar temporal embedding is shared; the (a, b) feature pair's
-    sub-sequence is the scalar one scaled by ``task[a, b]``.
-    """
-
-    temporal: CirculantSpec
-    task: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "task", np.asarray(self.task, dtype=float))
-
-    def pair_eigenvalues(self, a: int, b: int) -> np.ndarray:
-        return self.temporal.eigenvalues * self.task[a, b]
-
-    def pair_spec(self, a: int, b: int) -> CirculantSpec:
-        return CirculantSpec(
-            self.temporal.first_row * self.task[a, b],
-            self.temporal.eigenvalues * self.task[a, b],
-        )
 
 
 def embed_circulant(toeplitz_first_col: np.ndarray) -> CirculantSpec:
@@ -183,20 +164,17 @@ def fast_segment_loglik(
     T, P = values.shape
     resid = values - _resolve_means(emission, means, T, P)
 
-    KY = task_cov_assemble(emission.task)
     Dn = noise.per_feature_variance
     if T == 1:
         # Single timestep: no embedding effect, score exactly.
-        cov = matern_eval(emission.temporal, 0.0) * KY + np.diag(Dn)
-        L = np.linalg.cholesky(cov)
-        w = scipy.linalg.solve_triangular(L, resid[0], lower=True)
-        return float(-0.5 * (w @ w + 2.0 * np.sum(np.log(np.diag(L))) + P * math.log(2 * math.pi)))
+        cov = matern_eval(emission.temporal, 0.0) * task_cov_assemble(emission.task)
+        return float(gaussian_logpdf(resid[0], np.linalg.cholesky(cov + np.diag(Dn))))
 
     # Decouple features: W^T diag(Dn) W = I and W^T K^Y W = diag(mu), so the
     # transformed channels are independent GPs with kernel mu_p * k_T plus
     # unit noise, and the Fourier-index blocks lambda_k K^Y + D have
     # eigenvalues 1 + lambda_k mu_p under the same congruence.
-    mu, W = scipy.linalg.eigh(KY, np.diag(Dn))
+    mu, W = channel_basis(emission.task, noise)
     Rt = resid @ W  # (T, P) decoupled channels
 
     c0 = matern_eval(emission.temporal, np.arange(T, dtype=float))
@@ -223,7 +201,7 @@ def fast_segment_loglik(
     X = _block_preconditioned_cg(spec, mu, denom, Rt)
     quad = float(np.sum(Rt * X))
 
-    return -0.5 * (quad + logdet + T * P * math.log(2 * math.pi))
+    return -0.5 * (quad + logdet + T * P * LOG_2PI)
 
 
 def _resolve_means(emission, means, T: int, P: int) -> np.ndarray:

@@ -9,13 +9,14 @@ readable error record is written to stderr and the exit code is nonzero.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 import time
 
 import numpy as np
 
-from . import experiments, filtering, monitor
+from . import experiments, monitor
 from .data import (
     DEFAULT_NUM_COMPONENTS,
     apply_pca,
@@ -170,32 +171,9 @@ def cmd_predict(args) -> int:
 def cmd_filter(args) -> int:
     model = load_model(args.model)
     series = _pick_series(_load_units(args, model), args.subject)
-    Y = series.observations
-    if args.max_steps is not None:
-        Y = Y[: args.max_steps]
     fh = _open_out(args.out)
-    state = filtering.forward_init(model, Y[0], backend=args.backend)
-    _emit(
-        {
-            "time": 1,
-            "map_state": filtering.map_state(state),
-            "posterior": filtering.state_posterior(state),
-            "log_evidence_delta": state.log_evidence,
-        },
-        fh,
-    )
-    for t in range(1, Y.shape[0]):
-        prev = state.log_evidence
-        state = filtering.forward_step(state, Y[t], model)
-        _emit(
-            {
-                "time": t + 1,
-                "map_state": filtering.map_state(state),
-                "posterior": filtering.state_posterior(state),
-                "log_evidence_delta": state.log_evidence - prev,
-            },
-            fh,
-        )
+    for rec in itertools.islice(experiments.filter_steps(model, series), args.max_steps):
+        _emit(rec, fh)
     if fh is not sys.stdout:
         fh.close()
     return 0
@@ -218,7 +196,6 @@ def cmd_monitor(args) -> int:
         energy_scale=args.energy_weight,
         num_samples=args.mc_samples,
         rng=args.seed,
-        backend=args.backend,
     )
     fh = _open_out(args.out)
     for rec in result.records:
@@ -250,19 +227,11 @@ def cmd_sweep(args) -> int:
         num_samples=args.mc_samples,
         seed=args.seed,
         group_sizes=args.groups,
-        backend=args.backend,
         max_steps=args.max_steps,
         max_series=args.max_series,
     )
     rows = experiments.experiment_sweep(cfg, model=model, data=data)
-    if args.out in (None, "-"):
-        sys.stdout.write(",".join(experiments.SWEEP_COLUMNS) + "\n")
-        for row in rows:
-            sys.stdout.write(
-                ",".join(repr(float(row[c])) for c in experiments.SWEEP_COLUMNS) + "\n"
-            )
-    else:
-        experiments.write_sweep_csv(rows, args.out)
+    experiments.write_sweep_csv(rows, sys.stdout if args.out in (None, "-") else args.out)
     return 0
 
 
@@ -386,13 +355,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("filter", help="stream one series through the filter")
     _add_common_eval(p)
     p.add_argument("--subject", type=int, default=None)
-    p.add_argument("--backend", default="kalman", choices=("kalman", "reference"))
     p.set_defaults(func=cmd_filter)
 
     p = sub.add_parser("monitor", help="adaptive sensing on one series")
     _add_common_eval(p)
     p.add_argument("--subject", type=int, default=None)
-    p.add_argument("--backend", default="kalman", choices=("kalman", "reference"))
     p.add_argument("--lambda", dest="energy_weight", type=float, default=0.1)
     p.add_argument("--mc-samples", type=int, default=monitor.DEFAULT_NUM_SAMPLES)
     p.add_argument("--seed", type=int, default=0)
@@ -407,7 +374,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mc-samples", type=int, default=monitor.DEFAULT_NUM_SAMPLES)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--groups", type=_parse_int_list, default=monitor.DEFAULT_GROUP_SIZES)
-    p.add_argument("--backend", default="kalman", choices=("kalman", "reference"))
     p.add_argument("--max-series", type=int, default=None)
     p.set_defaults(func=cmd_sweep)
 

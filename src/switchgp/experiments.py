@@ -14,6 +14,8 @@ evaluation order and are reproducible cell by cell.
 
 from __future__ import annotations
 
+import csv
+import os
 import time
 from dataclasses import dataclass, replace
 
@@ -38,10 +40,7 @@ class ExperimentConfig:
     lambda_grid: tuple = (0.0, 0.1, 0.25, 0.5, 1.0)
     num_samples: int = 50
     seed: int = 0
-    use_fft: bool = False
-    duration_cap: int | None = None
     group_sizes: tuple = monitor.DEFAULT_GROUP_SIZES
-    backend: str = "kalman"
     concatenate_subjects: bool = True
     max_steps: int | None = None
     max_series: int | None = None
@@ -159,10 +158,31 @@ def experiment_trajectory(
     }
 
 
+def filter_steps(model: SwitchingGPModel, series):
+    """Stream a series through the filter, observing only its mask's entries.
+
+    Yields one record per row: 1-based time, MAP state, filtered state
+    posterior and the row's increment of the log evidence.
+    """
+    state, prev = None, 0.0
+    for t, (row, mask) in enumerate(zip(series.observations, series.mask)):
+        if state is None:
+            state = filtering.forward_init(model, row, mask)
+        else:
+            state = filtering.forward_step(state, row, model, mask)
+        yield {
+            "time": t + 1,
+            "map_state": filtering.map_state(state),
+            "posterior": filtering.state_posterior(state).tolist(),
+            "log_evidence_delta": state.log_evidence - prev,
+        }
+        prev = state.log_evidence
+
+
 def experiment_recognition(
     config: ExperimentConfig, model: SwitchingGPModel | None = None, data=None
 ) -> dict:
-    """Full-observation forward filtering on labeled streams.
+    """Forward filtering on labeled streams, observing each series' mask.
 
     Reports stepwise accuracy, confusion counts, per-step trajectories, and
     switch-lag statistics (steps from each true switch until the MAP state
@@ -180,32 +200,11 @@ def experiment_recognition(
     for series in data:
         if series.labels is None:
             raise ValueError("recognition experiment requires labeled series")
-        Y, lab = series.observations, series.labels
-        state = filtering.forward_init(model, Y[0], backend=config.backend)
-        maps = [filtering.map_state(state)]
+        lab = series.labels
         steps = [
-            {
-                "time": 1,
-                "label": int(lab[0]),
-                "map_state": maps[0],
-                "posterior": filtering.state_posterior(state).tolist(),
-                "log_evidence_delta": state.log_evidence,
-            }
+            {**rec, "label": int(lab[t])} for t, rec in enumerate(filter_steps(model, series))
         ]
-        for t in range(1, Y.shape[0]):
-            prev = state.log_evidence
-            state = filtering.forward_step(state, Y[t], model)
-            maps.append(filtering.map_state(state))
-            steps.append(
-                {
-                    "time": t + 1,
-                    "label": int(lab[t]),
-                    "map_state": maps[-1],
-                    "posterior": filtering.state_posterior(state).tolist(),
-                    "log_evidence_delta": state.log_evidence - prev,
-                }
-            )
-        maps = np.array(maps)
+        maps = np.array([rec["map_state"] for rec in steps])
         confusion += np.histogram2d(
             lab - 1, maps - 1, bins=(np.arange(A + 1), np.arange(A + 1))
         )[0].astype(int)
@@ -258,7 +257,6 @@ def experiment_sweep(
                 energy_scale=float(lam),
                 num_samples=config.num_samples,
                 rng=child,
-                backend=config.backend,
             )
             T = res.summary["num_steps"]
             steps_w += T
@@ -279,13 +277,14 @@ def experiment_sweep(
     return rows
 
 
-def write_sweep_csv(rows, path) -> None:
-    """Fixed-header CSV; the timing column is last so byte-level comparisons
-    can strip it."""
-    import csv
-
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(SWEEP_COLUMNS)
-        for row in rows:
-            writer.writerow([repr(float(row[c])) for c in SWEEP_COLUMNS])
+def write_sweep_csv(rows, out) -> None:
+    """Fixed-header CSV to a path or an open text file; the timing column is
+    last so byte-level comparisons can strip it."""
+    if isinstance(out, (str, os.PathLike)):
+        with open(out, "w", newline="") as fh:
+            write_sweep_csv(rows, fh)
+        return
+    writer = csv.writer(out)
+    writer.writerow(SWEEP_COLUMNS)
+    for row in rows:
+        writer.writerow([repr(float(row[c])) for c in SWEEP_COLUMNS])

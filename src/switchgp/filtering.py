@@ -11,15 +11,21 @@ enumeration oracle in the test suite.
 
 Per-step emission terms are conditional densities of the new row given the
 buffered in-segment window under each hypothesis. Two interchangeable
-backends compute them: dense Gaussian conditioning on the window (reference,
-grid-agnostic, cubic in window length) and the exact Kalman recursion of
-`statespace` (constant per step). They agree to floating-point accuracy on
-the uniform grid.
+backends compute them: the exact Kalman recursion of `statespace` (constant
+per step, the default) and dense Gaussian conditioning on the window
+(grid-agnostic, cubic in window length, kept as the test oracle). They agree
+to floating-point accuracy on the uniform grid. A backend owns an opaque
+cache and offers two methods: ``update(pred_cache | None, row, mask)``
+returns the cache after a row (``None`` starts a stream), and
+``predict(cache, cont_logw)`` returns the continuing one-step conditionals
+plus the cache that ``update`` consumes next. Its ``fresh_mean`` and
+``fresh_cov`` hold the first-row law of a new segment in each state.
+Everything else in the recursion is shared.
 
 All recursion arithmetic is in log space with logsumexp; nothing accumulates
 in probability domain. Continuous Gamma durations are discretized to unit
-bins by CDF differences, truncated at the model's duration cap and
-renormalized. A single-state model reenters itself on segment end (the one
+bins by differences of the log survival function, truncated at the model's
+duration cap and renormalized. A single-state model reenters itself on segment end (the one
 exception to the zero-diagonal transition convention).
 """
 
@@ -29,16 +35,14 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 import scipy.special
-import scipy.stats
 
 from .errors import FilterCollapseError
 from .gp_predict import joint_conditional
+from .kernels import gaussian_logpdf
 from .model import SwitchingGPModel
 from . import statespace
 
-LOG_2PI = math.log(2.0 * math.pi)
 NEG_INF = -np.inf
 
 
@@ -54,22 +58,38 @@ class DurationTable:
     log_pi: np.ndarray  # (A,) initial distribution
 
 
+def _log_diff(a, b):
+    """log(exp(a) - exp(b)) for a >= b, accurate near both ends; -inf where a is."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        x = b - a
+        out = a + np.where(x > -math.log(2.0), np.log(-np.expm1(x)), np.log1p(-np.exp(x)))
+    return np.where(np.isneginf(a), NEG_INF, out)
+
+
 def build_duration_table(model: SwitchingGPModel) -> DurationTable:
     A, D = model.num_states, model.duration_cap
-    log_g = np.full((A, D), NEG_INF)
-    log_S = np.full((A, D), NEG_INF)
+    shapes = np.array([[gam.shape] for gam in model.durations])
+    scales = np.array([[gam.scale] for gam in model.durations])
+    # log P(duration > e) at the bin edges e = 0..D, each taken from its
+    # smaller tail so that it keeps full precision at both ends. Differences
+    # of upper tails stay exact where the CDF has rounded to 1.
+    x = np.arange(D + 1.0) / scales  # (A, D+1)
+    upper = scipy.special.gammaincc(shapes, x)
+    with np.errstate(divide="ignore"):
+        lsf = np.where(
+            upper > 0.5, np.log1p(-scipy.special.gammainc(shapes, x)), np.log(upper)
+        )
+    log_total = _log_diff(lsf[:, :1], lsf[:, -1:])
+    log_g = _log_diff(lsf[:, :-1], lsf[:, 1:]) - log_total
+    log_S = _log_diff(lsf[:, :-1], lsf[:, -1:]) - log_total
     cont = np.full((A, D), NEG_INF)
-    edges = np.arange(0, D + 1, dtype=float)
-    for j, gam in enumerate(model.durations):
-        cdf = scipy.stats.gamma.cdf(edges, a=gam.shape, scale=gam.scale)
-        total = cdf[-1]
-        masses = np.diff(cdf) / total
-        surv = (total - cdf[:-1]) / total
-        with np.errstate(divide="ignore"):
-            log_g[j] = np.log(masses)
-            log_S[j] = np.log(surv)
-        cont[j, :-1] = log_S[j, 1:] - log_S[j, :-1]
-    hazard = log_g - log_S
+    with np.errstate(invalid="ignore"):
+        cont[:, :-1] = log_S[:, 1:] - log_S[:, :-1]
+        hazard = log_g - log_S
+    # Zero survival: the entry is unreachable, nothing continues or ends there.
+    dead = np.isneginf(log_S)
+    cont[dead] = NEG_INF
+    hazard[dead] = NEG_INF
 
     with np.errstate(divide="ignore"):
         if A == 1:
@@ -89,41 +109,20 @@ def build_duration_table(model: SwitchingGPModel) -> DurationTable:
     return DurationTable(log_g, log_S, cont, hazard, log_p, log_pi)
 
 
-def duration_transition(i: int, d_prime: int, j: int, d: int, model: SwitchingGPModel) -> float:
-    """Duration-dependent transition kernel a_{(i,d')(j,d)}.
-
-    Normalized over (j, d) at fixed (i, d'), the kernel reduces to
-    p_ij * g_j(d): the source-duration mass cancels in the normalization.
-    States are 1-based labels, durations 1-based steps.
-    """
-    if not (1 <= d <= model.duration_cap and 1 <= d_prime <= model.duration_cap):
-        raise ValueError("durations must lie in 1..duration_cap")
-    if i == j:
-        return 0.0
-    table = build_duration_table(model)
-    val = table.log_p[i - 1, j - 1] + table.log_g[j - 1, d - 1]
-    return float(np.exp(val))
-
-
 @dataclass(frozen=True)
 class ForwardState:
     """Filter state after consuming ``time_index`` rows.
 
     ``log_alpha`` is normalized (logsumexp zero); the per-step normalizers
-    accumulate in ``log_evidence``. ``window_values``/``window_mask`` buffer
-    the last duration_cap rows. Backend hypothesis caches (Kalman means and
-    covariances per state) ride along; entries whose table weight is -inf
-    hold unused placeholder values.
+    accumulate in ``log_evidence``. ``cache`` is the backend's opaque state
+    after the last row.
     """
 
     log_alpha: np.ndarray
     time_index: int
     log_evidence: float
-    window_values: np.ndarray
-    window_mask: np.ndarray
     backend: object
-    hyp_means: tuple | None = None
-    hyp_covs: tuple | None = None
+    cache: object
 
 
 @dataclass(frozen=True)
@@ -146,12 +145,8 @@ class PredictiveMixture:
     def logpdf(self, y: np.ndarray) -> float:
         y = np.atleast_2d(np.asarray(y, dtype=float))
         L = np.linalg.cholesky(self.covariances)
-        diff = y[None, :, :] - self.means[:, None, :]  # (C, n, m)
-        w = np.linalg.solve(L, diff.swapaxes(1, 2))  # (C, m, n)
-        quad = np.sum(w**2, axis=1)
-        logdet = 2.0 * np.sum(np.log(np.diagonal(L, axis1=1, axis2=2)), axis=1)
-        comp = -0.5 * (quad + logdet[:, None] + len(self.group) * LOG_2PI)
-        out = scipy.special.logsumexp(self.log_weights[:, None] + comp, axis=0)
+        comp = gaussian_logpdf(y[:, None, :] - self.means[None, :, :], L)  # (n, C)
+        out = scipy.special.logsumexp(self.log_weights[None, :] + comp, axis=1)
         return float(out[0]) if out.shape[0] == 1 else out
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -167,7 +162,8 @@ class Predictives:
     """One-step-ahead hypothesis conditionals before seeing the next row.
 
     Continuing entries are indexed by the current table slot (j, d); their
-    weight already includes the survival ratio into d+1. Fresh entries pool
+    weight already includes the survival ratio into d+1. Entries of weight
+    -inf hold positive-definite placeholder covariances. Fresh entries pool
     all segment-end rebirth mass per destination state (every (i, d') source
     shares the same fresh-segment Gaussian, so merging them is exact).
     """
@@ -178,14 +174,15 @@ class Predictives:
     fresh_logw: np.ndarray  # (A,)
     fresh_mean: np.ndarray  # (A, P)
     fresh_cov: np.ndarray  # (A, P, P)
-    pred_means: tuple | None  # Kalman internals, reused by apply_row
-    pred_covs: tuple | None
+    cache: object  # backend prediction, consumed by apply_row
 
 
 class KalmanBackend:
-    """Constant-cost-per-row emission backend (exact on the uniform grid)."""
+    """Constant-cost-per-row emission backend (exact on the uniform grid).
 
-    name = "kalman"
+    The cache holds one (means (D, n), covariances (D, n, n)) pair per state:
+    the Kalman moments of every elapsed-duration hypothesis.
+    """
 
     def __init__(self, model: SwitchingGPModel):
         self.model = model
@@ -193,33 +190,102 @@ class KalmanBackend:
         self.spaces = [
             statespace.build_statespace(e, model.noise) for e in model.emissions
         ]
-        self.fresh_obs = [
+        fresh = [
             statespace.stationary_observation(ss, e.mean, model.noise)
             for ss, e in zip(self.spaces, model.emissions)
         ]
+        self.fresh_mean = np.stack([m for m, _ in fresh])
+        self.fresh_cov = np.stack([c for _, c in fresh])
+
+    def predict(self, cache, cont_logw):
+        model = self.model
+        A, D, P = model.num_states, model.duration_cap, model.num_features
+        cont_mean = np.empty((A, D, P))
+        cont_cov = np.empty((A, D, P, P))
+        pred_cache = []
+        for j, (ss, e, (means, covs)) in enumerate(zip(self.spaces, model.emissions, cache)):
+            pm, pc = statespace.predict(ss, means, covs)
+            cont_mean[j], cont_cov[j] = statespace.observation_conditionals(
+                ss, e.mean, model.noise, pm, pc
+            )
+            pred_cache.append((pm, pc))
+        return cont_mean, cont_cov, tuple(pred_cache)
+
+    def update(self, pred_cache, row, mask):
+        model = self.model
+        D = model.duration_cap
+        cache = []
+        for j, (ss, e) in enumerate(zip(self.spaces, model.emissions)):
+            n = ss.A.shape[0]
+            means = np.zeros((D, n))
+            covs = np.empty((D, n, n))
+            if pred_cache is None:
+                covs[1:] = np.eye(n)  # placeholders: no segment has run yet
+            else:
+                um, uc, _ = statespace.update(
+                    ss, e.mean, model.noise, *pred_cache[j], row, mask
+                )
+                means[1:], covs[1:] = um[:-1], uc[:-1]
+            fm, fc, _ = statespace.update(
+                ss, e.mean, model.noise, np.zeros((1, n)), ss.P0[None, :, :], row, mask
+            )
+            means[0], covs[0] = fm[0], fc[0]
+            cache.append((means, covs))
+        return tuple(cache)
 
 
 class ReferenceBackend:
-    """Dense-window emission backend; cubic per step, used as the oracle."""
+    """Dense-window emission backend; cubic per step, used as the oracle.
 
-    name = "reference"
+    The cache is the last duration_cap rows and their masks.
+    """
 
     def __init__(self, model: SwitchingGPModel):
         self.model = model
         self.table = build_duration_table(model)
-        self.fresh_obs = []
-        for e in model.emissions:
-            mean, cov = joint_conditional(
-                e,
-                model.noise,
-                np.empty(0),
-                np.empty(0, dtype=int),
-                np.empty(0),
-                np.zeros(model.num_features),
-                np.arange(model.num_features),
-                include_noise=True,
+        P = model.num_features
+        fresh = [
+            joint_conditional(
+                e, model.noise, [], [], [], np.zeros(P), np.arange(P), include_noise=True
             )
-            self.fresh_obs.append((mean, cov))
+            for e in model.emissions
+        ]
+        self.fresh_mean = np.stack([m for m, _ in fresh])
+        self.fresh_cov = np.stack([c for _, c in fresh])
+
+    def predict(self, cache, cont_logw):
+        model = self.model
+        A, D, P = model.num_states, model.duration_cap, model.num_features
+        values, masks = cache
+        W = values.shape[0]
+        cont_mean = np.zeros((A, D, P))
+        cont_cov = np.tile(np.eye(P), (A, D, 1, 1))
+        for j, e in enumerate(model.emissions):
+            for d in range(1, min(W, D) + 1):
+                if not np.isfinite(cont_logw[j, d - 1]):
+                    continue
+                t_idx, p_idx = np.nonzero(masks[W - d :])
+                cont_mean[j, d - 1], cont_cov[j, d - 1] = joint_conditional(
+                    e,
+                    model.noise,
+                    t_idx.astype(float),
+                    p_idx,
+                    values[W - d :][t_idx, p_idx],
+                    np.full(P, float(d)),
+                    np.arange(P),
+                    include_noise=True,
+                )
+        return cont_mean, cont_cov, cache
+
+    def update(self, pred_cache, row, mask):
+        if pred_cache is None:
+            return row[None, :].copy(), mask[None, :].copy()
+        values, masks = pred_cache
+        D = self.model.duration_cap
+        return (
+            np.vstack([values, row[None, :]])[-D:],
+            np.vstack([masks, mask[None, :]])[-D:],
+        )
 
 
 def get_backend(model: SwitchingGPModel, backend: str = "kalman"):
@@ -230,40 +296,45 @@ def get_backend(model: SwitchingGPModel, backend: str = "kalman"):
     raise ValueError(f"unknown backend {backend!r}")
 
 
+def _row_and_mask(row, mask):
+    row = np.asarray(row, dtype=float)
+    mask = np.ones(row.shape, dtype=bool) if mask is None else np.asarray(mask, dtype=bool)
+    return row, mask
+
+
+def _entry_logpdf(y, idx, means, covs):
+    """Log-densities of values ``y`` (..., m) on features ``idx`` under every
+    law of a stack ``means`` (*H, P), ``covs`` (*H, P, P); shape (..., *H).
+    An empty ``idx`` carries no evidence."""
+    lead, hyp = y.shape[:-1], means.shape[:-1]
+    if idx.size == 0:
+        return np.zeros(lead + hyp)
+    L = np.linalg.cholesky(covs[..., idx[:, None], idx[None, :]])
+    y = y.reshape(lead + (1,) * len(hyp) + idx.shape)
+    return gaussian_logpdf(y - means[..., idx], L)
+
+
+def advance_table(pred: Predictives, y, idx) -> np.ndarray:
+    """Unnormalized log table (..., A, D) after observing ``y`` (..., m) on
+    features ``idx``: continuing entries move from d to d+1, fresh segments
+    enter at d = 1."""
+    cont = _entry_logpdf(y, idx, pred.cont_mean, pred.cont_cov)
+    fresh = _entry_logpdf(y, idx, pred.fresh_mean, pred.fresh_cov)
+    new_alpha = np.empty(cont.shape)
+    new_alpha[..., 1:] = pred.cont_logw[:, :-1] + cont[..., :-1]
+    new_alpha[..., 0] = pred.fresh_logw + fresh
+    return new_alpha
+
+
 def forward_init(model: SwitchingGPModel, row, mask=None, backend="kalman") -> ForwardState:
     """Start a stream: alpha_1(j, 1) proportional to pi_j * b_j(y_1)."""
     be = get_backend(model, backend) if isinstance(backend, str) else backend
-    row = np.asarray(row, dtype=float)
-    mask = np.ones(row.shape, dtype=bool) if mask is None else np.asarray(mask, dtype=bool)
-    A, D, P = model.num_states, model.duration_cap, model.num_features
-    tbl = be.table
-
-    log_alpha = np.full((A, D), NEG_INF)
-    hyp_means = None
-    hyp_covs = None
-    if isinstance(be, KalmanBackend):
-        means, covs = [], []
-        for j, ss in enumerate(be.spaces):
-            n = ss.A.shape[0]
-            jm = np.zeros((D, n))
-            jc = np.zeros((D, n, n))
-            pm = np.zeros((1, n))
-            pc = ss.P0[None, :, :]
-            um, uc, ld = statespace.update(
-                ss, model.emissions[j].mean, model.noise, pm, pc, row, mask
-            )
-            jm[0], jc[0] = um[0], uc[0]
-            jc[1:] = np.eye(n)[None, :, :]
-            log_alpha[j, 0] = tbl.log_pi[j] + ld[0]
-            means.append(jm)
-            covs.append(jc)
-        hyp_means, hyp_covs = tuple(means), tuple(covs)
-    else:
-        for j in range(A):
-            mean, cov = be.fresh_obs[j]
-            ld = _gaussian_logpdf_single(row, mask, mean, cov)
-            log_alpha[j, 0] = tbl.log_pi[j] + ld
-
+    row, mask = _row_and_mask(row, mask)
+    idx = np.flatnonzero(mask)
+    log_alpha = np.full((model.num_states, model.duration_cap), NEG_INF)
+    log_alpha[:, 0] = be.table.log_pi + _entry_logpdf(
+        row[idx], idx, be.fresh_mean, be.fresh_cov
+    )
     norm = scipy.special.logsumexp(log_alpha)
     if not np.isfinite(norm):
         raise FilterCollapseError("no state explains the first observation", time_index=1)
@@ -271,11 +342,8 @@ def forward_init(model: SwitchingGPModel, row, mask=None, backend="kalman") -> F
         log_alpha=log_alpha - norm,
         time_index=1,
         log_evidence=float(norm),
-        window_values=row[None, :].copy(),
-        window_mask=mask[None, :].copy(),
         backend=be,
-        hyp_means=hyp_means,
-        hyp_covs=hyp_covs,
+        cache=be.update(None, row, mask),
     )
 
 
@@ -283,63 +351,21 @@ def step_predictives(state: ForwardState, model: SwitchingGPModel) -> Predictive
     """Hypothesis-level one-step-ahead Gaussians and their log-weights."""
     be = state.backend
     tbl = be.table
-    A, D, P = model.num_states, model.duration_cap, model.num_features
     cont_logw = state.log_alpha + tbl.cont_ratio
 
     # Rebirth mass per destination: end hazard pooled over (i, d'), then p_ij.
     end_mass = scipy.special.logsumexp(state.log_alpha + tbl.hazard, axis=1)  # (A,)
     fresh_logw = scipy.special.logsumexp(end_mass[:, None] + tbl.log_p, axis=0)
 
-    fresh_mean = np.stack([be.fresh_obs[j][0] for j in range(A)])
-    fresh_cov = np.stack([be.fresh_obs[j][1] for j in range(A)])
-
-    cont_mean = np.zeros((A, D, P))
-    cont_cov = np.tile(np.eye(P), (A, D, 1, 1))
-    pred_means = pred_covs = None
-    if isinstance(be, KalmanBackend):
-        pms, pcs = [], []
-        for j, ss in enumerate(be.spaces):
-            pm, pc = statespace.predict(ss, state.hyp_means[j], state.hyp_covs[j])
-            om, oc = statespace.observation_conditionals(
-                ss, model.emissions[j].mean, model.noise, pm, pc
-            )
-            cont_mean[j], cont_cov[j] = om, oc
-            pms.append(pm)
-            pcs.append(pc)
-        pred_means, pred_covs = tuple(pms), tuple(pcs)
-    else:
-        W = state.window_values.shape[0]
-        for j in range(A):
-            e = model.emissions[j]
-            for d_idx in range(min(W, D)):
-                if not np.isfinite(cont_logw[j, d_idx]):
-                    continue
-                d = d_idx + 1
-                win_v = state.window_values[W - d :]
-                win_m = state.window_mask[W - d :]
-                t_idx, p_idx = np.nonzero(win_m)
-                mean, cov = joint_conditional(
-                    e,
-                    model.noise,
-                    t_idx.astype(float),
-                    p_idx,
-                    win_v[t_idx, p_idx],
-                    np.full(P, float(d)),
-                    np.arange(P),
-                    include_noise=True,
-                )
-                cont_mean[j, d_idx] = mean
-                cont_cov[j, d_idx] = cov
-
+    cont_mean, cont_cov, cache = be.predict(state.cache, cont_logw)
     return Predictives(
         cont_logw=cont_logw,
         cont_mean=cont_mean,
         cont_cov=cont_cov,
         fresh_logw=fresh_logw,
-        fresh_mean=fresh_mean,
-        fresh_cov=fresh_cov,
-        pred_means=pred_means,
-        pred_covs=pred_covs,
+        fresh_mean=be.fresh_mean,
+        fresh_cov=be.fresh_cov,
+        cache=cache,
     )
 
 
@@ -350,78 +376,23 @@ def apply_row(
     row,
     mask=None,
 ) -> ForwardState:
-    """Finish a forward step: score the row, update the table and backends."""
+    """Finish a forward step: score the row, update the table and the backend."""
     be = state.backend
-    row = np.asarray(row, dtype=float)
-    mask = np.ones(row.shape, dtype=bool) if mask is None else np.asarray(mask, dtype=bool)
-    A, D = model.num_states, model.duration_cap
-
-    if np.any(mask):
-        idx = np.nonzero(mask)[0]
-        y = row[idx]
-        cont_dens = _batched_logpdf(
-            y, pred.cont_mean[:, :, idx], pred.cont_cov[:, :, idx[:, None], idx[None, :]]
-        )
-        fresh_dens = _batched_logpdf(
-            y, pred.fresh_mean[:, idx], pred.fresh_cov[:, idx[:, None], idx[None, :]]
-        )
-    else:
-        cont_dens = np.zeros((A, D))
-        fresh_dens = np.zeros(A)
-
-    new_alpha = np.full((A, D), NEG_INF)
-    new_alpha[:, 1:] = pred.cont_logw[:, :-1] + cont_dens[:, :-1]
-    new_alpha[:, 0] = pred.fresh_logw + fresh_dens
+    row, mask = _row_and_mask(row, mask)
+    idx = np.flatnonzero(mask)
+    new_alpha = advance_table(pred, row[idx], idx)
 
     norm = scipy.special.logsumexp(new_alpha)
     if not np.isfinite(norm):
         raise FilterCollapseError(
             "all forward hypotheses vanished", time_index=state.time_index + 1
         )
-
-    hyp_means = hyp_covs = None
-    if isinstance(be, KalmanBackend):
-        means, covs = [], []
-        for j, ss in enumerate(be.spaces):
-            um, uc, _ = statespace.update(
-                ss,
-                model.emissions[j].mean,
-                model.noise,
-                pred.pred_means[j],
-                pred.pred_covs[j],
-                row,
-                mask,
-            )
-            n = ss.A.shape[0]
-            jm = np.zeros((D, n))
-            jc = np.zeros((D, n, n))
-            jm[1:] = um[:-1]
-            jc[1:] = uc[:-1]
-            fm, fc, _ = statespace.update(
-                ss,
-                model.emissions[j].mean,
-                model.noise,
-                np.zeros((1, n)),
-                ss.P0[None, :, :],
-                row,
-                mask,
-            )
-            jm[0], jc[0] = fm[0], fc[0]
-            means.append(jm)
-            covs.append(jc)
-        hyp_means, hyp_covs = tuple(means), tuple(covs)
-
-    win_v = np.vstack([state.window_values, row[None, :]])[-D:]
-    win_m = np.vstack([state.window_mask, mask[None, :]])[-D:]
     return ForwardState(
         log_alpha=new_alpha - norm,
         time_index=state.time_index + 1,
         log_evidence=state.log_evidence + float(norm),
-        window_values=win_v,
-        window_mask=win_m,
         backend=be,
-        hyp_means=hyp_means,
-        hyp_covs=hyp_covs,
+        cache=be.update(pred.cache, row, mask),
     )
 
 
@@ -482,26 +453,3 @@ def mixture_from_predictives(pred: Predictives, group) -> PredictiveMixture:
     covs = np.array(covs)[keep]
     logw = logw - scipy.special.logsumexp(logw)
     return PredictiveMixture(logw, means, covs, group)
-
-
-def _gaussian_logpdf_single(row, mask, mean, cov) -> float:
-    if not np.any(mask):
-        return 0.0
-    idx = np.nonzero(mask)[0]
-    diff = row[idx] - mean[idx]
-    sub = cov[np.ix_(idx, idx)]
-    L = np.linalg.cholesky(sub)
-    w = scipy.linalg.solve_triangular(L, diff, lower=True)
-    return float(
-        -0.5 * (w @ w + 2.0 * np.sum(np.log(np.diag(L))) + idx.size * LOG_2PI)
-    )
-
-
-def _batched_logpdf(y, means, covs):
-    """Gaussian log-density of one observation under stacked (..., m, m) laws."""
-    L = np.linalg.cholesky(covs)
-    diff = y - means
-    w = np.linalg.solve(L, diff[..., :, None])[..., 0]
-    quad = np.sum(w**2, axis=-1)
-    logdet = 2.0 * np.sum(np.log(np.diagonal(L, axis1=-2, axis2=-1)), axis=-1)
-    return -0.5 * (quad + logdet + y.shape[-1] * LOG_2PI)

@@ -12,16 +12,13 @@ An emission object provides ``temporal`` (MaternKernel), ``task``
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 
 from .errors import NonPositiveDefiniteError, UndefinedMetricError
-from .kernels import JITTER, NoiseModel, matern_eval, task_cov_assemble
-
-LOG_2PI = math.log(2.0 * math.pi)
+from .kernels import JITTER, LOG_2PI, NoiseModel, matern_eval, task_cov_assemble
 
 
 @dataclass(frozen=True)
@@ -59,36 +56,12 @@ def posterior_predict(
     returned: state mean and k^Y_ll * K^T over the query grid. The posterior
     covariance is over the noise-free process values.
     """
-    obs_times = np.asarray(obs_times, dtype=float)
-    obs_features = np.asarray(obs_features, dtype=int)
-    obs_values = np.asarray(obs_values, dtype=float)
     query_times = np.asarray(query_times, dtype=float)
-    mean_vec = np.asarray(emission.mean, dtype=float)
     q_feats = np.full(query_times.shape[0], int(query_feature))
-
-    prior_qq = _entry_cov(emission, query_times, q_feats, query_times, q_feats)
-    prior_mean = np.full(query_times.shape[0], mean_vec[int(query_feature)])
-    if obs_times.size == 0:
-        return PosteriorSummary(prior_mean, prior_qq)
-
-    K_oo = _entry_cov(emission, obs_times, obs_features, obs_times, obs_features)
-    K_oo[np.diag_indices_from(K_oo)] += noise.per_feature_variance[obs_features]
-    K_oo[np.diag_indices_from(K_oo)] += JITTER * emission.temporal.variance
-    K_qo = _entry_cov(emission, query_times, q_feats, obs_times, obs_features)
-    try:
-        L = np.linalg.cholesky(K_oo)
-    except np.linalg.LinAlgError as exc:
-        raise NonPositiveDefiniteError(
-            "observation covariance not positive definite in posterior_predict"
-        ) from exc
-    resid = obs_values - mean_vec[obs_features]
-    alpha = scipy.linalg.cho_solve((L, True), resid)
-    V = scipy.linalg.solve_triangular(L, K_qo.T, lower=True)
-    mean = prior_mean + K_qo @ alpha
-    cov = prior_qq - V.T @ V
-    cov = 0.5 * (cov + cov.T)
-    d = np.diag(cov).copy()
-    np.fill_diagonal(cov, np.maximum(d, 0.0))
+    mean, cov = joint_conditional(
+        emission, noise, obs_times, obs_features, obs_values, query_times, q_feats
+    )
+    np.fill_diagonal(cov, np.maximum(np.diag(cov), 0.0))
     return PosteriorSummary(mean, cov)
 
 
@@ -104,9 +77,9 @@ def joint_conditional(
 ):
     """Joint Gaussian over arbitrary (time, feature) query entries.
 
-    Generalizes `posterior_predict` to heterogeneous query entries and can
-    include observation noise on the queries, which is what one-step-ahead
-    row densities in the filter need. Returns (mean, covariance).
+    Query entries may mix features, and observation noise on the queries can
+    be included, which is what one-step-ahead row densities in the filter
+    need. Returns (mean, covariance).
     """
     obs_times = np.asarray(obs_times, dtype=float)
     obs_features = np.asarray(obs_features, dtype=int)

@@ -9,9 +9,11 @@ uses this single convention.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from .errors import NonPositiveDefiniteError
 
@@ -20,6 +22,8 @@ SMOOTHNESS_ORDERS = (0.5, 1.5, 2.5)
 
 # Relative diagonal jitter applied to bare Gram matrices before factorization.
 JITTER = 1e-8
+
+LOG_2PI = math.log(2.0 * math.pi)
 
 
 @dataclass(frozen=True)
@@ -189,3 +193,39 @@ def chol_or_raise(mat: np.ndarray, context: str, state: int | None = None) -> np
         raise NonPositiveDefiniteError(
             f"covariance not positive definite in {context}", state=state
         ) from exc
+
+
+def channel_basis(task: TaskCovariance, noise: NoiseModel, state: int | None = None):
+    """Generalized eigendecomposition (mu, W) of K^Y against diag(noise).
+
+    W^T diag(noise) W = I and W^T K^Y W = diag(mu): the transformed channels
+    of an emission are independent processes with variances mu_p plus unit
+    noise. ``state`` (0-based) only labels the error.
+    """
+    KY = task_cov_assemble(task)
+    try:
+        return scipy.linalg.eigh(KY, np.diag(noise.per_feature_variance))
+    except np.linalg.LinAlgError as exc:
+        where = "" if state is None else f" for state {state + 1}"
+        raise NonPositiveDefiniteError(
+            f"task/noise eigendecomposition failed{where}", state=state
+        ) from exc
+
+
+def gaussian_logpdf(diff: np.ndarray, chol: np.ndarray) -> np.ndarray:
+    """Zero-mean Gaussian log-density of residuals, given covariance factors.
+
+    ``chol`` holds lower Cholesky factors (..., m, m); ``diff`` holds
+    residuals (*S, ..., m) whose trailing batch dimensions broadcast against
+    those of ``chol``. Leading dimensions S that ``chol`` lacks (samples
+    scored under the same laws) become right-hand sides of one solve per
+    factor. Returns log-densities shaped (*S, ...).
+    """
+    k = max(diff.ndim - chol.ndim + 1, 0)
+    lead = diff.shape[:k]
+    rhs = np.moveaxis(diff.reshape((-1,) + diff.shape[k:]), 0, -1)  # (..., m, S)
+    w = np.linalg.solve(chol, rhs)
+    quad = np.moveaxis(np.sum(w**2, axis=-2), -1, 0)  # (S, ...)
+    logdet = 2.0 * np.sum(np.log(np.diagonal(chol, axis1=-2, axis2=-1)), axis=-1)
+    out = -0.5 * (quad + logdet + diff.shape[-1] * LOG_2PI)
+    return out.reshape(lead + out.shape[1:])

@@ -17,7 +17,6 @@ total is deterministic for a fixed ordering.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,10 +25,15 @@ import scipy.linalg
 from .circulant import fast_segment_loglik
 from .errors import InsufficientDataError, NonPositiveDefiniteError, SingularEmbeddingError
 from .gp_predict import segment_emission_loglik
-from .kernels import MaternKernel, matern_eval, matern_grad, task_cov_assemble
+from .kernels import (
+    LOG_2PI,
+    MaternKernel,
+    channel_basis,
+    matern_eval,
+    matern_grad,
+    task_cov_assemble,
+)
 from .model import SwitchingGPModel, segment_series
-
-LOG_2PI = math.log(2.0 * math.pi)
 
 
 @dataclass
@@ -73,19 +77,6 @@ def collect_segments(model: SwitchingGPModel, data):
     return out, masked
 
 
-def _channel_basis(model: SwitchingGPModel, state: int):
-    """Generalized eigendecomposition of the state's task covariance vs noise."""
-    KY = task_cov_assemble(model.emissions[state].task)
-    Dn = model.noise.per_feature_variance
-    try:
-        mu, W = scipy.linalg.eigh(KY, np.diag(Dn))
-    except scipy.linalg.LinAlgError as exc:
-        raise NonPositiveDefiniteError(
-            f"task/noise eigendecomposition failed for state {state + 1}", state=state
-        ) from exc
-    return mu, W
-
-
 def _temporal_eig(kernel: MaternKernel, length: int):
     """Eigendecomposition of the temporal Gram matrix on grid 0..length-1."""
     lags = np.abs(np.subtract.outer(np.arange(length, dtype=float), np.arange(length, dtype=float)))
@@ -96,7 +87,7 @@ def _temporal_eig(kernel: MaternKernel, length: int):
 
 def group_nll(model: SwitchingGPModel, group: _Group) -> float:
     """Exact dense NLL of all segments in a (state, length) group."""
-    mu, W = _channel_basis(model, group.state)
+    mu, W = channel_basis(model.emissions[group.state].task, model.noise, group.state)
     kern = model.emissions[group.state].temporal
     _, _, S, U = _temporal_eig(kern, group.length)
     scaled = mu[None, :] * S[:, None] + 1.0  # (T, P)
@@ -189,7 +180,7 @@ def nll_and_gradients(model: SwitchingGPModel, data):
         j, T, R = g.state, g.length, g.resids
         n = R.shape[0]
         if j not in basis:
-            basis[j] = _channel_basis(model, j)
+            basis[j] = channel_basis(model.emissions[j].task, model.noise, j)
         mu, W = basis[j]
         kern = model.emissions[j].temporal
         lags, K, S, U = _temporal_eig(kern, T)

@@ -28,6 +28,7 @@ from .errors import FilterCollapseError
 from .filtering import (
     ForwardState,
     Predictives,
+    advance_table,
     apply_row,
     forward_init,
     map_state,
@@ -144,33 +145,7 @@ def expected_entropy_mc(
 def _hypothetical_entropies(pred: Predictives, samples: np.ndarray, group) -> np.ndarray:
     """Posterior state entropy for each simulated row restricted to a group."""
     idx = np.array(group, dtype=int)
-    y = samples[:, idx]  # (N, m)
-    N = y.shape[0]
-    A, D = pred.cont_logw.shape
-
-    cont_c = pred.cont_cov[:, :, idx[:, None], idx[None, :]]  # (A, D, m, m)
-    fresh_c = pred.fresh_cov[:, idx[:, None], idx[None, :]]  # (A, m, m)
-    Lc = np.linalg.cholesky(cont_c)
-    Lf = np.linalg.cholesky(fresh_c)
-    m = idx.size
-    ln2pi = m * np.log(2.0 * np.pi)
-
-    diff_c = y[:, None, None, :] - pred.cont_mean[None, :, :, idx]  # (N, A, D, m)
-    wc = np.linalg.solve(Lc[None], diff_c[..., :, None])[..., 0]
-    quad_c = np.sum(wc**2, axis=-1)
-    logdet_c = 2.0 * np.sum(np.log(np.diagonal(Lc, axis1=-2, axis2=-1)), axis=-1)
-    dens_c = -0.5 * (quad_c + logdet_c[None] + ln2pi)  # (N, A, D)
-
-    diff_f = y[:, None, :] - pred.fresh_mean[None, :, idx]  # (N, A, m)
-    wf = np.linalg.solve(Lf[None], diff_f[..., :, None])[..., 0]
-    quad_f = np.sum(wf**2, axis=-1)
-    logdet_f = 2.0 * np.sum(np.log(np.diagonal(Lf, axis1=-2, axis2=-1)), axis=-1)
-    dens_f = -0.5 * (quad_f + logdet_f[None] + ln2pi)  # (N, A)
-
-    new_alpha = np.full((N, A, D), -np.inf)
-    new_alpha[:, :, 1:] = pred.cont_logw[None, :, :-1] + dens_c[:, :, :-1]
-    new_alpha[:, :, 0] = pred.fresh_logw[None, :] + dens_f
-
+    new_alpha = advance_table(pred, samples[:, idx], idx)  # (N, A, D)
     state_log = scipy.special.logsumexp(new_alpha, axis=2)  # (N, A)
     norm = scipy.special.logsumexp(state_log, axis=1)
     if not np.all(np.isfinite(norm)):
@@ -296,7 +271,6 @@ def run_adaptive(
     energy_scale: float = 1.0,
     num_samples: int = DEFAULT_NUM_SAMPLES,
     rng=0,
-    backend: str = "kalman",
 ) -> AdaptiveResult:
     """Stream a series through the filter with adaptive sensing.
 
@@ -316,7 +290,7 @@ def run_adaptive(
             raise ValueError("labels must align with observations")
 
     t0 = time.perf_counter()
-    state = forward_init(model, observations[0], backend=backend)
+    state = forward_init(model, observations[0])
     records = []
     correct = 0
     if labels is not None and map_state(state) == labels[0]:

@@ -22,9 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .kernels import MaternKernel, task_cov_assemble
-
-LOG_2PI = math.log(2.0 * math.pi)
+from .kernels import MaternKernel, channel_basis, gaussian_logpdf
 
 _STATE_DIM = {0.5: 1, 1.5: 2, 2.5: 3}
 
@@ -76,9 +74,7 @@ class StateSpace:
 
 def build_statespace(emission, noise) -> StateSpace:
     """Assemble the joint channel-stacked state space for one emission state."""
-    KY = task_cov_assemble(emission.task)
-    Dn = noise.per_feature_variance
-    mu, W = scipy.linalg.eigh(KY, np.diag(Dn))
+    mu, W = channel_basis(emission.task, noise)
     mu = np.maximum(mu, 0.0)
     P = mu.shape[0]
 
@@ -133,18 +129,14 @@ def update(ss: StateSpace, mean_vec, noise, pm, pc, row, mask):
     S = np.einsum("pi,dim->dpm", Hm, PH) + Rm[None, :, :]
     S = 0.5 * (S + np.swapaxes(S, 1, 2))
     Lc = np.linalg.cholesky(S)
-    w = np.linalg.solve(Lc, innov[:, :, None])[:, :, 0]
-    m_count = int(mask.sum())
-    logdet = 2.0 * np.sum(np.log(np.diagonal(Lc, axis1=1, axis2=2)), axis=1)
-    logdens = -0.5 * (np.sum(w**2, axis=1) + logdet + m_count * LOG_2PI)
+    logdens = gaussian_logpdf(innov, Lc)
 
-    Sinv_innov = np.linalg.solve(Lc.swapaxes(1, 2), w[:, :, None])[:, :, 0]
-    gain = PH  # K = P H^T S^{-1}, applied through the solves below
-    new_m = pm + np.einsum("dim,dm->di", gain, Sinv_innov)
-    Sinv_PH = np.linalg.solve(
+    # Transposed gain K^T = S^{-1} H P, through the two triangular factors.
+    gain_t = np.linalg.solve(
         np.swapaxes(Lc, 1, 2), np.linalg.solve(Lc, np.swapaxes(PH, 1, 2))
     )  # (d, m, n)
-    new_c = pc - np.einsum("dim,dmj->dij", PH, Sinv_PH)
+    new_m = pm + np.einsum("dm,dmi->di", innov, gain_t)
+    new_c = pc - np.einsum("dim,dmj->dij", PH, gain_t)
     new_c = 0.5 * (new_c + np.swapaxes(new_c, 1, 2))
     return new_m, new_c, logdens
 

@@ -303,6 +303,18 @@ class TestSweep:
         assert [strip(x) for x in a] == [strip(x) for x in b]
 
 
+    def test_stdout_carries_the_file_bytes(self, workspace, tmp_path):
+        rc, _, err = run_cli(self.sweep_argv(workspace, tmp_path / "a.csv"))
+        assert rc == 0, err
+        rc, stdout, err = run_cli(self.sweep_argv(workspace, "-"))
+        assert rc == 0, err
+        strip = lambda line: line.rsplit(",", 1)[0]
+        a = (tmp_path / "a.csv").read_bytes().decode().split("\r\n")
+        b = stdout.split("\r\n")
+        assert len(a) == 4 and a[-1] == ""
+        assert [strip(x) for x in a] == [strip(x) for x in b]
+
+
 class TestPca:
     def test_projection_document(self, workspace, tmp_path):
         out = tmp_path / "pca.json"

@@ -16,6 +16,7 @@ from switchgp.experiments import (
     prepare_series,
     write_sweep_csv,
 )
+from switchgp.filtering import forward_init, forward_step, state_posterior
 from switchgp.kernels import MaternKernel, NoiseModel
 from switchgp.model import SegmentedSeries, TransitionMatrix, segment_series
 
@@ -118,6 +119,31 @@ class TestRecognition:
             ExperimentConfig(), model=permuted_two_state(model), data=[flipped]
         )
         assert out["accuracy"] == base["accuracy"]
+
+    def test_honours_series_mask(self):
+        model = helpers.random_model(A=2, P=3, cap=4, seed=12)
+        series = generate_synthetic(model, 40, seed=13)
+        mask = np.random.default_rng(14).random(series.observations.shape) > 0.4
+        mask[5] = False  # one row with nothing observed
+        holed = replace(series, mask=mask)
+        steps = experiment_recognition(ExperimentConfig(), model=model, data=[holed])[
+            "trajectories"
+        ][0]["steps"]
+
+        rows = series.observations
+        state = forward_init(model, rows[0], mask[0])
+        manual = [state_posterior(state)]
+        for t in range(1, rows.shape[0]):
+            state = forward_step(state, rows[t], model, mask[t])
+            manual.append(state_posterior(state))
+        np.testing.assert_array_equal([s["posterior"] for s in steps], manual)
+        assert sum(s["log_evidence_delta"] for s in steps) == pytest.approx(
+            state.log_evidence, abs=1e-9
+        )
+
+        full = experiment_recognition(ExperimentConfig(), model=model, data=[series])
+        unmasked = [s["posterior"] for s in full["trajectories"][0]["steps"]]
+        assert not np.allclose(unmasked, manual)
 
     def test_confusion_and_switch_stats(self):
         model = helpers.separated_model(P=1, gap=5.0, cap=15)

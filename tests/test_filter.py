@@ -19,7 +19,6 @@ from switchgp.errors import FilterCollapseError
 from switchgp.filtering import (
     ForwardState,
     build_duration_table,
-    duration_transition,
     forward_init,
     forward_step,
     map_state,
@@ -29,7 +28,7 @@ from switchgp.filtering import (
     step_predictives,
 )
 from switchgp.kernels import MaternKernel, NoiseModel, task_cov_assemble
-from switchgp.model import StateEmission, SwitchingGPModel
+from switchgp.model import GammaDuration, StateEmission, SwitchingGPModel
 
 
 def run_filter(model, rows, mask=None, backend="kalman"):
@@ -107,40 +106,89 @@ class TestDurationTable:
             assert scipy.special.logsumexp(tbl.log_p[i]) == pytest.approx(0.0, abs=1e-12)
         assert scipy.special.logsumexp(tbl.log_pi) == pytest.approx(0.0, abs=1e-12)
 
-
-class TestDurationTransition:
-    def test_forbidden_same_state_is_zero(self):
+    # Rebirth kernel a_{(i,d')(j,d)} = p_ij * g_j(d): the source duration d'
+    # cancels in the normalization, so the table's log_p and log_g carry it.
+    def test_forbidden_same_state_transition(self):
         model = helpers.random_model(A=2, P=1, cap=3, seed=0)
-        assert duration_transition(1, 2, 1, 1, model) == 0.0
+        tbl = build_duration_table(model)
+        assert np.all(np.isneginf(np.diag(tbl.log_p)))
 
-    def test_normalizes_over_destinations(self):
+    def test_rebirth_normalizes_over_destinations(self):
         model = helpers.random_model(A=3, P=1, cap=4, seed=5)
-        for i in (1, 2, 3):
-            for d_prime in (1, 4):
-                total = sum(
-                    duration_transition(i, d_prime, j, d, model)
-                    for j in (1, 2, 3)
-                    if j != i
-                    for d in range(1, 5)
-                )
-                assert total == pytest.approx(1.0, abs=1e-8)
+        tbl = build_duration_table(model)
+        kernel = np.exp(tbl.log_p[:, :, None] + tbl.log_g[None, :, :])  # (i, j, d)
+        np.testing.assert_allclose(kernel.sum(axis=(1, 2)), 1.0, atol=1e-8)
 
-    def test_hand_case_matches_cdf_oracle(self):
+    def test_rebirth_hand_case_matches_cdf_oracle(self):
         model = helpers.random_model(A=2, P=1, cap=5, seed=6)
         model = replace(
             model, durations=(model.durations[0], type(model.durations[0])(2.0, 1.0))
         )
         g, _ = oracles.gamma_duration_masses(model.durations[1], 5)
         p12 = model.transitions.probs[0][1]
-        got = duration_transition(1, 3, 2, 2, model)
+        tbl = build_duration_table(model)
+        got = math.exp(tbl.log_p[0, 1] + tbl.log_g[1, 1])
         assert got == pytest.approx(p12 * g[1], abs=1e-10)
 
-    def test_rejects_out_of_range_durations(self):
-        model = helpers.random_model(A=2, P=1, cap=3, seed=7)
-        with pytest.raises(ValueError):
-            duration_transition(1, 1, 2, 4, model)
-        with pytest.raises(ValueError):
-            duration_transition(1, 0, 2, 1, model)
+
+def exact_log_masses(shape, scale, cap):
+    """log g(d) and log S(d), d = 1..cap, from the upper incomplete gamma
+    function at 60 digits; None where the value is below double range."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(60):
+        Q = [
+            mpmath.gammainc(shape, e / mpmath.mpf(scale), mpmath.inf, regularized=True)
+            for e in range(cap + 1)
+        ]
+        total = 1 - Q[cap]
+
+        def log_or_none(x):
+            return float(mpmath.log(x)) if x > mpmath.mpf("1e-300") else None
+
+        log_g = [log_or_none((Q[d - 1] - Q[d]) / total) for d in range(1, cap + 1)]
+        log_S = [log_or_none((Q[d - 1] - Q[cap]) / total) for d in range(1, cap + 1)]
+    return log_g, log_S
+
+
+class TestDurationSaturation:
+    """Caps far beyond the point where the Gamma CDF rounds to 1."""
+
+    @pytest.mark.parametrize(
+        "shape, scale, cap",
+        [
+            (2.0, 1.0, 5),
+            (2.0, 1.0, 80),
+            (4.5, 2.0, 80),
+            (0.7, 3.0, 60),
+            (30.0, 0.2, 40),
+            (8.0, 0.5, 300),
+            (2.0, 1.0, 1000),
+        ],
+    )
+    def test_table_is_exact_and_nan_free(self, shape, scale, cap):
+        base = helpers.random_model(A=1, P=1, cap=cap, seed=0)
+        model = replace(base, durations=(GammaDuration(shape, scale),))
+        tbl = build_duration_table(model)
+        for arr in (tbl.log_g, tbl.log_S, tbl.cont_ratio, tbl.hazard):
+            assert not np.any(np.isnan(arr))
+        want_g, want_S = exact_log_masses(shape, scale, cap)
+        for got, want in ((tbl.log_g[0], want_g), (tbl.log_S[0], want_S)):
+            for d, w in enumerate(want):
+                if w is None:
+                    assert got[d] < -650.0
+                elif w > -650.0:
+                    assert got[d] == pytest.approx(w, rel=1e-9, abs=1e-9)
+        live = np.isfinite(tbl.cont_ratio)
+        assert np.all(tbl.cont_ratio[live] <= 0.0)
+        assert np.all(tbl.hazard[np.isfinite(tbl.hazard)] <= 1e-12)
+
+    def test_saturated_model_streams_without_collapse(self):
+        model = helpers.random_model(A=6, P=10, cap=80, seed=1)
+        series = generate_synthetic(model, 12, seed=0)
+        state = run_filter(model, series.observations)
+        assert np.isfinite(state.log_evidence)
+        assert state.log_evidence >= true_path_logdensity(model, series) - 1e-8
+        assert state_posterior(state).sum() == pytest.approx(1.0)
 
 
 class TestForwardInit:
@@ -292,9 +340,8 @@ class TestMapState:
             log_alpha=log_alpha,
             time_index=1,
             log_evidence=0.0,
-            window_values=np.zeros((1, 1)),
-            window_mask=np.ones((1, 1), dtype=bool),
             backend=None,
+            cache=None,
         )
         # states 1 and 3 both hold 0.4
         assert map_state(state) == 1
