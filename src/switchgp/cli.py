@@ -184,9 +184,11 @@ def cmd_monitor(args) -> int:
     series = _pick_series(_load_units(args, model), args.subject)
     Y = series.observations
     labels = series.labels
+    mask = series.mask
     if args.max_steps is not None:
         Y = Y[: args.max_steps]
         labels = None if labels is None else labels[: args.max_steps]
+        mask = mask[: args.max_steps]
     catalog = monitor.default_catalog(model.num_features, 1.0, sizes=args.groups)
     result = monitor.run_adaptive(
         model,
@@ -196,6 +198,7 @@ def cmd_monitor(args) -> int:
         energy_scale=args.energy_weight,
         num_samples=args.mc_samples,
         rng=args.seed,
+        mask=mask,
     )
     fh = _open_out(args.out)
     for rec in result.records:
@@ -409,7 +412,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except (SwitchGPError, ValueError, OSError) as exc:
         record = {"error": type(exc).__name__, "message": str(exc)}
-        for attr in ("path", "line", "time_index", "state", "fourier_index"):
+        for attr in ("path", "line", "time_index", "state", "fourier_index", "features"):
             val = getattr(exc, attr, None)
             if val is not None:
                 record[attr] = val

@@ -47,6 +47,20 @@ class FilterCollapseError(SwitchGPError):
         self.time_index = time_index
 
 
+class NonFiniteObservationError(SwitchGPError):
+    """An observed entry of a row fed to the filter is NaN or infinite.
+
+    ``time_index`` is the 1-based row; ``features`` the 0-based observed
+    features whose values are not finite. Mark missing values in the mask
+    instead.
+    """
+
+    def __init__(self, message: str, time_index: int | None = None, features=()):
+        super().__init__(message)
+        self.time_index = time_index
+        self.features = tuple(features)
+
+
 class OptimizerContractError(SwitchGPError):
     """The optimizer accepted a step that increased the objective."""
 

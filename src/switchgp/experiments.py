@@ -53,14 +53,19 @@ class ExperimentConfig:
 
 
 def prepare_series(model: SwitchingGPModel, series_list) -> list:
-    """Project raw series into model units via the model's stored PCA."""
+    """Project raw series into model units via the model's stored PCA.
+
+    Every component loads on every raw feature, so a row with a missing raw
+    entry becomes a fully masked row of scores.
+    """
     if model.pca is None:
         return list(series_list)
     proj = PcaProjection.from_dict(model.pca)
     out = []
     for s in series_list:
         scores = apply_pca(proj, s.observations, whiten=True)
-        out.append(replace(s, observations=scores, mask=None))
+        mask = np.repeat(np.all(s.mask, axis=1, keepdims=True), scores.shape[1], axis=1)
+        out.append(replace(s, observations=scores, mask=mask))
     return out
 
 
@@ -257,6 +262,7 @@ def experiment_sweep(
                 energy_scale=float(lam),
                 num_samples=config.num_samples,
                 rng=child,
+                mask=series.mask,
             )
             T = res.summary["num_steps"]
             steps_w += T

@@ -14,13 +14,17 @@ buffered in-segment window under each hypothesis. Two interchangeable
 backends compute them: the exact Kalman recursion of `statespace` (constant
 per step, the default) and dense Gaussian conditioning on the window
 (grid-agnostic, cubic in window length, kept as the test oracle). They agree
-to floating-point accuracy on the uniform grid. A backend owns an opaque
-cache and offers two methods: ``update(pred_cache | None, row, mask)``
-returns the cache after a row (``None`` starts a stream), and
-``predict(cache, cont_logw)`` returns the continuing one-step conditionals
-plus the cache that ``update`` consumes next. Its ``fresh_mean`` and
-``fresh_cov`` hold the first-row law of a new segment in each state.
-Everything else in the recursion is shared.
+to floating-point accuracy on the uniform grid. The Kalman backend runs
+hypotheses whose segment saw only fully observed rows from a per-state
+covariance table indexed by elapsed duration, in decoupled channels, and
+the others on the joint recursion; the rows' masks alone pick the path.
+
+A backend owns an opaque cache and offers two methods:
+``update(pred_cache | None, row, mask)`` returns the cache after a row
+(``None`` starts a stream), and ``predict(cache, cont_logw)`` returns the
+continuing one-step conditionals plus the cache that ``update`` consumes
+next. Its ``fresh_mean`` and ``fresh_cov`` hold the first-row law of a new
+segment in each state. Everything else in the recursion is shared.
 
 All recursion arithmetic is in log space with logsumexp; nothing accumulates
 in probability domain. Continuous Gamma durations are discretized to unit
@@ -33,11 +37,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 import scipy.special
 
-from .errors import FilterCollapseError
+from .errors import FilterCollapseError, NonFiniteObservationError
 from .gp_predict import joint_conditional
 from .kernels import gaussian_logpdf
 from .model import SwitchingGPModel
@@ -177,11 +182,29 @@ class Predictives:
     cache: object  # backend prediction, consumed by apply_row
 
 
+class _Slots(NamedTuple):
+    """Kalman moments of one state's reached hypotheses, slot d-1 for d = 1..r.
+
+    The first ``clean`` slots are clean: slot i absorbed i+1 fully observed
+    rows, and its covariance is that entry of the state's table. ``covs``
+    holds the joint covariances of the other slots.
+    """
+
+    means: np.ndarray  # (r, n)
+    clean: int
+    covs: np.ndarray  # (r - clean, n, n)
+
+
 class KalmanBackend:
     """Constant-cost-per-row emission backend (exact on the uniform grid).
 
-    The cache holds one (means (D, n), covariances (D, n, n)) pair per state:
-    the Kalman moments of every elapsed-duration hypothesis.
+    The cache holds one `_Slots` per state. A fully observed row advances
+    each state's clean count by one (up to the duration cap); a row with a
+    missing feature resets it to zero. Clean slots run the decoupled path of
+    `statespace`, on covariances from a per-state `statespace.CovarianceTable`
+    that grows one entry per step the first time a stream reaches each
+    duration; the other slots run the joint path. Slots the stream has not
+    reached yet hold no moments, and their predictives are placeholders.
     """
 
     def __init__(self, model: SwitchingGPModel):
@@ -190,6 +213,7 @@ class KalmanBackend:
         self.spaces = [
             statespace.build_statespace(e, model.noise) for e in model.emissions
         ]
+        self.covariances = [statespace.CovarianceTable(ss, model.noise) for ss in self.spaces]
         fresh = [
             statespace.stationary_observation(ss, e.mean, model.noise)
             for ss, e in zip(self.spaces, model.emissions)
@@ -203,34 +227,53 @@ class KalmanBackend:
         cont_mean = np.empty((A, D, P))
         cont_cov = np.empty((A, D, P, P))
         pred_cache = []
-        for j, (ss, e, (means, covs)) in enumerate(zip(self.spaces, model.emissions, cache)):
-            pm, pc = statespace.predict(ss, means, covs)
-            cont_mean[j], cont_cov[j] = statespace.observation_conditionals(
-                ss, e.mean, model.noise, pm, pc
+        for j, (ss, e, slots) in enumerate(zip(self.spaces, model.emissions, cache)):
+            clean, r = slots.clean, slots.means.shape[0]
+            pm = np.empty(slots.means.shape)
+            pc = slots.covs
+            batches = (
+                (0, clean, statespace.TableCovs(self.covariances[j], 1, clean + 1)),
+                (clean, r, slots.covs),
             )
-            pred_cache.append((pm, pc))
+            for lo, hi, covs in batches:
+                if hi == lo:
+                    continue
+                pm[lo:hi], covs = statespace.predict(ss, slots.means[lo:hi], covs)
+                cont_mean[j, lo:hi], cont_cov[j, lo:hi] = statespace.observation_conditionals(
+                    ss, e.mean, model.noise, pm[lo:hi], covs
+                )
+                if lo == clean:
+                    pc = covs
+            cont_mean[j, r:], cont_cov[j, r:] = self.fresh_mean[j], self.fresh_cov[j]
+            pred_cache.append(_Slots(pm, clean, pc))
         return cont_mean, cont_cov, tuple(pred_cache)
 
     def update(self, pred_cache, row, mask):
-        model = self.model
-        D = model.duration_cap
+        D = self.model.duration_cap
         cache = []
-        for j, (ss, e) in enumerate(zip(self.spaces, model.emissions)):
+        for j, (ss, e) in enumerate(zip(self.spaces, self.model.emissions)):
             n = ss.A.shape[0]
-            means = np.zeros((D, n))
-            covs = np.empty((D, n, n))
-            if pred_cache is None:
-                covs[1:] = np.eye(n)  # placeholders: no segment has run yet
-            else:
-                um, uc, _ = statespace.update(
-                    ss, e.mean, model.noise, *pred_cache[j], row, mask
-                )
-                means[1:], covs[1:] = um[:-1], uc[:-1]
-            fm, fc, _ = statespace.update(
-                ss, e.mean, model.noise, np.zeros((1, n)), ss.P0[None, :, :], row, mask
+            pred = _Slots(np.zeros((0, n)), 0, np.zeros((0, n, n)))
+            if pred_cache is not None:
+                pred = pred_cache[j]
+            # A fresh segment (no rows absorbed) joins the clean slots in
+            # front; the slot that would pass the cap drops off the end.
+            clean = pred.clean + 1
+            means = np.vstack([np.zeros((1, n)), pred.means])[:D]
+            covs = pred.covs[: max(D - clean, 0)]
+            clean = min(clean, D)
+            um, uc, _ = statespace.update(
+                ss, e.mean, self.model.noise, means[:clean],
+                statespace.TableCovs(self.covariances[j], 0, clean), row, mask,
             )
-            means[0], covs[0] = fm[0], fc[0]
-            cache.append((means, covs))
+            if covs.shape[0]:
+                dm, dc, _ = statespace.update(
+                    ss, e.mean, self.model.noise, means[clean:], covs, row, mask
+                )
+                um, covs = np.vstack([um, dm]), dc
+            if not isinstance(uc, statespace.TableCovs):
+                clean, covs = 0, np.concatenate([uc, covs])
+            cache.append(_Slots(um, clean, covs))
         return tuple(cache)
 
 
@@ -296,10 +339,23 @@ def get_backend(model: SwitchingGPModel, backend: str = "kalman"):
     raise ValueError(f"unknown backend {backend!r}")
 
 
-def _row_and_mask(row, mask):
+def _row_and_mask(row, mask, time_index):
+    """The row as floats, its mask as booleans, and the observed features.
+
+    Raises NonFiniteObservationError when an observed value is not finite.
+    """
     row = np.asarray(row, dtype=float)
     mask = np.ones(row.shape, dtype=bool) if mask is None else np.asarray(mask, dtype=bool)
-    return row, mask
+    idx = np.flatnonzero(mask)
+    bad = idx[~np.isfinite(row[idx])]
+    if bad.size:
+        raise NonFiniteObservationError(
+            f"row {time_index} has non-finite observed values at features "
+            f"{bad.tolist()} (0-based); mask missing values instead",
+            time_index=time_index,
+            features=bad.tolist(),
+        )
+    return row, mask, idx
 
 
 def _entry_logpdf(y, idx, means, covs):
@@ -329,8 +385,7 @@ def advance_table(pred: Predictives, y, idx) -> np.ndarray:
 def forward_init(model: SwitchingGPModel, row, mask=None, backend="kalman") -> ForwardState:
     """Start a stream: alpha_1(j, 1) proportional to pi_j * b_j(y_1)."""
     be = get_backend(model, backend) if isinstance(backend, str) else backend
-    row, mask = _row_and_mask(row, mask)
-    idx = np.flatnonzero(mask)
+    row, mask, idx = _row_and_mask(row, mask, 1)
     log_alpha = np.full((model.num_states, model.duration_cap), NEG_INF)
     log_alpha[:, 0] = be.table.log_pi + _entry_logpdf(
         row[idx], idx, be.fresh_mean, be.fresh_cov
@@ -378,8 +433,7 @@ def apply_row(
 ) -> ForwardState:
     """Finish a forward step: score the row, update the table and the backend."""
     be = state.backend
-    row, mask = _row_and_mask(row, mask)
-    idx = np.flatnonzero(mask)
+    row, mask, idx = _row_and_mask(row, mask, state.time_index + 1)
     new_alpha = advance_table(pred, row[idx], idx)
 
     norm = scipy.special.logsumexp(new_alpha)

@@ -271,26 +271,34 @@ def run_adaptive(
     energy_scale: float = 1.0,
     num_samples: int = DEFAULT_NUM_SAMPLES,
     rng=0,
+    mask=None,
 ) -> AdaptiveResult:
     """Stream a series through the filter with adaptive sensing.
 
-    The first row is fully observed to initialize the filter; every later
-    row is observed only on the selected group. ``energy_scale`` multiplies
-    the catalog costs (the sweep's lambda knob). ``labels`` (1-based,
-    optional) enable the accuracy summary. ``rng`` may be a seed or a
-    Generator. Deterministic given (inputs, seed).
+    ``mask`` (T x P booleans, optional, all True by default) marks the
+    entries that exist. The first row is observed wherever the mask allows,
+    to initialize the filter; every later row only on the selected group,
+    where the mask allows. ``energy_scale`` multiplies the catalog costs
+    (the sweep's lambda knob). ``labels`` (1-based, optional) enable the
+    accuracy summary. ``rng`` may be a seed or a Generator. Deterministic
+    given (inputs, seed).
     """
     rng = _as_rng(rng)
     cat = catalog if energy_scale == 1.0 else catalog.scaled(energy_scale)
     observations = np.asarray(observations, dtype=float)
     T, P = observations.shape
+    if mask is None:
+        mask = np.ones((T, P), dtype=bool)
+    mask = np.asarray(mask, dtype=bool)
+    if mask.shape != (T, P):
+        raise ValueError("mask must match observations")
     if labels is not None:
         labels = np.asarray(labels, dtype=int)
         if labels.shape[0] != T:
             raise ValueError("labels must align with observations")
 
     t0 = time.perf_counter()
-    state = forward_init(model, observations[0])
+    state = forward_init(model, observations[0], mask[0])
     records = []
     correct = 0
     if labels is not None and map_state(state) == labels[0]:
@@ -303,10 +311,10 @@ def run_adaptive(
         group, sel = select_group(
             state, model, cat, num_samples=num_samples, rng=rng, pred=pred
         )
-        mask = np.zeros(P, dtype=bool)
-        mask[list(group)] = True
+        observed = np.zeros(P, dtype=bool)
+        observed[list(group)] = True
         prev_evidence = state.log_evidence
-        state = apply_row(state, model, pred, observations[t], mask)
+        state = apply_row(state, model, pred, observations[t], observed & mask[t])
         post = state_posterior(state)
         rec = StepRecord(
             selection=sel,

@@ -12,6 +12,18 @@ are ``mean_j + W^{-T} f + eps`` where the channels f_p are independent Matern
 processes with variances mu_p. One joint state vector stacks the P channel
 states (channel-major); all channels share the transition matrix because
 they share the temporal kernel within a state.
+
+`predict`, `observation_conditionals` and `update` take a batch of
+hypotheses as means plus covariances, which come in one of two forms:
+
+- joint (d, n, n) arrays, the general path. A row with missing features
+  couples the channels, so after one the covariances depend on which
+  features each row observed;
+- a `TableCovs` range of a `CovarianceTable`, for clean hypotheses, whose
+  segment so far saw only fully observed rows. Their covariances depend on
+  the number of rows absorbed alone, so the table holds them once per state,
+  and a fully observed row moves only the means, channel by channel, in the
+  rotated residual ``W^T (y - mean_j)``.
 """
 
 from __future__ import annotations
@@ -22,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .kernels import MaternKernel, channel_basis, gaussian_logpdf
+from .kernels import LOG_2PI, MaternKernel, channel_basis, gaussian_logpdf
 
 _STATE_DIM = {0.5: 1, 1.5: 2, 2.5: 3}
 
@@ -70,6 +82,7 @@ class StateSpace:
     P0: np.ndarray  # (n, n) joint stationary prior
     H: np.ndarray  # (P, n) observation matrix (position components through W^{-T})
     dim: int  # per-channel state dimension
+    W: np.ndarray  # (P, P) channel basis: z = W^T (y - mean) has unit noise
 
 
 def build_statespace(emission, noise) -> StateSpace:
@@ -94,22 +107,119 @@ def build_statespace(emission, noise) -> StateSpace:
 
     H = np.zeros((P, n))
     H[:, ::s] = np.linalg.inv(W).T
-    return StateSpace(A=A, Q=Q, P0=P0, H=H, dim=s)
+    return StateSpace(A=A, Q=Q, P0=P0, H=H, dim=s, W=W)
 
 
-def predict(ss: StateSpace, means: np.ndarray, covs: np.ndarray):
-    """One-step-ahead prior for a batch of hypotheses: x -> A x, P -> A P A^T + Q."""
+def _channel_blocks(ss: StateSpace, mat: np.ndarray) -> np.ndarray:
+    """Diagonal (s, s) blocks (P, s, s) of a channel-block-diagonal (n, n) matrix."""
+    P, s = ss.H.shape[0], ss.dim
+    ch = np.arange(P)
+    return mat.reshape(P, s, P, s)[ch, :, ch, :]
+
+
+class CovarianceTable:
+    """Kalman covariances of one state's fully observed segments, indexed by d.
+
+    On fully observed rows the Riccati recursion does not depend on the
+    data, and in the channel basis it splits into P independent
+    s-dimensional filters with unit noise. Entry m describes a segment that
+    has absorbed m rows (m = 0 is a fresh segment) before its next one: the
+    per-channel prior covariance of that row's state, the innovation
+    variances and gains of the rotated channels, and the row's predictive
+    covariance in y-space. Entries are a pure function of the state's model;
+    each is computed the first time a stream asks for it, so a table reaches
+    index m only after a stream has run m rows without a masked one.
+    """
+
+    def __init__(self, ss: StateSpace, noise):
+        P, s = ss.H.shape[0], ss.dim
+        self.A1 = ss.A[:s, :s]
+        self.Q = _channel_blocks(ss, ss.Q)
+        self.P0 = _channel_blocks(ss, ss.P0)
+        self.Hpos = ss.H[:, ::s]
+        self.noise = np.diag(noise.per_feature_variance)
+        self.logdet_W = float(np.linalg.slogdet(ss.W)[1])
+        self.size = 0
+        self.prior = np.empty((0, P, s, s))
+        self.var = np.empty((0, P))
+        self.gain = np.empty((0, P, s))
+        self.ycov = np.empty((0, P, P))
+        self._post = None  # per-channel posterior after absorbing `size` rows
+
+    def extend(self, size: int) -> None:
+        """Compute the entries below ``size`` that are not there yet."""
+        if size > self.var.shape[0]:
+            capacity = max(size, 2 * self.var.shape[0])
+            for name in ("prior", "var", "gain", "ycov"):
+                old = getattr(self, name)
+                new = np.empty((capacity,) + old.shape[1:])
+                new[: self.size] = old[: self.size]
+                setattr(self, name, new)
+        while self.size < size:
+            if self.size == 0:
+                prior = self.P0
+            else:
+                prior = self.A1 @ self._post @ self.A1.T + self.Q
+                prior = 0.5 * (prior + np.swapaxes(prior, 1, 2))
+            var = prior[:, 0, 0] + 1.0
+            gain = prior[:, :, 0] / var[:, None]
+            post = prior - gain[:, :, None] * prior[:, None, 0, :]
+            self._post = 0.5 * (post + np.swapaxes(post, 1, 2))
+            ycov = (self.Hpos * prior[:, 0, 0]) @ self.Hpos.T + self.noise
+            m = self.size
+            self.prior[m], self.var[m], self.gain[m] = prior, var, gain
+            self.ycov[m] = 0.5 * (ycov + ycov.T)
+            self.size = m + 1
+
+    def rows(self, name: str, lo: int, hi: int) -> np.ndarray:
+        """Read-only view of entries lo..hi-1 of one of the table's arrays."""
+        self.extend(hi)
+        view = getattr(self, name)[lo:hi]
+        view.flags.writeable = False
+        return view
+
+
+@dataclass(frozen=True)
+class TableCovs:
+    """Covariances of a batch of clean hypotheses, held by a CovarianceTable.
+
+    Hypothesis i has absorbed ``lo + i`` rows since its segment started, all
+    fully observed. Passed where the functions below take covariances, it
+    selects the decoupled path: `predict` and `observation_conditionals`
+    read the table, and `update` on a fully observed row propagates only the
+    means. Any other row needs the joint covariances (`dense`).
+    """
+
+    table: CovarianceTable
+    lo: int
+    hi: int
+
+    def dense(self) -> np.ndarray:
+        """Joint (h, n, n) prior covariances: block diagonal over channels."""
+        prior = self.table.rows("prior", self.lo, self.hi)  # (h, P, s, s)
+        h, P, s, _ = prior.shape
+        return np.einsum("hpab,pq->hpaqb", prior, np.eye(P)).reshape(h, P * s, P * s)
+
+
+def predict(ss: StateSpace, means: np.ndarray, covs):
+    """One-step-ahead prior for a batch of hypotheses: x -> A x, P -> A P A^T + Q.
+
+    Clean hypotheses (`TableCovs`) keep their table entry: the table holds
+    the prior of each entry's next row.
+    """
     pm = means @ ss.A.T
-    pc = np.einsum("ij,djk,lk->dil", ss.A, covs, ss.A)
-    pc = pc + ss.Q[None, :, :]
+    if isinstance(covs, TableCovs):
+        return pm, covs
+    pc = ss.A @ covs @ ss.A.T + ss.Q
     return pm, 0.5 * (pc + np.swapaxes(pc, 1, 2))
 
 
 def observation_conditionals(ss: StateSpace, mean_vec, noise, pm, pc):
     """Predicted observation mean (d, P) and covariance (d, P, P) per hypothesis."""
     om = pm @ ss.H.T + mean_vec[None, :]
-    oc = np.einsum("pi,dij,qj->dpq", ss.H, pc, ss.H)
-    oc = oc + np.diag(noise.per_feature_variance)[None, :, :]
+    if isinstance(pc, TableCovs):
+        return om, pc.table.rows("ycov", pc.lo, pc.hi)
+    oc = ss.H @ pc @ ss.H.T + np.diag(noise.per_feature_variance)
     return om, oc
 
 
@@ -118,27 +228,45 @@ def update(ss: StateSpace, mean_vec, noise, pm, pc, row, mask):
 
     ``row`` is a length-P observation; ``mask`` its observed-feature booleans.
     With nothing observed the prediction passes through with zero evidence.
+    Clean hypotheses (`TableCovs`) stay clean on a fully observed row, with
+    covariances one table entry further on; any other row turns them into
+    joint covariances.
     """
+    if isinstance(pc, TableCovs):
+        if np.all(mask):
+            return _update_clean(ss, mean_vec, pm, pc, row)
+        pc = pc.dense()
     d = pm.shape[0]
     if not np.any(mask):
         return pm, pc, np.zeros(d)
     Hm = ss.H[mask]
-    Rm = np.diag(noise.per_feature_variance[mask])
     innov = (row[mask] - mean_vec[mask])[None, :] - pm @ Hm.T  # (d, m)
-    PH = np.einsum("dij,mj->dim", pc, Hm)  # (d, n, m)
-    S = np.einsum("pi,dim->dpm", Hm, PH) + Rm[None, :, :]
+    PH = pc @ Hm.T  # (d, n, m)
+    S = Hm @ PH + np.diag(noise.per_feature_variance[mask])
     S = 0.5 * (S + np.swapaxes(S, 1, 2))
-    Lc = np.linalg.cholesky(S)
-    logdens = gaussian_logpdf(innov, Lc)
+    logdens = gaussian_logpdf(innov, np.linalg.cholesky(S))
 
-    # Transposed gain K^T = S^{-1} H P, through the two triangular factors.
-    gain_t = np.linalg.solve(
-        np.swapaxes(Lc, 1, 2), np.linalg.solve(Lc, np.swapaxes(PH, 1, 2))
-    )  # (d, m, n)
-    new_m = pm + np.einsum("dm,dmi->di", innov, gain_t)
-    new_c = pc - np.einsum("dim,dmj->dij", PH, gain_t)
+    gain_t = np.linalg.solve(S, np.swapaxes(PH, 1, 2))  # K^T = S^{-1} H P, (d, m, n)
+    new_m = pm + (innov[:, None, :] @ gain_t)[:, 0]
+    new_c = pc - PH @ gain_t
     new_c = 0.5 * (new_c + np.swapaxes(new_c, 1, 2))
     return new_m, new_c, logdens
+
+
+def _update_clean(ss: StateSpace, mean_vec, pm, pc: TableCovs, row):
+    """Fully observed update of clean hypotheses, channel by channel.
+
+    The rotated residual z_p - x_p[0] of channel p has variance var_p; the
+    channel's state moves along its gain. Densities pick up the Jacobian
+    |det W| of the rotation.
+    """
+    tab, d = pc.table, pm.shape[0]
+    var = tab.rows("var", pc.lo, pc.hi)  # (d, P)
+    resid = (row - mean_vec) @ ss.W - pm[:, :: ss.dim]  # (d, P)
+    new_m = pm + (resid[:, :, None] * tab.rows("gain", pc.lo, pc.hi)).reshape(d, -1)
+    quad = np.sum(resid**2 / var + np.log(var), axis=1)
+    logdens = -0.5 * (quad + var.shape[1] * LOG_2PI) + tab.logdet_W
+    return new_m, TableCovs(tab, pc.lo + 1, pc.hi + 1), logdens
 
 
 def stationary_observation(ss: StateSpace, mean_vec, noise):

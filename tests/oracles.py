@@ -93,6 +93,22 @@ def segment_logdensity(emission, noise, window, mask=None, means=None):
     )
 
 
+def conditional_next_row(emission, noise, window, mask):
+    """Mean and covariance (noise included) of the row after a window, given
+    the window's observed entries, by dense Gaussian conditioning without
+    jitter."""
+    window = np.atleast_2d(np.asarray(window, dtype=float))
+    d, P = window.shape
+    cov = segment_cov(emission, noise, d + 1)
+    obs = [p * (d + 1) + t for t in range(d) for p in range(P) if mask[t, p]]
+    nxt = [p * (d + 1) + d for p in range(P)]
+    mean = np.asarray(emission.mean, dtype=float)
+    resid = np.array([window[t, p] - mean[p] for t in range(d) for p in range(P) if mask[t, p]])
+    K_no = cov[np.ix_(nxt, obs)]
+    gain = np.linalg.solve(cov[np.ix_(obs, obs)], K_no.T).T if obs else np.zeros((P, 0))
+    return mean + gain @ resid.reshape(-1), cov[np.ix_(nxt, nxt)] - gain @ K_no.T
+
+
 def run_lengths(labels):
     """Run-length encode a label vector into (state, start, duration)."""
     labels = list(labels)

@@ -180,6 +180,22 @@ class TestPrepareSeries:
         assert prepped.observations.shape == (20, 2)
         assert np.all(prepped.mask)
 
+    def test_row_with_a_hole_becomes_fully_masked(self):
+        rng = np.random.default_rng(15)
+        proj = fit_pca(rng.normal(size=(80, 6)), 3)
+        model = helpers.random_model(A=2, P=3, cap=3, seed=16)
+        model = replace(model, pca=proj.to_dict())
+        raw = rng.normal(size=(50, 6))
+        mask = np.ones(raw.shape, dtype=bool)
+        mask[4, 2] = False
+        raw[4, 2] = np.nan
+        (prepped,) = prepare_series(model, [SegmentedSeries(raw, mask=mask)])
+        assert prepped.mask.shape == (50, 3)
+        assert not prepped.mask[4].any()
+        assert np.delete(prepped.mask, 4, axis=0).all()
+        want = apply_pca(proj, np.delete(raw, 4, axis=0), whiten=True)
+        np.testing.assert_allclose(np.delete(prepped.observations, 4, axis=0), want, atol=1e-12)
+
     def test_identity_without_pca(self):
         model = helpers.random_model(A=2, P=2, cap=3, seed=14)
         s = SegmentedSeries(observations=np.zeros((5, 2)))
@@ -228,6 +244,22 @@ class TestSweep:
         )
         a = experiment_sweep(cfg, model=model, data=[series])
         b = experiment_sweep(cfg, model=model, data=[series])
+        for ra, rb in zip(a, b):
+            for col in SWEEP_COLUMNS[:-1]:
+                assert ra[col] == rb[col]
+
+    def test_honours_series_mask(self):
+        model = helpers.random_model(A=2, P=2, cap=4, seed=0)
+        series = generate_synthetic(model, 20, seed=0)
+        mask = np.ones((20, 2), dtype=bool)
+        mask[6:9, 1] = False
+        holed = series.observations.copy()
+        holed[~mask] = np.nan
+        filled = series.observations.copy()
+        filled[~mask] = 50.0
+        cfg = ExperimentConfig(lambda_grid=(0.0, 1.0), num_samples=16, seed=2, group_sizes=(1, 2))
+        a = experiment_sweep(cfg, model=model, data=[replace(series, observations=holed, mask=mask)])
+        b = experiment_sweep(cfg, model=model, data=[replace(series, observations=filled, mask=mask)])
         for ra, rb in zip(a, b):
             for col in SWEEP_COLUMNS[:-1]:
                 assert ra[col] == rb[col]

@@ -11,13 +11,18 @@ import numpy as np
 import pytest
 import scipy.special
 import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import helpers
 import oracles
 from switchgp.data import generate_synthetic
-from switchgp.errors import FilterCollapseError
+from switchgp.errors import FilterCollapseError, NonFiniteObservationError
 from switchgp.filtering import (
     ForwardState,
+    KalmanBackend,
+    ReferenceBackend,
+    apply_row,
     build_duration_table,
     forward_init,
     forward_step,
@@ -518,3 +523,150 @@ class TestEvidenceProperties:
         with np.errstate(over="ignore"), pytest.raises(FilterCollapseError) as err:
             forward_step(state, np.array([1e200]), model)
         assert err.value.time_index == 2
+
+
+def mixed_smoothness_model(A, P, cap, seed):
+    """`helpers.random_model` with a different smoothness in each state."""
+    model = helpers.random_model(A=A, P=P, cap=cap, seed=seed)
+    orders = (0.5, 1.5, 2.5)
+    emissions = tuple(
+        replace(e, temporal=replace(e.temporal, smoothness=orders[(seed + j) % 3]))
+        for j, e in enumerate(model.emissions)
+    )
+    return replace(model, emissions=emissions)
+
+
+def random_masks(rng, T, P):
+    """Rows drawn from full, partial and empty masks, in random order."""
+    kind = rng.choice(["full", "partial", "empty"], size=T, p=[0.5, 0.35, 0.15])
+    mask = np.ones((T, P), dtype=bool)
+    for t in range(T):
+        if kind[t] == "partial":
+            mask[t] = rng.random(P) < 0.5
+        elif kind[t] == "empty":
+            mask[t] = False
+    return mask
+
+
+class ExactDenseBackend(ReferenceBackend):
+    """`ReferenceBackend` on the jitter-free dense conditioning of `oracles`.
+
+    The library's dense conditioning adds JITTER times the kernel variance to
+    the observation noise, which moves densities by about 1e-8; this oracle
+    does not, so the Kalman filter must match it to rounding.
+    """
+
+    def predict(self, cache, cont_logw):
+        model = self.model
+        A, D, P = model.num_states, model.duration_cap, model.num_features
+        values, masks = cache
+        W = values.shape[0]
+        cont_mean = np.zeros((A, D, P))
+        cont_cov = np.tile(np.eye(P), (A, D, 1, 1))
+        for j, d in zip(*np.nonzero(np.isfinite(cont_logw))):
+            cont_mean[j, d], cont_cov[j, d] = oracles.conditional_next_row(
+                model.emissions[j], model.noise, values[W - d - 1 :], masks[W - d - 1 :]
+            )
+        return cont_mean, cont_cov, cache
+
+
+class TestCleanPath:
+    """Fully observed rows run on the d-indexed covariance table; rows with
+    missing features on the joint path. Both must reproduce dense
+    conditioning and enumeration."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        A=st.integers(1, 3),
+        P=st.integers(1, 3),
+        cap=st.integers(1, 6),
+        T=st.integers(2, 14),
+        seed=st.integers(0, 10_000),
+    )
+    def test_matches_dense_conditioning(self, A, P, cap, T, seed):
+        model = mixed_smoothness_model(A, P, cap, seed)
+        rows = generate_synthetic(model, T, seed=seed).observations
+        mask = random_masks(np.random.default_rng(seed), T, P)
+        kal = forward_init(model, rows[0], mask[0], backend=KalmanBackend(model))
+        ref = forward_init(model, rows[0], mask[0], backend=ExactDenseBackend(model))
+        for t in range(1, T):
+            pk, pr = step_predictives(kal, model), step_predictives(ref, model)
+            live = np.isfinite(pr.cont_logw)
+            np.testing.assert_array_equal(np.isfinite(pk.cont_logw), live)
+            np.testing.assert_allclose(pk.cont_mean[live], pr.cont_mean[live], rtol=0, atol=1e-8)
+            np.testing.assert_allclose(pk.cont_cov[live], pr.cont_cov[live], rtol=0, atol=1e-8)
+            kal = apply_row(kal, model, pk, rows[t], mask[t])
+            ref = apply_row(ref, model, pr, rows[t], mask[t])
+            finite = np.isfinite(ref.log_alpha)
+            np.testing.assert_array_equal(np.isfinite(kal.log_alpha), finite)
+            np.testing.assert_allclose(
+                kal.log_alpha[finite], ref.log_alpha[finite], rtol=0, atol=1e-8
+            )
+            assert kal.log_evidence == pytest.approx(ref.log_evidence, abs=1e-8)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_enumeration(self, seed):
+        rng = np.random.default_rng(300 + seed)
+        model = mixed_smoothness_model(A=3, P=2, cap=3, seed=seed)
+        T = 5
+        rows = generate_synthetic(model, T, seed=seed).observations
+        mask = random_masks(rng, T, 2)
+        state = run_filter(model, rows, mask=mask)
+        want = oracles.enumerate_alpha(model, rows, mask=mask)
+        want = want - scipy.special.logsumexp(want)
+        finite = np.isfinite(want)
+        np.testing.assert_array_equal(np.isfinite(state.log_alpha), finite)
+        np.testing.assert_allclose(state.log_alpha[finite], want[finite], atol=1e-8)
+        assert state.log_evidence == pytest.approx(
+            oracles.enumerate_log_evidence(model, rows, mask=mask), abs=1e-8
+        )
+
+    def test_full_rows_keep_every_slot_clean_and_a_masked_row_resets(self):
+        model = mixed_smoothness_model(A=3, P=3, cap=5, seed=1)
+        rows = generate_synthetic(model, 20, seed=2).observations
+        backend = KalmanBackend(model)
+        assert [tab.size for tab in backend.covariances] == [0, 0, 0]
+        state = forward_init(model, rows[0], backend=backend)
+        for t in range(1, 3):
+            state = forward_step(state, rows[t], model)
+        # the tables grow one entry per row, up to the cap plus one
+        assert [tab.size for tab in backend.covariances] == [3, 3, 3]
+        for t in range(3, 15):
+            state = forward_step(state, rows[t], model)
+        assert [tab.size for tab in backend.covariances] == [6, 6, 6]
+        for slots in state.cache:
+            assert slots.clean == 5
+            assert slots.means.shape[0] == 5
+            assert slots.covs.shape[0] == 0
+        state = forward_step(state, rows[15], model, np.array([True, False, True]))
+        assert [slots.clean for slots in state.cache] == [0, 0, 0]
+        state = forward_step(state, rows[16], model)
+        assert [slots.clean for slots in state.cache] == [1, 1, 1]
+        assert [slots.covs.shape[0] for slots in state.cache] == [4, 4, 4]
+
+
+class TestNonFiniteObservation:
+    def test_first_row_names_the_time_and_features(self):
+        model = helpers.random_model(A=2, P=3, cap=3, seed=5)
+        with pytest.raises(NonFiniteObservationError) as err:
+            forward_init(model, np.array([0.1, np.nan, np.inf]))
+        assert err.value.time_index == 1
+        assert err.value.features == (1, 2)
+
+    def test_mid_stream_row(self):
+        model = helpers.random_model(A=2, P=3, cap=3, seed=6)
+        state = forward_init(model, np.zeros(3))
+        state = forward_step(state, np.zeros(3), model)
+        with pytest.raises(NonFiniteObservationError) as err:
+            forward_step(state, np.array([np.nan, 0.0, 0.0]), model)
+        assert err.value.time_index == 3
+        assert err.value.features == (0,)
+
+    def test_masked_non_finite_values_are_ignored(self):
+        model = helpers.random_model(A=2, P=3, cap=3, seed=7)
+        mask = np.array([True, False, True])
+        state = forward_init(model, np.zeros(3))
+        holed = forward_step(state, np.array([0.2, np.nan, -0.4]), model, mask)
+        filled = forward_step(state, np.array([0.2, 7.0, -0.4]), model, mask)
+        np.testing.assert_array_equal(holed.log_alpha, filled.log_alpha)
+        assert holed.log_evidence == filled.log_evidence

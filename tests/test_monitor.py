@@ -268,6 +268,22 @@ class TestRunAdaptive:
         assert result.summary["num_steps"] == 40
         assert len(result.records) == 39  # first row initializes, no selection
 
+    def test_observes_only_entries_the_mask_allows(self):
+        model = helpers.separated_model(P=2, gap=5.0, cap=15)
+        series = generate_synthetic(model, 30, seed=25)
+        rows = series.observations.copy()
+        mask = np.ones(rows.shape, dtype=bool)
+        mask[[6, 7, 8], 1] = False
+        mask[12] = False
+        rows[~mask] = np.nan
+        catalog = GroupCatalog(((0, 1),), np.zeros(1))
+        result = run_adaptive(model, rows, catalog, num_samples=8, rng=0, mask=mask)
+
+        state = forward_init(model, rows[0])
+        for t in range(1, 30):
+            state = forward_step(state, rows[t], model, mask[t])
+        assert result.summary["log_evidence"] == pytest.approx(state.log_evidence, abs=1e-9)
+
     def test_energy_scale_reduces_usage(self):
         model = helpers.random_model(A=2, P=2, cap=4, seed=21)
         series = generate_synthetic(model, 30, seed=21)

@@ -4,6 +4,8 @@ The Kalman route must reproduce dense Gaussian conditioning on the segment
 window; every per-row conditional is checked against a direct dense oracle.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -178,3 +180,44 @@ class TestKalmanMatchesDense:
             dense = oracles.segment_logdensity(e, model.noise, rows)
             kal = kalman_segment_logdensity(model, 0, rows)
             assert kal == pytest.approx(dense, abs=1e-9)
+
+
+class TestCovarianceTable:
+    @pytest.mark.parametrize("nu", SMOOTHNESS)
+    def test_clean_path_matches_joint_path(self, nu):
+        model = helpers.random_model(A=1, P=3, cap=8, seed=41)
+        e = model.emissions[0]
+        e = replace(e, temporal=replace(e.temporal, smoothness=nu))
+        ss = statespace.build_statespace(e, model.noise)
+        table = statespace.CovarianceTable(ss, model.noise)
+        rows = np.random.default_rng(42).normal(size=(8, 3))
+        full = np.ones(3, dtype=bool)
+        jm = cm = np.zeros((2, ss.A.shape[0]))
+        joint = np.stack([ss.P0, ss.P0])
+        clean = statespace.TableCovs(table, 0, 2)
+        for t in range(7):
+            if t > 0:
+                jm, joint = statespace.predict(ss, jm, joint)
+                cm, clean = statespace.predict(ss, cm, clean)
+            np.testing.assert_allclose(clean.dense()[0], joint[0], rtol=0, atol=1e-12)
+            jo = statespace.observation_conditionals(ss, e.mean, model.noise, jm, joint)
+            co = statespace.observation_conditionals(ss, e.mean, model.noise, cm, clean)
+            np.testing.assert_allclose(co[0], jo[0], rtol=0, atol=1e-12)
+            np.testing.assert_allclose(co[1][0], jo[1][0], rtol=0, atol=1e-12)
+            assert not co[1].flags.writeable
+            jm, joint, jl = statespace.update(ss, e.mean, model.noise, jm, joint, rows[t], full)
+            cm, clean, cl = statespace.update(ss, e.mean, model.noise, cm, clean, rows[t], full)
+            np.testing.assert_allclose(cm[0], jm[0], rtol=0, atol=1e-12)
+            assert cl[0] == pytest.approx(jl[0], abs=1e-12)
+            # the second hypothesis absorbed the same rows one step later
+            joint[1], jm[1] = clean.dense()[1], cm[1]
+            assert table.size <= t + 3
+
+        # a row with a missing feature leaves the table for joint covariances
+        jm, joint = statespace.predict(ss, jm, joint)
+        cm, clean = statespace.predict(ss, cm, clean)
+        partial = np.array([True, False, True])
+        jm, joint, jl = statespace.update(ss, e.mean, model.noise, jm, joint, rows[7], partial)
+        cm, dense, cl = statespace.update(ss, e.mean, model.noise, cm, clean, rows[7], partial)
+        np.testing.assert_allclose(dense[0], joint[0], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(cl[0], jl[0], rtol=0, atol=1e-12)
