@@ -1,15 +1,15 @@
 """Emission-parameter optimization in unconstrained coordinates.
 
-Positive scalars (kernel variance, lengthscale, noise variances) are
-optimized as logs; task Cholesky factors as raw lower-triangular entries with
-log-diagonal. When both kernel variances and the task factor are trained, the
-(0,0) task entry is gauge-fixed at 1 after rescaling the initial model (the
-overall scale of L L^T trades off exactly against the kernel variances, and
-pinning it removes the flat direction without restricting the model class).
+Every emission parameter is trained. Positive scalars (kernel variance,
+lengthscale, noise variances) are optimized as logs; task Cholesky factors
+as raw lower-triangular entries with log-diagonal. The (0,0) task entry is
+gauge-fixed at 1 after rescaling the initial model (the overall scale of
+L L^T trades off exactly against the kernel variances, and pinning it
+removes the flat direction without restricting the model class).
 
 The optimizer contract is enforced around scipy's L-BFGS-B: accepted steps
 must not increase the objective, convergence is declared when the relative
-objective change stays below ``rel_tol`` for ``patience`` iterations, and
+objective change stays below ``REL_TOL`` for ``PATIENCE`` iterations, and
 non-finite objectives abort with a parameter snapshot.
 """
 
@@ -31,176 +31,99 @@ from .model import FitReport, SwitchingGPModel
 
 # Box bound (in log / raw coordinates) keeping every evaluation finite.
 PARAM_BOUND = 30.0
+# Early stop: relative objective change below REL_TOL over PATIENCE iterations.
+REL_TOL = 1e-6
+PATIENCE = 5
 
 
 @dataclass(frozen=True)
 class FitConfig:
     """Controls for fit_emissions / fit."""
 
-    train_variance: bool = True
-    train_lengthscale: bool = True
-    train_task: bool = True
-    train_noise: bool = True
-    share_temporal: bool = False
     max_iterations: int = 500
-    rel_tol: float = 1e-6
-    patience: int = 5
     duration_cap: int | None = None
 
 
 class _Packing:
-    """Maps between the parameter vector and model components."""
+    """Maps between the parameter vector and model components.
 
-    def __init__(self, model: SwitchingGPModel, config: FitConfig):
-        self.config = config
+    The vector holds (log variance, log lengthscale) for each state, then the
+    raw lower-triangular entries of each task factor with log diagonal and
+    L[0,0] left out (one factor when the model shares it), then the log noise
+    variances. The layout depends on the model only; ``config`` is not read.
+    """
+
+    def __init__(self, model: SwitchingGPModel, config: FitConfig | None = None):
         self.A = model.num_states
         self.P = model.num_features
         self.shared_task = model.shared_task
-        self.n_temporal = 1 if config.share_temporal else self.A
         self.n_task = 1 if self.shared_task else self.A
-        self.gauge = config.train_task and config.train_variance
+        # task factor of each state's emission
+        self.task_of = [0 if self.shared_task else j for j in range(self.A)]
         self.smoothness = tuple(e.temporal.smoothness for e in model.emissions)
 
-        self.tril_rc = [
-            (i, j) for i in range(self.P) for j in range(i + 1)
-            if not (self.gauge and i == 0 and j == 0)
-        ]
-        n = 0
-        self.temporal_slices = []
-        per = int(config.train_variance) + int(config.train_lengthscale)
-        for _ in range(self.n_temporal):
-            self.temporal_slices.append(slice(n, n + per))
-            n += per
-        self.task_slices = []
-        per = len(self.tril_rc) if config.train_task else 0
-        for _ in range(self.n_task):
-            self.task_slices.append(slice(n, n + per))
-            n += per
-        self.noise_slice = slice(n, n + (self.P if config.train_noise else 0))
-        n = self.noise_slice.stop
-        self.size = n
+        self.tril_rc = [(i, j) for i in range(self.P) for j in range(i + 1)][1:]
+        n = 2 * self.A
+        m = len(self.tril_rc)
+        self.task_slices = [slice(n + k * m, n + (k + 1) * m) for k in range(self.n_task)]
+        n += self.n_task * m
+        self.noise_slice = slice(n, n + self.P)
+        self.size = self.noise_slice.stop
 
     def rescaled_init(self, model: SwitchingGPModel) -> SwitchingGPModel:
         """Apply the gauge: L[0,0] -> 1, scale absorbed into kernel variances."""
-        if not self.gauge:
-            return model
-        emissions = list(model.emissions)
-        if self.shared_task:
-            c = emissions[0].task.cholesky_factor[0, 0]
-            task = TaskCovariance(emissions[0].task.cholesky_factor / c)
-            emissions = [
-                replace(
-                    e,
-                    temporal=replace(e.temporal, variance=e.temporal.variance * c * c),
-                    task=task,
-                )
-                for e in emissions
-            ]
-        else:
-            out = []
-            for e in emissions:
-                c = e.task.cholesky_factor[0, 0]
-                out.append(
-                    replace(
-                        e,
-                        temporal=replace(e.temporal, variance=e.temporal.variance * c * c),
-                        task=TaskCovariance(e.task.cholesky_factor / c),
-                    )
-                )
-            emissions = out
+        factors = [model.emissions[k].task.cholesky_factor for k in range(self.n_task)]
+        tasks = [TaskCovariance(L / L[0, 0]) for L in factors]
+        emissions = []
+        for e, k in zip(model.emissions, self.task_of):
+            c = factors[k][0, 0]
+            temporal = replace(e.temporal, variance=e.temporal.variance * c * c)
+            emissions.append(replace(e, temporal=temporal, task=tasks[k]))
         return replace(model, emissions=tuple(emissions))
 
     def pack(self, model: SwitchingGPModel) -> np.ndarray:
-        cfg = self.config
         x = np.zeros(self.size)
-        for k, sl in enumerate(self.temporal_slices):
-            kern = model.emissions[0 if cfg.share_temporal else k].temporal
-            vals = []
-            if cfg.train_variance:
-                vals.append(np.log(kern.variance))
-            if cfg.train_lengthscale:
-                vals.append(np.log(kern.lengthscale))
-            x[sl] = vals
-        if cfg.train_task:
-            for k, sl in enumerate(self.task_slices):
-                L = model.emissions[0 if self.shared_task else k].task.cholesky_factor
-                x[sl] = [np.log(L[i, j]) if i == j else L[i, j] for i, j in self.tril_rc]
-        if cfg.train_noise:
-            x[self.noise_slice] = np.log(model.noise.per_feature_variance)
+        for j, e in enumerate(model.emissions):
+            x[2 * j : 2 * j + 2] = [np.log(e.temporal.variance), np.log(e.temporal.lengthscale)]
+        for k, sl in enumerate(self.task_slices):
+            L = model.emissions[k].task.cholesky_factor
+            x[sl] = [np.log(L[i, j]) if i == j else L[i, j] for i, j in self.tril_rc]
+        x[self.noise_slice] = np.log(model.noise.per_feature_variance)
         return x
 
     def unpack(self, x: np.ndarray, template: SwitchingGPModel) -> SwitchingGPModel:
-        cfg = self.config
-        kernels = []
-        for j in range(self.A):
-            sl = self.temporal_slices[0 if cfg.share_temporal else j]
-            base = template.emissions[j].temporal
-            vals = x[sl]
-            i = 0
-            variance = base.variance
-            lengthscale = base.lengthscale
-            if cfg.train_variance:
-                variance = float(np.exp(vals[i]))
-                i += 1
-            if cfg.train_lengthscale:
-                lengthscale = float(np.exp(vals[i]))
-            kernels.append(
-                MaternKernel(variance, lengthscale, smoothness=self.smoothness[j])
-            )
         tasks = []
-        for k in range(self.n_task):
-            base = template.emissions[0 if self.shared_task else k].task.cholesky_factor
-            if not cfg.train_task:
-                tasks.append(TaskCovariance(base))
-                continue
-            L = np.array(base, copy=True)
-            if self.gauge:
-                L[0, 0] = 1.0
-            for (i, j), v in zip(self.tril_rc, x[self.task_slices[k]]):
+        for k, sl in enumerate(self.task_slices):
+            L = np.array(template.emissions[k].task.cholesky_factor, copy=True)
+            L[0, 0] = 1.0
+            for (i, j), v in zip(self.tril_rc, x[sl]):
                 L[i, j] = np.exp(v) if i == j else v
             tasks.append(TaskCovariance(L))
-        if cfg.train_noise:
-            noise = NoiseModel(np.exp(x[self.noise_slice]))
-        else:
-            noise = template.noise
         emissions = tuple(
             replace(
-                template.emissions[j],
-                temporal=kernels[j],
-                task=tasks[0 if self.shared_task else j],
+                e,
+                temporal=MaternKernel(
+                    float(np.exp(x[2 * j])),
+                    float(np.exp(x[2 * j + 1])),
+                    smoothness=self.smoothness[j],
+                ),
+                task=tasks[self.task_of[j]],
             )
-            for j in range(self.A)
+            for j, e in enumerate(template.emissions)
         )
-        return replace(template, emissions=emissions, noise=noise)
+        return replace(template, emissions=emissions, noise=NoiseModel(np.exp(x[self.noise_slice])))
 
     def pack_gradient(self, acc) -> np.ndarray:
-        cfg = self.config
         g = np.zeros(self.size)
-        for k, sl in enumerate(self.temporal_slices):
-            rows = acc.temporal if cfg.share_temporal else acc.temporal[k : k + 1]
-            block = rows.sum(axis=0) if cfg.share_temporal else rows[0]
-            vals = []
-            if cfg.train_variance:
-                vals.append(block[0])
-            if cfg.train_lengthscale:
-                vals.append(block[1])
-            g[sl] = vals
-        if cfg.train_task:
-            for k, sl in enumerate(self.task_slices):
-                M = acc.task[k]
-                g[sl] = [
-                    M[i, j] * self._L_cache[k][i, j] if i == j else M[i, j]
-                    for i, j in self.tril_rc
-                ]
-        if cfg.train_noise:
-            g[self.noise_slice] = acc.noise
+        g[: 2 * self.A] = acc.temporal.ravel()
+        for k, sl in enumerate(self.task_slices):
+            M, L = acc.task[k], self._L_cache[k]
+            g[sl] = [M[i, j] * L[i, j] if i == j else M[i, j] for i, j in self.tril_rc]
+        g[self.noise_slice] = acc.noise
         return g
 
     def set_L_cache(self, model: SwitchingGPModel):
-        self._L_cache = [
-            model.emissions[0 if self.shared_task else k].task.cholesky_factor
-            for k in range(self.n_task)
-        ]
+        self._L_cache = [model.emissions[k].task.cholesky_factor for k in range(self.n_task)]
 
 
 def fit_emissions(data, init: SwitchingGPModel, config: FitConfig | None = None) -> SwitchingGPModel:
@@ -211,12 +134,8 @@ def fit_emissions(data, init: SwitchingGPModel, config: FitConfig | None = None)
     """
     if config is None:
         config = FitConfig()
-    packing = _Packing(init, config)
+    packing = _Packing(init)
     model0 = packing.rescaled_init(init)
-    if packing.size == 0:
-        report = FitReport(float("nan"), float("nan"), 0, True, "nothing to optimize")
-        return replace(model0, fit_report=report)
-
     x0 = packing.pack(model0)
     eval_cache: dict[bytes, float] = {}
     barrier = [None]
@@ -264,9 +183,9 @@ def fit_emissions(data, init: SwitchingGPModel, config: FitConfig | None = None)
             )
         history.append(fk)
         best_x[0] = np.array(xk, copy=True)
-        if len(history) > config.patience:
-            prev = history[-1 - config.patience]
-            if abs(prev - history[-1]) < config.rel_tol * max(1.0, abs(history[-1])):
+        if len(history) > PATIENCE:
+            prev = history[-1 - PATIENCE]
+            if abs(prev - history[-1]) < REL_TOL * max(1.0, abs(history[-1])):
                 raise _EarlyStop
 
     bounds = [(-PARAM_BOUND, PARAM_BOUND)] * packing.size
@@ -288,7 +207,7 @@ def fit_emissions(data, init: SwitchingGPModel, config: FitConfig | None = None)
     except _EarlyStop:
         xf = best_x[0]
         converged = True
-        message = f"relative change < {config.rel_tol} over {config.patience} iterations"
+        message = f"relative change < {REL_TOL} over {PATIENCE} iterations"
 
     final_model = packing.unpack(xf, model0)
     packing.set_L_cache(final_model)

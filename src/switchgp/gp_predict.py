@@ -18,7 +18,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import NonPositiveDefiniteError, UndefinedMetricError
-from .kernels import JITTER, LOG_2PI, NoiseModel, matern_eval, task_cov_assemble
+from .kernels import LOG_2PI, NoiseModel, matern_eval, task_cov_assemble
 
 
 @dataclass(frozen=True)
@@ -97,7 +97,6 @@ def joint_conditional(
 
     K_oo = _entry_cov(emission, obs_times, obs_features, obs_times, obs_features)
     K_oo[np.diag_indices_from(K_oo)] += noise.per_feature_variance[obs_features]
-    K_oo[np.diag_indices_from(K_oo)] += JITTER * emission.temporal.variance
     K_qo = _entry_cov(emission, query_times, query_features, obs_times, obs_features)
     try:
         L = np.linalg.cholesky(K_oo)

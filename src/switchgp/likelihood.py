@@ -11,7 +11,8 @@ Gradients are with respect to log(variance), log(lengthscale), raw
 lower-triangular task entries with log-diagonal, and log noise variances,
 matching the unconstrained optimizer parameterization in `fit`.
 
-Per-subject contributions are accumulated sequentially in data order, so the
+Both paths walk the segments of `collect_segments`: fully observed groups in
+(state, length) order, then partially observed segments in data order, so the
 total is deterministic for a fixed ordering.
 """
 
@@ -78,37 +79,34 @@ def collect_segments(model: SwitchingGPModel, data):
 
 
 def _temporal_eig(kernel: MaternKernel, length: int):
-    """Eigendecomposition of the temporal Gram matrix on grid 0..length-1."""
+    """Lags and eigendecomposition of the temporal Gram matrix on grid 0..length-1."""
     lags = np.abs(np.subtract.outer(np.arange(length, dtype=float), np.arange(length, dtype=float)))
-    K = matern_eval(kernel, lags)
-    S, U = np.linalg.eigh(K)
-    return lags, K, S, U
+    S, U = np.linalg.eigh(matern_eval(kernel, lags))
+    return lags, S, U
 
 
-def group_nll(model: SwitchingGPModel, group: _Group) -> float:
-    """Exact dense NLL of all segments in a (state, length) group."""
-    mu, W = channel_basis(model.emissions[group.state].task, model.noise, group.state)
-    kern = model.emissions[group.state].temporal
-    _, _, S, U = _temporal_eig(kern, group.length)
-    scaled = mu[None, :] * S[:, None] + 1.0  # (T, P)
+def _group_value(model: SwitchingGPModel, group: _Group, mu, W):
+    """Exact dense NLL of all segments in a (state, length) group.
+
+    ``mu, W`` is the state's channel basis. Returns the value with the pieces
+    the gradients reuse: lags, temporal eigenpairs ``S, U``, the inverse
+    channel variances ``ginv`` (T, P) and the residuals ``Rh`` rotated into
+    both eigenbases (n, T, P).
+    """
+    j, T, R = group.state, group.length, group.resids
+    lags, S, U = _temporal_eig(model.emissions[j].temporal, T)
+    scaled = mu[None, :] * S[:, None] + 1.0  # (T, P) entries mu_p S_t + 1
     if np.any(scaled <= 0):
         raise NonPositiveDefiniteError(
-            f"emission covariance not positive definite for state {group.state + 1}",
-            state=group.state,
+            f"emission covariance not positive definite for state {j + 1}", state=j
         )
-    Rt = group.resids @ W
-    Rh = np.einsum("tu,ntp->nup", U, Rt)
-    quad = np.sum(Rh**2 / scaled[None, :, :])
-    n = group.resids.shape[0]
+    ginv = 1.0 / scaled
+    Rh = np.einsum("tu,ntp->nup", U, R @ W)
+    quad = np.sum(Rh**2 * ginv[None, :, :])
     Dn = model.noise.per_feature_variance
-    logdet = float(np.sum(np.log(scaled))) + group.length * float(np.sum(np.log(Dn)))
-    return 0.5 * (quad + n * logdet + n * group.length * model.num_features * LOG_2PI)
-
-
-def masked_segment_nll(model: SwitchingGPModel, seg: _MaskedSegment) -> float:
-    e = model.emissions[seg.state]
-    ll = segment_emission_loglik(e, model.noise, seg.values, mask=seg.mask)
-    return -ll
+    logdet = float(np.sum(np.log(scaled))) + T * float(np.sum(np.log(Dn)))
+    value = 0.5 * (quad + R.shape[0] * (logdet + T * model.num_features * LOG_2PI))
+    return value, lags, S, U, ginv, Rh
 
 
 def negative_loglik(model: SwitchingGPModel, data, use_fft: bool = False) -> float:
@@ -119,32 +117,25 @@ def negative_loglik(model: SwitchingGPModel, data, use_fft: bool = False) -> flo
     representable there); a structurally singular embedding falls back to the
     dense path for that segment.
     """
-    if not use_fft:
-        groups, masked = collect_segments(model, data)
-        total = 0.0
-        for g in groups:
-            total += group_nll(model, g)
-        for seg in masked:
-            total += masked_segment_nll(model, seg)
-        return total
-
+    groups, masked = collect_segments(model, data)
+    if use_fft and masked:
+        raise InsufficientDataError("the FFT likelihood path requires fully observed segments")
+    zero = np.zeros(model.num_features)
     total = 0.0
-    for series in data:
-        if series.labels is None:
-            raise InsufficientDataError("negative_loglik requires labeled data")
-        for label, start, dur in segment_series(series.labels):
-            j = label - 1
-            vals = series.observations[start : start + dur]
-            if not np.all(series.mask[start : start + dur]):
-                raise InsufficientDataError(
-                    "the FFT likelihood path requires fully observed segments"
-                )
-            e = model.emissions[j]
+    for g in groups:
+        e = model.emissions[g.state]
+        if not use_fft:
+            total += _group_value(model, g, *channel_basis(e.task, model.noise, g.state))[0]
+            continue
+        for resid in g.resids:
             try:
-                ll = fast_segment_loglik(e, model.noise, vals, means=e.mean)
+                ll = fast_segment_loglik(e, model.noise, resid, means=zero)
             except SingularEmbeddingError:
-                ll = segment_emission_loglik(e, model.noise, vals)
-            total += -ll
+                ll = segment_emission_loglik(e, model.noise, resid, means=zero)
+            total -= ll
+    for seg in masked:
+        e = model.emissions[seg.state]
+        total -= segment_emission_loglik(e, model.noise, seg.values, mask=seg.mask)
     return total
 
 
@@ -177,25 +168,12 @@ def nll_and_gradients(model: SwitchingGPModel, data):
 
     basis = {}
     for g in groups:
-        j, T, R = g.state, g.length, g.resids
-        n = R.shape[0]
+        j, n = g.state, g.resids.shape[0]
         if j not in basis:
             basis[j] = channel_basis(model.emissions[j].task, model.noise, j)
         mu, W = basis[j]
-        kern = model.emissions[j].temporal
-        lags, K, S, U = _temporal_eig(kern, T)
-        scaled = mu[None, :] * S[:, None] + 1.0  # (T, P) entries mu_p S_t + 1
-        if np.any(scaled <= 0):
-            raise NonPositiveDefiniteError(
-                f"emission covariance not positive definite for state {j + 1}", state=j
-            )
-        ginv = 1.0 / scaled
-
-        Rt = R @ W
-        Rh = np.einsum("tu,ntp->nup", U, Rt)
-        quad = np.sum(Rh**2 * ginv[None, :, :])
-        logdet = float(np.sum(np.log(scaled))) + T * float(np.sum(np.log(Dn)))
-        total += 0.5 * (quad + n * (logdet + T * P * LOG_2PI))
+        value, lags, S, U, ginv, Rh = _group_value(model, g, mu, W)
+        total += value
 
         GR = Rh * ginv[None, :, :]  # per-channel solves in the temporal eigenbasis
         At = np.einsum("tu,nup->ntp", U, GR)
@@ -204,7 +182,7 @@ def nll_and_gradients(model: SwitchingGPModel, data):
         hd = (mu[None, :] * ginv).sum(axis=1)  # (T,)
         Hmat = (U * hd[None, :]) @ U.T
         Gt = n * Hmat - np.einsum("ntp,nsp,p->ts", At, At, mu)
-        dK_var, dK_len = matern_grad(kern, lags)
+        dK_var, dK_len = matern_grad(model.emissions[j].temporal, lags)
         d_temporal[j, 0] += 0.5 * float(np.sum(dK_var * Gt))
         d_temporal[j, 1] += 0.5 * float(np.sum(dK_len * Gt))
 

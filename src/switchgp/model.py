@@ -150,7 +150,6 @@ class SegmentedSeries:
     labels: np.ndarray | None = None
     mask: np.ndarray | None = None
     subject_id: object = None
-    step: float = 1.0
 
     def __post_init__(self):
         obs = np.asarray(self.observations, dtype=float)

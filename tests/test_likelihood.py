@@ -1,6 +1,7 @@
 """Population likelihood tests: dense path, FFT path, analytic gradients."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -125,24 +126,40 @@ class TestFFTPath:
         with pytest.raises(InsufficientDataError):
             negative_loglik(model, [series], use_fft=True)
 
+    @pytest.mark.parametrize("bad", [0, 3])
+    def test_out_of_range_label_rejected(self, bad):
+        # same check as the dense path: label 0 must not wrap to state A,
+        # and label A + 1 must not reach the emission list
+        model = helpers.random_model(A=2, P=2, cap=6, seed=1)
+        rng = np.random.default_rng(0)
+        series = labeled(rng.normal(size=(6, 2)), [1, 1, bad, bad, 2, 2])
+        for use_fft in (False, True):
+            with pytest.raises(ValueError, match="outside 1..2"):
+                negative_loglik(model, [series], use_fft=use_fft)
+
 
 class TestGradients:
-    @pytest.mark.parametrize("share_temporal", [False, True])
-    def test_analytic_gradient_matches_central_differences(self, share_temporal):
+    @pytest.mark.parametrize("shared_task", [False, True])
+    def test_analytic_gradient_matches_central_differences(self, shared_task):
         model = helpers.random_model(A=2, P=2, cap=6, seed=11)
+        if shared_task:
+            # one task factor for every state: the packing holds one block
+            task = model.emissions[0].task
+            emissions = tuple(replace(e, task=task) for e in model.emissions)
+            model = replace(model, emissions=emissions, shared_task=True)
         rng = np.random.default_rng(4)
         labels = np.array([1, 1, 1, 2, 2, 1, 2, 2, 2, 1, 1, 2])
         series = labeled(rng.normal(size=(12, 2)), labels)
-        config = FitConfig(share_temporal=share_temporal)
-        packing = _Packing(model, config)
+        packing = _Packing(model, FitConfig())
+        # L[0,0] is gauged to 1, so pack the rescaled model
+        model = packing.rescaled_init(model)
         x0 = packing.pack(model)
 
         def objective(x):
             return negative_loglik(packing.unpack(x, model), [series])
 
-        at_x0 = packing.unpack(x0, model)
-        _, acc = nll_and_gradients(at_x0, [series])
-        packing.set_L_cache(at_x0)
+        _, acc = nll_and_gradients(model, [series])
+        packing.set_L_cache(model)
         analytic = packing.pack_gradient(acc)
         fd = oracles.central_difference(objective, x0, eps=1e-5)
         scale = np.maximum(np.abs(fd), 1.0)
@@ -162,7 +179,7 @@ class TestGradients:
         mask = rng.uniform(size=(6, 2)) < 0.6
         series = labeled(obs, np.ones(6, int), mask=mask)
         packing = _Packing(model, FitConfig())
-        # the default config gauges L[0,0] to 1, so pack the rescaled model
+        # L[0,0] is gauged to 1, so pack the rescaled model
         model = packing.rescaled_init(model)
         x0 = packing.pack(model)
 
