@@ -48,22 +48,19 @@ CG_MAXITER = 500
 
 @dataclass(frozen=True)
 class CirculantSpec:
-    """First-row representation of a circulant matrix plus cached eigenvalues.
+    """First-row representation of a circulant matrix plus its eigenvalues.
 
     ``first_row`` has length 2T and is palindromic after index T
     (``first_row[T+k] == first_row[T-k]``); ``eigenvalues`` is its DFT.
     """
 
     first_row: np.ndarray
-    eigenvalues: np.ndarray = field(default=None)
+    eigenvalues: np.ndarray = field(init=False)
 
     def __post_init__(self):
         row = np.asarray(self.first_row, dtype=float)
         object.__setattr__(self, "first_row", row)
-        if self.eigenvalues is None:
-            object.__setattr__(self, "eigenvalues", np.fft.fft(row))
-        else:
-            object.__setattr__(self, "eigenvalues", np.asarray(self.eigenvalues, dtype=complex))
+        object.__setattr__(self, "eigenvalues", np.fft.fft(row))
 
     @property
     def size(self) -> int:
@@ -83,19 +80,6 @@ def embed_circulant(toeplitz_first_col: np.ndarray) -> CirculantSpec:
     # Reflect the interior: [C0..CT, C_{T-1}..C1].
     row = np.concatenate([col, col[-2:0:-1]])
     return CirculantSpec(row)
-
-
-def circulant_eigenvalues(spec: CirculantSpec) -> np.ndarray:
-    """Eigenvalues of the circulant (the DFT of its first row)."""
-    return spec.eigenvalues
-
-
-def circulant_apply(spec: CirculantSpec, vec: np.ndarray) -> np.ndarray:
-    """Product of the circulant with a full-length vector, via FFT."""
-    vec = np.asarray(vec, dtype=float)
-    if vec.shape[0] != spec.size:
-        raise ValueError(f"vector length {vec.shape[0]} != circulant size {spec.size}")
-    return np.fft.ifft(np.fft.fft(vec, axis=0) * _col(spec.eigenvalues, vec), axis=0).real
 
 
 def toeplitz_matvec(spec: CirculantSpec, vec: np.ndarray) -> np.ndarray:

@@ -1,9 +1,10 @@
-"""Command-line interface.
+"""Command-line interface, a thin shell over `experiments` and `model`.
 
-Subcommands: train, predict, filter, monitor, sweep, simulate, pca,
-bench-fft. Tables go to CSV, run outputs to JSON (one document per run,
-streaming modes emit one JSON record per line). On failure a machine-
-readable error record is written to stderr and the exit code is nonzero.
+Subcommands: train, predict, filter, monitor, sweep, simulate, pca. Tables
+go to CSV, run outputs to JSON (one document per run; the streaming modes
+filter and monitor write one JSON record per line as each step finishes).
+On failure a machine-readable error record is written to stderr and the
+exit code is nonzero.
 """
 
 from __future__ import annotations
@@ -50,6 +51,13 @@ def _parse_int_list(text: str) -> tuple:
     return tuple(int(v) for v in text.split(",") if v.strip() != "")
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text}")
+    return value
+
+
 def _open_out(path):
     return sys.stdout if path in (None, "-") else open(path, "w")
 
@@ -80,6 +88,17 @@ def _emit(doc, fh):
     json.dump(doc, fh, default=_json_default)
     fh.write("\n")
     fh.flush()
+
+
+def _write_lines(docs, path) -> None:
+    """Write each document as one JSON line, as soon as it is produced."""
+    fh = _open_out(path)
+    try:
+        for doc in docs:
+            _emit(doc, fh)
+    finally:
+        if fh is not sys.stdout:
+            fh.close()
 
 
 # ---------------------------------------------------------------------------
@@ -160,65 +179,28 @@ def cmd_predict(args) -> int:
         max_steps=args.max_steps,
         max_series=args.max_series,
     )
-    result = experiments.experiment_trajectory(cfg, model=model, data=data)
-    fh = _open_out(args.out)
-    _emit(result, fh)
-    if fh is not sys.stdout:
-        fh.close()
+    _write_lines([experiments.experiment_trajectory(cfg, model=model, data=data)], args.out)
     return 0
 
 
 def cmd_filter(args) -> int:
     model = load_model(args.model)
     series = _pick_series(_load_units(args, model), args.subject)
-    fh = _open_out(args.out)
-    for rec in itertools.islice(experiments.filter_steps(model, series), args.max_steps):
-        _emit(rec, fh)
-    if fh is not sys.stdout:
-        fh.close()
+    steps = experiments.filter_steps(model, series)
+    _write_lines(itertools.islice(steps, args.max_steps), args.out)
     return 0
 
 
 def cmd_monitor(args) -> int:
     model = load_model(args.model)
     series = _pick_series(_load_units(args, model), args.subject)
-    Y = series.observations
-    labels = series.labels
-    mask = series.mask
-    if args.max_steps is not None:
-        Y = Y[: args.max_steps]
-        labels = None if labels is None else labels[: args.max_steps]
-        mask = mask[: args.max_steps]
-    catalog = monitor.default_catalog(model.num_features, 1.0, sizes=args.groups)
-    result = monitor.run_adaptive(
-        model,
-        Y,
-        catalog,
-        labels=labels,
-        energy_scale=args.energy_weight,
+    cfg = experiments.ExperimentConfig(
         num_samples=args.mc_samples,
-        rng=args.seed,
-        mask=mask,
+        seed=args.seed,
+        group_sizes=args.groups,
+        max_steps=args.max_steps,
     )
-    fh = _open_out(args.out)
-    for rec in result.records:
-        _emit(
-            {
-                "time": rec.selection.time_index,
-                "group": list(rec.selection.group),
-                "cost": rec.selection.cost,
-                "expected_entropy": rec.selection.expected_entropy,
-                "stderr": rec.selection.stderr,
-                "map_state": rec.map_state,
-                "posterior": rec.posterior,
-                "realized_entropy": rec.realized_entropy,
-                "log_evidence_delta": rec.log_evidence_delta,
-            },
-            fh,
-        )
-    _emit({"summary": result.summary}, fh)
-    if fh is not sys.stdout:
-        fh.close()
+    _write_lines(experiments.monitor_steps(cfg, model, series, args.energy_weight), args.out)
     return 0
 
 
@@ -276,41 +258,8 @@ def cmd_pca(args) -> int:
     raw = load_har(args.data_dir, "train", not args.split_sessions)
     stacked = np.vstack([s.observations for s in raw])
     proj = fit_pca(stacked, args.components)
-    fh = _open_out(args.out)
-    _emit(proj.to_dict(), fh)
-    if fh is not sys.stdout:
-        fh.close()
+    _write_lines([proj.to_dict()], args.out)
     _emit({"explained_variance": proj.explained_variance}, sys.stdout)
-    return 0
-
-
-def cmd_bench_fft(args) -> int:
-    from .circulant import fast_segment_loglik
-    from .gp_predict import exact_segment_loglik
-
-    rng = np.random.default_rng(args.seed)
-    fh = _open_out(args.out)
-    fh.write("T,P,rel_error,fast_s,dense_s\n")
-    for T in args.tsizes:
-        for P in args.channels:
-            L = np.tril(rng.normal(size=(P, P)) * 0.3)
-            np.fill_diagonal(L, np.abs(np.diag(L)) + 1.0)
-            emission = StateEmission(
-                mean=np.zeros(P),
-                temporal=MaternKernel(1.0, max(T / 8.0, 1.0), 1.5),
-                task=TaskCovariance(L),
-            )
-            noise = NoiseModel(rng.uniform(0.2, 0.5, size=P))
-            values = rng.normal(size=(T, P))
-            t0 = time.perf_counter()
-            fast = fast_segment_loglik(emission, noise, values)
-            t1 = time.perf_counter()
-            dense = exact_segment_loglik(emission, noise, values)
-            t2 = time.perf_counter()
-            rel = abs(fast - dense) / abs(dense)
-            fh.write(f"{T},{P},{rel!r},{t1 - t0!r},{t2 - t1!r}\n")
-    if fh is not sys.stdout:
-        fh.close()
     return 0
 
 
@@ -326,7 +275,7 @@ def _add_common_eval(p):
     p.add_argument("--split-sessions", action="store_true",
                    help="one series per contiguous subject block instead of "
                         "per-subject concatenation")
-    p.add_argument("--max-steps", type=int, default=None)
+    p.add_argument("--max-steps", type=_positive_int, default=None)
     p.add_argument("--out", default=None)
 
 
@@ -352,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common_eval(p)
     p.add_argument("--ratio", type=float, default=0.2,
                    help="observed fraction (0.2 = 1 observed : 4 held out)")
-    p.add_argument("--max-series", type=int, default=None)
+    p.add_argument("--max-series", type=_positive_int, default=None)
     p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("filter", help="stream one series through the filter")
@@ -364,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common_eval(p)
     p.add_argument("--subject", type=int, default=None)
     p.add_argument("--lambda", dest="energy_weight", type=float, default=0.1)
-    p.add_argument("--mc-samples", type=int, default=monitor.DEFAULT_NUM_SAMPLES)
+    p.add_argument("--mc-samples", type=_positive_int, default=monitor.DEFAULT_NUM_SAMPLES)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--groups", type=_parse_int_list, default=monitor.DEFAULT_GROUP_SIZES,
                    help="comma-separated group sizes")
@@ -374,10 +323,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common_eval(p)
     p.add_argument("--lambda", dest="energy_weights", type=_parse_float_list,
                    default=(0.0, 0.1, 0.25, 0.5, 1.0), help="comma-separated grid")
-    p.add_argument("--mc-samples", type=int, default=monitor.DEFAULT_NUM_SAMPLES)
+    p.add_argument("--mc-samples", type=_positive_int, default=monitor.DEFAULT_NUM_SAMPLES)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--groups", type=_parse_int_list, default=monitor.DEFAULT_GROUP_SIZES)
-    p.add_argument("--max-series", type=int, default=None)
+    p.add_argument("--max-series", type=_positive_int, default=None)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("simulate", help="sample synthetic data into a dataset layout")
@@ -395,13 +344,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--split-sessions", action="store_true")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_pca)
-
-    p = sub.add_parser("bench-fft", help="fast vs dense likelihood benchmark")
-    p.add_argument("--tsizes", type=_parse_int_list, default=(256, 1024, 4096))
-    p.add_argument("--channels", type=_parse_int_list, default=(1, 2, 3))
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_bench_fft)
 
     return ap
 

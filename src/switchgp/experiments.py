@@ -50,6 +50,14 @@ class ExperimentConfig:
             raise ValueError("observed_fraction must lie in (0, 1)")
         if len(tuple(self.lambda_grid)) == 0:
             raise ValueError("lambda_grid must be non-empty")
+        counts = {
+            "num_samples": self.num_samples,
+            "max_steps": self.max_steps,
+            "max_series": self.max_series,
+        }
+        for name, value in counts.items():
+            if value is not None and value < 1:
+                raise ValueError(f"{name} must be at least 1, got {value}")
 
 
 def prepare_series(model: SwitchingGPModel, series_list) -> list:
@@ -182,6 +190,52 @@ def filter_steps(model: SwitchingGPModel, series):
             "log_evidence_delta": state.log_evidence - prev,
         }
         prev = state.log_evidence
+
+
+def monitor_steps(
+    config: ExperimentConfig, model: SwitchingGPModel, series, energy_weight: float
+):
+    """Adaptive sensing on one series, cut to ``config.max_steps`` rows.
+
+    Yields one record per row after the first, as soon as the row is
+    absorbed: 1-based time, the chosen group with its cost, expected entropy
+    and Monte Carlo standard error, then the MAP state, filtered state
+    posterior, realized entropy and the row's increment of the log evidence.
+    The last record is ``{"summary": ...}`` as `monitor.run_adaptive` reports
+    it; its ``runtime_s`` includes the time the consumer held each record.
+    """
+    (series,) = _limit(config, [series])
+    catalog = monitor.default_catalog(model.num_features, 1.0, sizes=config.group_sizes)
+    t0 = time.perf_counter()
+    steps = []
+    for rec in monitor.adaptive_steps(
+        model,
+        series.observations,
+        catalog,
+        energy_scale=energy_weight,
+        num_samples=config.num_samples,
+        rng=config.seed,
+        mask=series.mask,
+    ):
+        steps.append(rec)
+        sel = rec.selection
+        if sel is None:
+            continue
+        yield {
+            "time": sel.time_index,
+            "group": list(sel.group),
+            "cost": sel.cost,
+            "expected_entropy": sel.expected_entropy,
+            "stderr": sel.stderr,
+            "map_state": rec.map_state,
+            "posterior": rec.posterior.tolist(),
+            "realized_entropy": rec.realized_entropy,
+            "log_evidence_delta": rec.log_evidence_delta,
+        }
+    result = monitor.AdaptiveResult.from_steps(
+        steps, model.num_features, series.labels, time.perf_counter() - t0
+    )
+    yield {"summary": result.summary}
 
 
 def experiment_recognition(

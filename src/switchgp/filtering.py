@@ -485,25 +485,16 @@ def predictive_mixture(state: ForwardState, model: SwitchingGPModel, group) -> P
 
 
 def mixture_from_predictives(pred: Predictives, group) -> PredictiveMixture:
+    """The entries within PRUNE_LOG_WEIGHT of the heaviest, restricted to a
+    feature group: fresh entries by state, then continuing entries (j, d) in
+    row-major order."""
     group = tuple(int(g) for g in group)
     idx = np.array(group, dtype=int)
-    logw, means, covs = [], [], []
-    A, D = pred.cont_logw.shape
-    for j in range(A):
-        if np.isfinite(pred.fresh_logw[j]):
-            logw.append(pred.fresh_logw[j])
-            means.append(pred.fresh_mean[j, idx])
-            covs.append(pred.fresh_cov[j][np.ix_(idx, idx)])
-    for j in range(A):
-        for d in range(D):
-            if np.isfinite(pred.cont_logw[j, d]):
-                logw.append(pred.cont_logw[j, d])
-                means.append(pred.cont_mean[j, d, idx])
-                covs.append(pred.cont_cov[j, d][np.ix_(idx, idx)])
-    logw = np.array(logw)
-    keep = logw >= logw.max() - PRUNE_LOG_WEIGHT
+    P = pred.fresh_mean.shape[-1]
+    logw = np.concatenate([pred.fresh_logw, pred.cont_logw.ravel()])
+    keep = logw >= logw[np.isfinite(logw)].max() - PRUNE_LOG_WEIGHT
+    means = np.concatenate([pred.fresh_mean, pred.cont_mean.reshape(-1, P)])[keep]
+    covs = np.concatenate([pred.fresh_cov, pred.cont_cov.reshape(-1, P, P)])[keep]
     logw = logw[keep]
-    means = np.array(means)[keep]
-    covs = np.array(covs)[keep]
     logw = logw - scipy.special.logsumexp(logw)
-    return PredictiveMixture(logw, means, covs, group)
+    return PredictiveMixture(logw, means[:, idx], covs[:, idx[:, None], idx], group)

@@ -1,4 +1,4 @@
-"""Temporal Matern kernels, free-form inter-feature covariance, and Kronecker assembly.
+"""Temporal Matern kernels, free-form inter-feature covariance, and the covariance layout.
 
 The observation vector for one segment is laid out feature-major:
 ``z = [z_1^1 .. z_T^1, z_1^2 .. z_T^P]``, i.e. the block for feature 1 over
@@ -172,17 +172,6 @@ def add_jitter(mat: np.ndarray, variance: float) -> np.ndarray:
     out = np.array(mat, dtype=float, copy=True)
     out[np.diag_indices_from(out)] += JITTER * variance
     return out
-
-
-def kron_cov(temporal: np.ndarray, task: np.ndarray) -> np.ndarray:
-    """Full covariance kron(task, temporal) under the feature-major layout."""
-    temporal = np.asarray(temporal, dtype=float)
-    task = np.asarray(task, dtype=float)
-    if temporal.ndim != 2 or temporal.shape[0] != temporal.shape[1]:
-        raise ValueError("temporal factor must be square")
-    if task.ndim != 2 or task.shape[0] != task.shape[1]:
-        raise ValueError("task factor must be square")
-    return np.kron(task, temporal)
 
 
 def chol_or_raise(mat: np.ndarray, context: str, state: int | None = None) -> np.ndarray:

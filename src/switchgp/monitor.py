@@ -12,7 +12,8 @@ order exactly by cost.
 Hypothetical updates touch only the filter's log-weight table; the live
 ForwardState is never mutated. The per-hypothesis one-step conditionals are
 computed once per step and shared between the scoring pass and the real
-measurement update.
+measurement update. `adaptive_steps` streams the closed loop one row at a
+time, and `run_adaptive` folds that stream into one result.
 """
 
 from __future__ import annotations
@@ -61,6 +62,8 @@ class GroupCatalog:
                 raise ValueError("groups must be non-empty")
             if len(set(g)) != len(g):
                 raise ValueError("groups must not repeat features")
+            if min(g) < 0:
+                raise ValueError("feature indices must be non-negative")
         if np.any(costs < 0):
             raise ValueError("costs must be non-negative")
         object.__setattr__(self, "groups", groups)
@@ -93,6 +96,19 @@ def entropy(probs) -> float:
     return float(-np.sum(nz * np.log(nz)))
 
 
+def _check_catalog(catalog: GroupCatalog, model: SwitchingGPModel) -> None:
+    top = max(max(g) for g in catalog.groups)
+    if top >= model.num_features:
+        raise ValueError(
+            f"catalog feature {top} is out of range for {model.num_features} features"
+        )
+
+
+def _check_num_samples(num_samples: int) -> None:
+    if num_samples < 1:
+        raise ValueError(f"num_samples must be at least 1, got {num_samples}")
+
+
 def _as_rng(rng) -> np.random.Generator:
     if isinstance(rng, np.random.Generator):
         return rng
@@ -107,6 +123,7 @@ def posterior_samples(
     pred: Predictives | None = None,
 ) -> np.ndarray:
     """Draw full-feature next rows from the one-step predictive mixture."""
+    _check_num_samples(num_samples)
     if pred is None:
         pred = step_predictives(state, model)
     mix = mixture_from_predictives(pred, tuple(range(model.num_features)))
@@ -129,6 +146,7 @@ def expected_entropy_mc(
     pass precomputed ``samples`` (full rows from the predictive mixture) to
     reuse one set of draws across many candidate groups.
     """
+    _check_num_samples(num_samples)
     group = tuple(int(i) for i in group)
     if pred is None:
         pred = step_predictives(state, model)
@@ -155,40 +173,6 @@ def _hypothetical_entropies(pred: Predictives, samples: np.ndarray, group) -> np
     with np.errstate(divide="ignore", invalid="ignore"):
         terms = np.where(probs > 0.0, probs * np.log(probs), 0.0)
     return -np.sum(terms, axis=1)
-
-
-def loss(
-    state: ForwardState,
-    model: SwitchingGPModel,
-    group,
-    catalog: GroupCatalog,
-    num_samples: int = DEFAULT_NUM_SAMPLES,
-    rng=None,
-    samples: np.ndarray | None = None,
-    pred: Predictives | None = None,
-) -> float:
-    """Expected-entropy estimate plus the group's catalog cost.
-
-    ``group`` is a feature tuple (first catalog match) or a catalog index.
-    """
-    if isinstance(group, (int, np.integer)):
-        gidx = int(group)
-    else:
-        key = tuple(int(i) for i in group)
-        try:
-            gidx = catalog.groups.index(key)
-        except ValueError as exc:
-            raise ValueError(f"group {key} not in catalog") from exc
-    est, _ = expected_entropy_mc(
-        state,
-        model,
-        catalog.groups[gidx],
-        num_samples=num_samples,
-        rng=rng,
-        samples=samples,
-        pred=pred,
-    )
-    return est + float(catalog.costs[gidx])
 
 
 @dataclass(frozen=True)
@@ -218,6 +202,8 @@ def select_group(
     Ties break toward smaller groups, then lexicographic feature order.
     Returns (group, SelectionRecord).
     """
+    _check_catalog(catalog, model)
+    _check_num_samples(num_samples)
     rng = _as_rng(rng)
     if pred is None:
         pred = step_predictives(state, model)
@@ -248,19 +234,108 @@ def select_group(
 
 @dataclass(frozen=True)
 class StepRecord:
-    """Selection plus the realized filter outcome at one stream step."""
+    """Selection plus the realized filter outcome at one stream step.
 
-    selection: SelectionRecord
+    ``selection`` is None for the first row, which initializes the filter.
+    ``log_evidence`` is the running total after the row.
+    """
+
+    selection: SelectionRecord | None
     map_state: int
     posterior: np.ndarray
     realized_entropy: float
+    log_evidence: float
     log_evidence_delta: float
+
+
+def _step_record(selection, state: ForwardState, prev_evidence: float) -> StepRecord:
+    post = state_posterior(state)
+    return StepRecord(
+        selection=selection,
+        map_state=map_state(state),
+        posterior=post,
+        realized_entropy=entropy(post),
+        log_evidence=state.log_evidence,
+        log_evidence_delta=state.log_evidence - prev_evidence,
+    )
+
+
+def adaptive_steps(
+    model: SwitchingGPModel,
+    observations: np.ndarray,
+    catalog: GroupCatalog,
+    energy_scale: float = 1.0,
+    num_samples: int = DEFAULT_NUM_SAMPLES,
+    rng=0,
+    mask=None,
+):
+    """Stream a series through the filter with adaptive sensing, yielding
+    one StepRecord per row as soon as the row is absorbed.
+
+    ``mask`` (T x P booleans, optional, all True by default) marks the
+    entries that exist. The first row is observed wherever the mask allows,
+    to initialize the filter; every later row only on the selected group,
+    where the mask allows. ``energy_scale`` multiplies the catalog costs
+    (the sweep's lambda knob). ``rng`` may be a seed or a Generator.
+    Deterministic given (inputs, seed).
+    """
+    rng = _as_rng(rng)
+    cat = catalog if energy_scale == 1.0 else catalog.scaled(energy_scale)
+    observations = np.asarray(observations, dtype=float)
+    T, P = observations.shape
+    if T == 0:
+        raise ValueError("observations must hold at least one row")
+    if P != model.num_features:
+        raise ValueError(f"observations have {P} features, the model {model.num_features}")
+    if mask is None:
+        mask = np.ones((T, P), dtype=bool)
+    mask = np.asarray(mask, dtype=bool)
+    if mask.shape != (T, P):
+        raise ValueError("mask must match observations")
+    _check_catalog(cat, model)
+    _check_num_samples(num_samples)
+
+    state = forward_init(model, observations[0], mask[0])
+    yield _step_record(None, state, 0.0)
+    for t in range(1, T):
+        pred = step_predictives(state, model)
+        group, sel = select_group(
+            state, model, cat, num_samples=num_samples, rng=rng, pred=pred
+        )
+        observed = np.zeros(P, dtype=bool)
+        observed[list(group)] = True
+        prev_evidence = state.log_evidence
+        state = apply_row(state, model, pred, observations[t], observed & mask[t])
+        yield _step_record(sel, state, prev_evidence)
 
 
 @dataclass
 class AdaptiveResult:
+    """The records of rows 2..T (the selected ones) and the run summary."""
+
     records: list
     summary: dict = field(default_factory=dict)
+
+    @classmethod
+    def from_steps(cls, steps, num_features: int, labels=None, runtime_s: float = 0.0):
+        """Fold the full list of `adaptive_steps` records, first row
+        included. ``labels`` (1-based, optional) enable the accuracy."""
+        T = len(steps)
+        usage = [len(rec.selection.group) / num_features for rec in steps[1:]]
+        ent_sum = steps[0].realized_entropy
+        for rec in steps[1:]:
+            ent_sum += rec.realized_entropy
+        summary = {
+            "num_steps": T,
+            "avg_sensor_usage": float(np.mean(usage)) if usage else 0.0,
+            "avg_entropy": ent_sum / T,
+            "log_evidence": steps[-1].log_evidence,
+            "runtime_s": runtime_s,
+        }
+        if labels is not None:
+            correct = sum(int(rec.map_state == lab) for rec, lab in zip(steps, labels))
+            summary["accuracy"] = correct / T
+        return cls(records=steps[1:], summary=summary)
 
 
 def run_adaptive(
@@ -273,70 +348,19 @@ def run_adaptive(
     rng=0,
     mask=None,
 ) -> AdaptiveResult:
-    """Stream a series through the filter with adaptive sensing.
+    """Run `adaptive_steps` to the end and fold it into an AdaptiveResult.
 
-    ``mask`` (T x P booleans, optional, all True by default) marks the
-    entries that exist. The first row is observed wherever the mask allows,
-    to initialize the filter; every later row only on the selected group,
-    where the mask allows. ``energy_scale`` multiplies the catalog costs
-    (the sweep's lambda knob). ``labels`` (1-based, optional) enable the
-    accuracy summary. ``rng`` may be a seed or a Generator. Deterministic
-    given (inputs, seed).
+    ``labels`` (1-based, optional) enable the accuracy summary.
     """
-    rng = _as_rng(rng)
-    cat = catalog if energy_scale == 1.0 else catalog.scaled(energy_scale)
     observations = np.asarray(observations, dtype=float)
-    T, P = observations.shape
-    if mask is None:
-        mask = np.ones((T, P), dtype=bool)
-    mask = np.asarray(mask, dtype=bool)
-    if mask.shape != (T, P):
-        raise ValueError("mask must match observations")
     if labels is not None:
         labels = np.asarray(labels, dtype=int)
-        if labels.shape[0] != T:
+        if labels.shape[0] != observations.shape[0]:
             raise ValueError("labels must align with observations")
-
     t0 = time.perf_counter()
-    state = forward_init(model, observations[0], mask[0])
-    records = []
-    correct = 0
-    if labels is not None and map_state(state) == labels[0]:
-        correct += 1
-    usage = []
-    ent_sum = entropy(state_posterior(state))
-
-    for t in range(1, T):
-        pred = step_predictives(state, model)
-        group, sel = select_group(
-            state, model, cat, num_samples=num_samples, rng=rng, pred=pred
-        )
-        observed = np.zeros(P, dtype=bool)
-        observed[list(group)] = True
-        prev_evidence = state.log_evidence
-        state = apply_row(state, model, pred, observations[t], observed & mask[t])
-        post = state_posterior(state)
-        rec = StepRecord(
-            selection=sel,
-            map_state=map_state(state),
-            posterior=post,
-            realized_entropy=entropy(post),
-            log_evidence_delta=state.log_evidence - prev_evidence,
-        )
-        records.append(rec)
-        usage.append(len(group) / P)
-        ent_sum += rec.realized_entropy
-        if labels is not None and rec.map_state == labels[t]:
-            correct += 1
-    runtime = time.perf_counter() - t0
-
-    summary = {
-        "num_steps": T,
-        "avg_sensor_usage": float(np.mean(usage)) if usage else 0.0,
-        "avg_entropy": ent_sum / T,
-        "log_evidence": state.log_evidence,
-        "runtime_s": runtime,
-    }
-    if labels is not None:
-        summary["accuracy"] = (correct / T) if T else float("nan")
-    return AdaptiveResult(records=records, summary=summary)
+    steps = list(
+        adaptive_steps(model, observations, catalog, energy_scale, num_samples, rng, mask)
+    )
+    return AdaptiveResult.from_steps(
+        steps, model.num_features, labels, time.perf_counter() - t0
+    )

@@ -14,5 +14,5 @@ def test_cli_parser_builds():
     parser = cli.build_parser()
     sub = next(a for a in parser._actions if a.dest == "command")
     assert set(sub.choices) == {
-        "train", "predict", "filter", "monitor", "sweep", "simulate", "pca", "bench-fft",
+        "train", "predict", "filter", "monitor", "sweep", "simulate", "pca",
     }

@@ -1,5 +1,5 @@
 """End-to-end command-line tests: simulate, train, predict, filter,
-monitor, sweep, pca, bench-fft, and the failure-path error records."""
+monitor, sweep, pca, argument checks, and the failure-path error records."""
 
 import contextlib
 import hashlib
@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import helpers
+from switchgp import monitor
 from switchgp.cli import main
 from switchgp.data import PcaProjection
 from switchgp.experiments import SWEEP_COLUMNS
@@ -254,6 +255,23 @@ class TestMonitor:
         assert 0.0 < summary["avg_sensor_usage"] <= 1.0
         assert 0.0 <= summary["accuracy"] <= 1.0
 
+    def test_writes_each_line_as_its_step_finishes(self, workspace, tmp_path, monkeypatch):
+        out = tmp_path / "monitor.jsonl"
+        seen = []
+        select = monitor.select_group
+
+        def spy(state, *args, **kwargs):
+            # before row t is selected, the records of rows 2..t-1 are on disk
+            seen.append((state.time_index, len(out.read_text().splitlines())))
+            return select(state, *args, **kwargs)
+
+        monkeypatch.setattr(monitor, "select_group", spy)
+        argv = self.monitor_argv(workspace, out)
+        argv[argv.index("--max-steps") + 1] = "5"
+        rc, _, err = run_cli(argv)
+        assert rc == 0, err
+        assert seen == [(1, 0), (2, 1), (3, 2), (4, 3)]
+
     def test_seeded_rerun_matches_apart_from_runtime(self, workspace, tmp_path):
         rc, _, _ = run_cli(self.monitor_argv(workspace, tmp_path / "a.jsonl"))
         assert rc == 0
@@ -334,28 +352,6 @@ class TestPca:
         assert len(report["explained_variance"]) == 1
 
 
-class TestBenchFft:
-    def test_table_and_agreement(self, tmp_path):
-        out = tmp_path / "bench.csv"
-        rc, _, err = run_cli(
-            [
-                "bench-fft",
-                "--tsizes", "16,32",
-                "--channels", "1,2",
-                "--seed", "0",
-                "--out", str(out),
-            ]
-        )
-        assert rc == 0, err
-        lines = out.read_text().strip().split("\n")
-        assert lines[0] == "T,P,rel_error,fast_s,dense_s"
-        assert len(lines) == 5
-        for line in lines[1:]:
-            cells = line.split(",")
-            assert float(cells[2]) < 1e-8
-            assert float(cells[3]) > 0.0 and float(cells[4]) > 0.0
-
-
 class TestErrorRecords:
     def test_missing_data_directory(self, workspace):
         rc, _, err = run_cli(
@@ -394,12 +390,42 @@ class TestErrorRecords:
             main(["train"])
         assert exc.value.code == 2
 
-    def test_module_entry_point(self):
+    def test_module_entry_point(self, workspace):
         proc = subprocess.run(
-            [sys.executable, "-m", "switchgp.cli", "bench-fft",
-             "--tsizes", "16", "--channels", "1"],
+            [sys.executable, "-m", "switchgp.cli", "filter",
+             "--model", str(workspace.model_path),
+             "--data-dir", str(workspace.data_dir),
+             "--max-steps", "3"],
             capture_output=True,
             text=True,
         )
-        assert proc.returncode == 0
-        assert proc.stdout.startswith("T,P,rel_error")
+        assert proc.returncode == 0, proc.stderr
+        assert [r["time"] for r in json_lines(proc.stdout)] == [1, 2, 3]
+
+    @pytest.mark.parametrize(
+        "command, flag, value",
+        [
+            ("monitor", "--max-steps", "0"),
+            ("monitor", "--max-steps", "-1"),
+            ("monitor", "--mc-samples", "0"),
+            ("sweep", "--max-steps", "0"),
+            ("sweep", "--max-steps", "-1"),
+            ("sweep", "--mc-samples", "0"),
+            ("sweep", "--max-series", "0"),
+            ("filter", "--max-steps", "-1"),
+            ("predict", "--max-series", "0"),
+        ],
+    )
+    def test_counts_below_one_are_usage_errors(self, workspace, command, flag, value, capsys):
+        argv = [
+            command,
+            "--model", str(workspace.model_path),
+            "--data-dir", str(workspace.data_dir),
+            flag, value,
+        ]
+        if command in ("monitor", "sweep"):
+            argv += ["--groups", "1", "--lambda", "0.5"]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "positive integer" in capsys.readouterr().err

@@ -1,4 +1,5 @@
-"""Experiment harness: trajectory prediction, recognition, energy sweep."""
+"""Experiment harness: trajectory prediction, recognition, the adaptive
+monitor stream, energy sweep."""
 
 from dataclasses import replace
 
@@ -13,12 +14,14 @@ from switchgp.experiments import (
     experiment_recognition,
     experiment_sweep,
     experiment_trajectory,
+    monitor_steps,
     prepare_series,
     write_sweep_csv,
 )
 from switchgp.filtering import forward_init, forward_step, state_posterior
 from switchgp.kernels import MaternKernel, NoiseModel
 from switchgp.model import SegmentedSeries, TransitionMatrix, segment_series
+from switchgp import monitor
 
 
 def degenerate_model_and_series(T=60, seed=0):
@@ -42,6 +45,12 @@ class TestExperimentConfig:
     def test_rejects_empty_grid(self):
         with pytest.raises(ValueError):
             ExperimentConfig(lambda_grid=())
+
+    @pytest.mark.parametrize("field", ["num_samples", "max_steps", "max_series"])
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_rejects_counts_below_one(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            ExperimentConfig(**{field: value})
 
 
 class TestTrajectory:
@@ -213,6 +222,70 @@ def sweep_rows():
         lambda_grid=SWEEP_GRID, num_samples=48, seed=3, group_sizes=(1, 2)
     )
     return experiment_sweep(cfg, model=model, data=[series])
+
+
+class TestMonitorSteps:
+    CONFIG = ExperimentConfig(num_samples=12, seed=4, group_sizes=(1, 2), max_steps=25)
+
+    def series(self):
+        model = helpers.random_model(A=2, P=3, cap=6, seed=30)
+        series = generate_synthetic(model, 40, seed=30)
+        mask = np.ones(series.observations.shape, dtype=bool)
+        mask[[5, 6], 2] = False
+        mask[9] = False
+        return model, replace(series, mask=mask)
+
+    def test_matches_run_adaptive_bit_for_bit(self):
+        model, series = self.series()
+        lines = list(monitor_steps(self.CONFIG, model, series, 0.3))
+        n = self.CONFIG.max_steps
+        catalog = monitor.default_catalog(3, 1.0, sizes=(1, 2))
+        result = monitor.run_adaptive(
+            model,
+            series.observations[:n],
+            catalog,
+            labels=series.labels[:n],
+            energy_scale=0.3,
+            num_samples=12,
+            rng=4,
+            mask=series.mask[:n],
+        )
+        want = [
+            {
+                "time": r.selection.time_index,
+                "group": list(r.selection.group),
+                "cost": r.selection.cost,
+                "expected_entropy": r.selection.expected_entropy,
+                "stderr": r.selection.stderr,
+                "map_state": r.map_state,
+                "posterior": r.posterior.tolist(),
+                "realized_entropy": r.realized_entropy,
+                "log_evidence_delta": r.log_evidence_delta,
+            }
+            for r in result.records
+        ]
+        assert lines[:-1] == want
+        got, expected = lines[-1]["summary"], dict(result.summary)
+        got.pop("runtime_s"), expected.pop("runtime_s")
+        assert got == expected
+        assert got["num_steps"] == n
+
+    def test_first_record_follows_one_selection(self, monkeypatch):
+        model, series = self.series()
+        calls = []
+        select = monitor.select_group
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return select(*args, **kwargs)
+
+        monkeypatch.setattr(monitor, "select_group", counting)
+        stream = monitor_steps(self.CONFIG, model, series, 0.3)
+        first = next(stream)
+        assert len(calls) == 1
+        assert first["time"] == 2
+        next(stream)
+        assert len(calls) == 2
 
 
 class TestSweep:

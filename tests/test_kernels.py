@@ -1,4 +1,4 @@
-"""Matern kernel, task covariance, and Kronecker assembly tests.
+"""Matern kernel, task covariance, Gram matrix, jitter and factorization tests.
 
 Closed-form oracle values live in oracles.matern_value; everything here is
 checked against that or against hand-expanded matrices.
@@ -20,7 +20,6 @@ from switchgp.kernels import (
     add_jitter,
     chol_or_raise,
     gram_matrix,
-    kron_cov,
     matern_eval,
     matern_grad,
     task_cov_assemble,
@@ -142,46 +141,6 @@ class TestGramMatrix:
     def test_matches_entrywise_oracle(self):
         k = MaternKernel(variance=1.1, lengthscale=1.7, smoothness=1.5)
         np.testing.assert_allclose(gram_matrix(k, 5), oracles.dense_gram(k, 5), rtol=1e-13)
-
-
-class TestKronCov:
-    def test_scalar_case(self):
-        np.testing.assert_allclose(
-            kron_cov(np.array([[3.0]]), np.array([[2.0]])), [[6.0]]
-        )
-
-    def test_identity_task_gives_block_diagonal(self):
-        B = np.array([[2.0, 1.0], [1.0, 2.0]])
-        out = kron_cov(B, np.eye(2))
-        expected = np.zeros((4, 4))
-        expected[:2, :2] = B
-        expected[2:, 2:] = B
-        np.testing.assert_allclose(out, expected)
-
-    def test_hand_expansion_two_by_two(self):
-        # feature-major stacking: task entries scale whole temporal blocks
-        KT = np.array([[1.0, 0.5], [0.5, 1.0]])
-        KY = np.array([[2.0, 0.3], [0.3, 1.0]])
-        out = kron_cov(KT, KY)
-        expected = np.block(
-            [[KY[0, 0] * KT, KY[0, 1] * KT], [KY[1, 0] * KT, KY[1, 1] * KT]]
-        )
-        np.testing.assert_allclose(out, expected)
-
-    @given(
-        n=st.integers(min_value=1, max_value=4),
-        m=st.integers(min_value=1, max_value=4),
-        seed=st.integers(min_value=0, max_value=2**31 - 1),
-    )
-    @settings(max_examples=25, deadline=None)
-    def test_eigenvalue_multiset_is_pairwise_products(self, n, m, seed):
-        rng = np.random.default_rng(seed)
-        a = rng.normal(size=(n, n))
-        b = rng.normal(size=(m, m))
-        KT, KY = a @ a.T, b @ b.T
-        got = np.sort(np.linalg.eigvalsh(kron_cov(KT, KY)))
-        expected = np.sort(np.outer(np.linalg.eigvalsh(KY), np.linalg.eigvalsh(KT)).ravel())
-        np.testing.assert_allclose(got, expected, rtol=1e-8, atol=1e-10)
 
 
 class TestJitterAndFactorization:

@@ -1,4 +1,4 @@
-"""Adaptive sensing: entropy loss, MC estimator, selection, closed loop."""
+"""Adaptive sensing: entropy, MC estimator, selection loss, closed loop."""
 
 import math
 from dataclasses import replace
@@ -12,10 +12,11 @@ from switchgp.filtering import forward_init, forward_step, map_state, state_post
 from switchgp.model import GammaDuration
 from switchgp.monitor import (
     GroupCatalog,
+    adaptive_steps,
     default_catalog,
     entropy,
     expected_entropy_mc,
-    loss,
+    posterior_samples,
     run_adaptive,
     select_group,
 )
@@ -109,46 +110,57 @@ class TestExpectedEntropyMc:
         with pytest.raises(ValueError):
             expected_entropy_mc(state, model, (0,), num_samples=8)
 
+    @pytest.mark.parametrize("num_samples", [0, -3])
+    def test_rejects_fewer_than_one_sample(self, num_samples):
+        model = helpers.random_model(A=2, P=2, cap=3, seed=6)
+        state = forward_init(model, np.zeros(2))
+        catalog = GroupCatalog(((0,), (1,)), np.zeros(2))
+        with pytest.raises(ValueError, match="num_samples"):
+            expected_entropy_mc(state, model, (0,), num_samples=num_samples, rng=0)
+        with pytest.raises(ValueError, match="num_samples"):
+            posterior_samples(state, model, num_samples, 0)
+        with pytest.raises(ValueError, match="num_samples"):
+            select_group(state, model, catalog, num_samples=num_samples, rng=0)
+
 
 class TestLoss:
+    """The selection loss, expected entropy plus cost, as `select_group`
+    reports it in ``record.losses``."""
+
     def test_zero_entropy_leaves_cost(self):
         model = frozen_state_model()
         state = forward_init(model, np.array([-0.1]))
         catalog = GroupCatalog(((0,),), np.array([0.37]))
-        val = loss(state, model, (0,), catalog, num_samples=100, rng=3)
-        assert val == pytest.approx(0.37, abs=1e-6)
+        _, record = select_group(state, model, catalog, num_samples=100, rng=3)
+        assert record.losses[0] == pytest.approx(0.37, abs=1e-6)
 
     def test_cost_free_loss_is_entropy_estimate(self):
         model = helpers.random_model(A=2, P=2, cap=3, seed=8)
         series = generate_synthetic(model, 3, seed=9)
         state = run_filter(model, series.observations)
         catalog = GroupCatalog(((0,), (1,)), np.zeros(2))
-        rng = np.random.default_rng(5)
-        from switchgp.monitor import posterior_samples
-
-        samples = posterior_samples(state, model, 128, rng)
-        got = loss(state, model, (1,), catalog, samples=samples)
-        est, _ = expected_entropy_mc(state, model, (1,), samples=samples)
-        assert got == est
+        _, record = select_group(state, model, catalog, num_samples=128, rng=5)
+        samples = posterior_samples(state, model, 128, np.random.default_rng(5))
+        for g, group in enumerate(catalog.groups):
+            est, _ = expected_entropy_mc(state, model, group, samples=samples)
+            assert record.losses[g] == est
 
     def test_duplicated_group_differs_by_cost_exactly(self):
         model = helpers.random_model(A=2, P=2, cap=3, seed=9)
         series = generate_synthetic(model, 4, seed=10)
         state = run_filter(model, series.observations)
         catalog = GroupCatalog(((0, 1), (0, 1)), np.array([0.1, 0.9]))
-        from switchgp.monitor import posterior_samples
-
-        samples = posterior_samples(state, model, 64, np.random.default_rng(2))
-        lo = loss(state, model, 0, catalog, samples=samples)
-        hi = loss(state, model, 1, catalog, samples=samples)
-        assert hi - lo == pytest.approx(0.8, abs=1e-12)
+        _, record = select_group(state, model, catalog, num_samples=64, rng=2)
+        assert record.losses[1] - record.losses[0] == pytest.approx(0.8, abs=1e-12)
 
     def test_unknown_group_rejected(self):
+        # a group naming a feature the model lacks is an error, not a
+        # silently wrapped or raw index
         model = helpers.random_model(A=1, P=2, cap=2, seed=10)
         state = forward_init(model, np.zeros(2))
-        catalog = GroupCatalog(((0,),), np.zeros(1))
-        with pytest.raises(ValueError):
-            loss(state, model, (0, 1), catalog, num_samples=8, rng=0)
+        catalog = GroupCatalog(((0, 2),), np.zeros(1))
+        with pytest.raises(ValueError, match="out of range"):
+            select_group(state, model, catalog, num_samples=8, rng=0)
 
 
 class TestSelectGroup:
@@ -236,6 +248,11 @@ class TestCatalog:
             GroupCatalog(((0,),), np.array([-0.1]))
         with pytest.raises(ValueError):
             GroupCatalog(((0,), (1,)), np.zeros(3))
+
+    def test_rejects_negative_features(self):
+        # numpy would read -1 as the last feature and score it twice
+        with pytest.raises(ValueError, match="non-negative"):
+            GroupCatalog(((-1,), (2,)), np.zeros(2))
 
     def test_duplicate_groups_allowed(self):
         cat = GroupCatalog(((0,), (0,)), np.array([0.1, 0.2]))
@@ -326,6 +343,53 @@ class TestRunAdaptive:
             assert ra.map_state == rb.map_state
         for key in ("avg_sensor_usage", "avg_entropy", "log_evidence"):
             assert a.summary[key] == b.summary[key]
+
+    def test_rejects_features_beyond_the_model(self):
+        model = helpers.random_model(A=2, P=3, cap=3, seed=24)
+        series = generate_synthetic(model, 5, seed=24)
+        catalog = GroupCatalog(((0,), (5,)), np.zeros(2))
+        with pytest.raises(ValueError, match="out of range"):
+            run_adaptive(model, series.observations, catalog, num_samples=8)
+        # caught before the first row, even when no row is ever selected for
+        with pytest.raises(ValueError, match="out of range"):
+            run_adaptive(model, series.observations[:1], catalog, num_samples=8)
+
+    def test_rejects_an_empty_series(self):
+        model = helpers.random_model(A=2, P=2, cap=3, seed=24)
+        catalog = GroupCatalog(((0, 1),), np.zeros(1))
+        with pytest.raises(ValueError, match="at least one row"):
+            run_adaptive(model, np.zeros((0, 2)), catalog, labels=np.zeros(0), num_samples=8)
+
+    def test_rejects_fewer_than_one_sample(self):
+        model = helpers.random_model(A=2, P=2, cap=3, seed=24)
+        series = generate_synthetic(model, 5, seed=24)
+        catalog = GroupCatalog(((0,), (1,)), np.zeros(2))
+        with pytest.raises(ValueError, match="num_samples"):
+            run_adaptive(model, series.observations, catalog, num_samples=0)
+
+    def test_rejects_observations_of_another_width(self):
+        model = helpers.random_model(A=2, P=3, cap=3, seed=24)
+        catalog = GroupCatalog(((0,),), np.zeros(1))
+        with pytest.raises(ValueError, match="features"):
+            run_adaptive(model, np.zeros((4, 2)), catalog, num_samples=8)
+
+    def test_streams_one_record_per_row(self):
+        model = helpers.random_model(A=2, P=2, cap=3, seed=25)
+        series = generate_synthetic(model, 12, seed=25)
+        catalog = GroupCatalog(((0,), (1,), (0, 1)), np.array([0.1, 0.1, 0.3]))
+        steps = list(adaptive_steps(model, series.observations, catalog, num_samples=8, rng=2))
+        assert len(steps) == 12
+        assert steps[0].selection is None
+        assert steps[0].log_evidence_delta == steps[0].log_evidence
+        assert [s.selection.time_index for s in steps[1:]] == list(range(2, 13))
+        for prev, rec in zip(steps, steps[1:]):
+            assert rec.log_evidence_delta == rec.log_evidence - prev.log_evidence
+
+        result = run_adaptive(model, series.observations, catalog, num_samples=8, rng=2)
+        assert [r.selection.group for r in result.records] == [
+            s.selection.group for s in steps[1:]
+        ]
+        assert result.summary["log_evidence"] == steps[-1].log_evidence
 
     def test_label_length_mismatch_rejected(self):
         model = helpers.random_model(A=2, P=2, cap=3, seed=24)
