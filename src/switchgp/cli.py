@@ -10,6 +10,7 @@ exit code is nonzero.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import itertools
 import json
 import sys
@@ -18,13 +19,7 @@ import time
 import numpy as np
 
 from . import experiments, monitor
-from .data import (
-    DEFAULT_NUM_COMPONENTS,
-    apply_pca,
-    fit_pca,
-    generate_synthetic,
-    load_har,
-)
+from .data import DEFAULT_NUM_COMPONENTS, fit_pca, generate_synthetic, load_har
 from .errors import SwitchGPError
 from .fit import FitConfig
 from .kernels import MaternKernel, NoiseModel, TaskCovariance
@@ -40,8 +35,15 @@ from .model import (
 )
 
 
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not np.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text}")
+    return value
+
+
 def _parse_float_list(text: str) -> tuple:
-    vals = tuple(float(v) for v in text.split(",") if v.strip() != "")
+    vals = tuple(_finite_float(v) for v in text.split(",") if v.strip() != "")
     if not vals:
         raise ValueError("empty numeric list")
     return vals
@@ -55,6 +57,13 @@ def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be a positive integer, got {text}")
+    return value
+
+
+def _non_negative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be zero or a positive integer, got {text}")
     return value
 
 
@@ -110,19 +119,10 @@ def cmd_train(args) -> int:
     raw = load_har(args.data_dir, "train", not args.split_sessions)
     pca_doc = None
     if args.pca > 0 and raw[0].num_features > args.pca:
-        stacked = np.vstack([s.observations for s in raw])
-        proj = fit_pca(stacked, args.pca)
-        pca_doc = proj.to_dict()
-        data = []
-        from dataclasses import replace
+        pca_doc = fit_pca(np.vstack([s.observations for s in raw]), args.pca).to_dict()
 
-        for s in raw:
-            data.append(replace(s, observations=apply_pca(proj, s.observations, whiten=True)))
-    else:
-        data = raw
-
-    A = int(max(int(s.labels.max()) for s in data))
-    P = data[0].num_features
+    A = int(max(int(s.labels.max()) for s in raw))
+    P = raw[0].num_features if pca_doc is None else args.pca
     shared = TaskCovariance(np.eye(P))
     emissions = tuple(
         StateEmission(
@@ -143,6 +143,7 @@ def cmd_train(args) -> int:
         shared_task=True,
         pca=pca_doc,
     )
+    data = experiments.prepare_series(skeleton, raw)
     config = FitConfig(duration_cap=args.dmax, max_iterations=args.max_iterations)
     t0 = time.perf_counter()
     model = fit(skeleton, data, config)
@@ -155,15 +156,7 @@ def cmd_train(args) -> int:
         "duration_cap": model.duration_cap,
         "untrained_states": list(model.untrained_states),
         "pca": pca_doc is not None,
-        "fit": None
-        if report is None
-        else {
-            "initial_objective": report.initial_objective,
-            "final_objective": report.final_objective,
-            "iterations": report.iterations,
-            "converged": report.converged,
-            "message": report.message,
-        },
+        "fit": None if report is None else dataclasses.asdict(report),
         "train_nll": negative_loglik(model, data, use_fft=args.use_fft),
         "runtime_s": time.perf_counter() - t0,
     }
@@ -287,11 +280,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data-dir", required=True)
     p.add_argument("--out", required=True, help="output model JSON")
     p.add_argument("--dmax", type=int, default=None)
-    p.add_argument("--pca", type=int, default=DEFAULT_NUM_COMPONENTS,
+    p.add_argument("--pca", type=_non_negative_int, default=DEFAULT_NUM_COMPONENTS,
                    help="PCA components (0 disables)")
     p.add_argument("--smoothness", type=float, default=1.5)
     p.add_argument("--lengthscale", type=float, default=5.0)
-    p.add_argument("--max-iterations", type=int, default=500)
+    p.add_argument("--max-iterations", type=_positive_int, default=500)
     p.add_argument("--use-fft", action="store_true",
                    help="evaluate the reported train NLL via the FFT path")
     p.add_argument("--split-sessions", action="store_true")
@@ -312,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("monitor", help="adaptive sensing on one series")
     _add_common_eval(p)
     p.add_argument("--subject", type=int, default=None)
-    p.add_argument("--lambda", dest="energy_weight", type=float, default=0.1)
+    p.add_argument("--lambda", dest="energy_weight", type=_finite_float, default=0.1)
     p.add_argument("--mc-samples", type=_positive_int, default=monitor.DEFAULT_NUM_SAMPLES)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--groups", type=_parse_int_list, default=monitor.DEFAULT_GROUP_SIZES,
@@ -340,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("pca", help="fit the PCA projection on the train split")
     p.add_argument("--data-dir", required=True)
-    p.add_argument("--components", type=int, default=DEFAULT_NUM_COMPONENTS)
+    p.add_argument("--components", type=_positive_int, default=DEFAULT_NUM_COMPONENTS)
     p.add_argument("--split-sessions", action="store_true")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_pca)

@@ -175,6 +175,8 @@ def fit_pca(features, num_components: int = DEFAULT_NUM_COMPONENTS) -> PcaProjec
     Signs are fixed deterministically (largest-magnitude loading positive)
     so refits reproduce byte-identical projections.
     """
+    if num_components < 1:
+        raise ValueError(f"num_components must be at least 1, got {num_components}")
     X = np.asarray(features, dtype=float)
     if X.ndim != 2:
         raise ValueError("features must be a 2-D matrix")
@@ -220,7 +222,7 @@ def generate_synthetic(model: SwitchingGPModel, num_steps: int, seed=0) -> Segme
     """
     if num_steps < 1:
         raise ValueError("num_steps must be positive")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     table = build_duration_table(model)
     masses = np.exp(table.log_g)
     trans = np.exp(table.log_p)

@@ -1,11 +1,12 @@
 """Experiment harness: trajectory prediction, activity recognition, and the
 energy/accuracy sweep.
 
-All three experiments run on lists of SegmentedSeries in model units. When a
-model carries a PCA projection, raw feature rows are projected and whitened
-by the training explained variances first, so errors are reported in
-PCA-normalized units (unit prior variance per component on the training
-split).
+All three experiments run on lists of SegmentedSeries in model units.
+`prepare_series` is the one path from raw rows to those units, for training
+and evaluation alike: when a model carries a PCA projection, raw feature rows
+are projected and whitened by the training explained variances, so errors
+are reported in PCA-normalized units (unit prior variance per component on
+the training split).
 
 Sweep seeding is hierarchical: each (lambda index, series index) cell gets
 an independent child of the root seed, so results do not depend on
@@ -23,6 +24,7 @@ import numpy as np
 
 from . import filtering, monitor
 from .data import PcaProjection, apply_pca
+from .errors import UndefinedMetricError
 from .gp_predict import joint_conditional, trajectory_metrics
 from .model import SwitchingGPModel, segment_series
 
@@ -33,21 +35,22 @@ SWEEP_COLUMNS = ("lambda", "accuracy", "avg_sensor_usage", "avg_entropy", "runti
 class ExperimentConfig:
     """Shared knobs for the experiment entry points."""
 
-    data_dir: str | None = None
-    model_path: str | None = None
-    eval_split: str = "test"
     observed_fraction: float = 0.2  # 1 observed : 4 held out
     lambda_grid: tuple = (0.0, 0.1, 0.25, 0.5, 1.0)
     num_samples: int = 50
     seed: int = 0
     group_sizes: tuple = monitor.DEFAULT_GROUP_SIZES
-    concatenate_subjects: bool = True
     max_steps: int | None = None
     max_series: int | None = None
 
     def __post_init__(self):
         if not 0.0 < self.observed_fraction < 1.0:
             raise ValueError("observed_fraction must lie in (0, 1)")
+        if self.stride < 2:
+            raise ValueError(
+                "observed_fraction must be at most 2/3, so that at least one row "
+                f"in two is held out; got {self.observed_fraction}"
+            )
         if len(tuple(self.lambda_grid)) == 0:
             raise ValueError("lambda_grid must be non-empty")
         counts = {
@@ -58,6 +61,11 @@ class ExperimentConfig:
         for name, value in counts.items():
             if value is not None and value < 1:
                 raise ValueError(f"{name} must be at least 1, got {value}")
+
+    @property
+    def stride(self) -> int:
+        """Every ``stride``-th row is observed in the trajectory experiment."""
+        return int(round(1.0 / self.observed_fraction))
 
 
 def prepare_series(model: SwitchingGPModel, series_list) -> list:
@@ -97,39 +105,18 @@ def _limit(config: ExperimentConfig, series_list) -> list:
     return out
 
 
-def _load_eval(config: ExperimentConfig, model, data):
-    from .data import load_har
-    from .model import load_model
-
-    if model is None:
-        if config.model_path is None:
-            raise ValueError("either a model or config.model_path is required")
-        model = load_model(config.model_path)
-    if data is None:
-        if config.data_dir is None:
-            raise ValueError("either data or config.data_dir is required")
-        data = load_har(
-            config.data_dir, config.eval_split, config.concatenate_subjects
-        )
-        data = prepare_series(model, data)
-    return model, _limit(config, data)
-
-
-def experiment_trajectory(
-    config: ExperimentConfig, model: SwitchingGPModel | None = None, data=None
-) -> dict:
+def experiment_trajectory(config: ExperimentConfig, model: SwitchingGPModel, data) -> dict:
     """Known-state signal prediction with interleaved observed rows.
 
     Every ``stride``-th row of each stream is observed; the rest are
     predicted from the observed rows of the same (true-label) segment via
     the state's GP posterior. Reports MSE/ABS overall and per activity.
     """
-    model, data = _load_eval(config, model, data)
-    stride = int(round(1.0 / config.observed_fraction))
+    stride = config.stride
     preds, truths, labels_all = [], [], []
     num_observed = 0
 
-    for series in data:
+    for series in _limit(config, data):
         if series.labels is None:
             raise ValueError("trajectory experiment requires labeled series")
         Y = series.observations
@@ -152,6 +139,8 @@ def experiment_trajectory(
             truths.append(Y[start + held_rel])
             labels_all.append(np.full(held_rel.size, state))
 
+    if not preds:
+        raise UndefinedMetricError(f"no segment holds out a row at a stride of {stride}")
     pred = np.vstack(preds)
     truth = np.vstack(truths)
     lab = np.concatenate(labels_all)
@@ -238,16 +227,13 @@ def monitor_steps(
     yield {"summary": result.summary}
 
 
-def experiment_recognition(
-    config: ExperimentConfig, model: SwitchingGPModel | None = None, data=None
-) -> dict:
+def experiment_recognition(config: ExperimentConfig, model: SwitchingGPModel, data) -> dict:
     """Forward filtering on labeled streams, observing each series' mask.
 
     Reports stepwise accuracy, confusion counts, per-step trajectories, and
     switch-lag statistics (steps from each true switch until the MAP state
     first matches the new label, within that segment).
     """
-    model, data = _load_eval(config, model, data)
     A = model.num_states
     confusion = np.zeros((A, A), dtype=int)
     correct = 0
@@ -256,7 +242,7 @@ def experiment_recognition(
     switches = 0
     trajectories = []
 
-    for series in data:
+    for series in _limit(config, data):
         if series.labels is None:
             raise ValueError("recognition experiment requires labeled series")
         lab = series.labels
@@ -289,11 +275,9 @@ def experiment_recognition(
     }
 
 
-def experiment_sweep(
-    config: ExperimentConfig, model: SwitchingGPModel | None = None, data=None
-) -> list:
+def experiment_sweep(config: ExperimentConfig, model: SwitchingGPModel, data) -> list:
     """Energy/accuracy trade-off rows, one per lambda in the grid."""
-    model, data = _load_eval(config, model, data)
+    data = _limit(config, data)
     P = model.num_features
     catalog = monitor.default_catalog(P, 1.0, sizes=config.group_sizes)
     rows = []

@@ -43,6 +43,10 @@ class FitConfig:
     max_iterations: int = 500
     duration_cap: int | None = None
 
+    def __post_init__(self):
+        if self.max_iterations < 1:
+            raise ValueError(f"max_iterations must be at least 1, got {self.max_iterations}")
+
 
 class _Packing:
     """Maps between the parameter vector and model components.

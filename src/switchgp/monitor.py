@@ -64,6 +64,8 @@ class GroupCatalog:
                 raise ValueError("groups must not repeat features")
             if min(g) < 0:
                 raise ValueError("feature indices must be non-negative")
+        if not np.all(np.isfinite(costs)):
+            raise ValueError("costs must be finite")
         if np.any(costs < 0):
             raise ValueError("costs must be non-negative")
         object.__setattr__(self, "groups", groups)
@@ -109,12 +111,6 @@ def _check_num_samples(num_samples: int) -> None:
         raise ValueError(f"num_samples must be at least 1, got {num_samples}")
 
 
-def _as_rng(rng) -> np.random.Generator:
-    if isinstance(rng, np.random.Generator):
-        return rng
-    return np.random.default_rng(rng)
-
-
 def posterior_samples(
     state: ForwardState,
     model: SwitchingGPModel,
@@ -127,7 +123,7 @@ def posterior_samples(
     if pred is None:
         pred = step_predictives(state, model)
     mix = mixture_from_predictives(pred, tuple(range(model.num_features)))
-    return mix.sample(num_samples, _as_rng(rng))
+    return mix.sample(num_samples, np.random.default_rng(rng))
 
 
 def expected_entropy_mc(
@@ -204,7 +200,7 @@ def select_group(
     """
     _check_catalog(catalog, model)
     _check_num_samples(num_samples)
-    rng = _as_rng(rng)
+    rng = np.random.default_rng(rng)
     if pred is None:
         pred = step_predictives(state, model)
     samples = posterior_samples(state, model, num_samples, rng, pred=pred)
@@ -279,7 +275,7 @@ def adaptive_steps(
     (the sweep's lambda knob). ``rng`` may be a seed or a Generator.
     Deterministic given (inputs, seed).
     """
-    rng = _as_rng(rng)
+    rng = np.random.default_rng(rng)
     cat = catalog if energy_scale == 1.0 else catalog.scaled(energy_scale)
     observations = np.asarray(observations, dtype=float)
     T, P = observations.shape

@@ -2,6 +2,7 @@
 monitor, sweep, pca, argument checks, and the failure-path error records."""
 
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
@@ -16,9 +17,10 @@ import pytest
 import helpers
 from switchgp import monitor
 from switchgp.cli import main
-from switchgp.data import PcaProjection
-from switchgp.experiments import SWEEP_COLUMNS
-from switchgp.model import load_model, save_model
+from switchgp.data import DEFAULT_NUM_COMPONENTS, PcaProjection, load_har
+from switchgp.experiments import SWEEP_COLUMNS, prepare_series
+from switchgp.likelihood import negative_loglik
+from switchgp.model import FitReport, load_model, save_model
 
 
 def run_cli(argv):
@@ -120,6 +122,7 @@ class TestTrain:
         assert s["untrained_states"] == []
         assert s["pca"] is False
         assert np.isfinite(s["train_nll"])
+        assert list(s["fit"]) == [f.name for f in dataclasses.fields(FitReport)]
         assert s["fit"]["iterations"] >= 1
         assert s["fit"]["final_objective"] <= s["fit"]["initial_objective"]
 
@@ -165,6 +168,46 @@ class TestTrain:
         assert sha256(tmp_path / "m1.json") == sha256(tmp_path / "m2.json")
 
 
+class TestTrainDefaultProjection:
+    """`train` with its default `--pca` on data wider than the projection."""
+
+    @pytest.fixture(scope="class")
+    def wide(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("wide")
+        save_model(helpers.random_model(A=3, P=12, cap=12, seed=1), root / "seed.json")
+        data_dir = root / "data"
+        rc, _, err = run_cli(
+            [
+                "simulate",
+                "--model", str(root / "seed.json"),
+                "--out", str(data_dir),
+                "--steps", "120",
+                "--num-train", "2",
+                "--num-test", "1",
+            ]
+        )
+        assert rc == 0, err
+        out = root / "model.json"
+        rc, stdout, err = run_cli(["train", "--data-dir", str(data_dir), "--out", str(out)])
+        return SimpleNamespace(data_dir=data_dir, path=out, rc=rc, err=err, stdout=stdout)
+
+    def test_exits_zero_with_a_projected_model(self, wide):
+        assert wide.rc == 0, wide.err
+        model = load_model(wide.path)
+        proj = PcaProjection.from_dict(model.pca)
+        assert proj.num_components == DEFAULT_NUM_COMPONENTS
+        assert proj.component_matrix.shape == (DEFAULT_NUM_COMPONENTS, 12)
+        assert model.num_features == DEFAULT_NUM_COMPONENTS
+
+    def test_train_nll_is_that_of_the_evaluation_units(self, wide):
+        assert wide.rc == 0, wide.err
+        summary = json_lines(wide.stdout)[-1]
+        assert summary["pca"] is True
+        model = load_model(wide.path)
+        units = prepare_series(model, load_har(wide.data_dir, "train"))
+        assert negative_loglik(model, units) == summary["train_nll"]
+
+
 class TestPredict:
     def test_trajectory_document(self, workspace, tmp_path):
         out = tmp_path / "pred.json"
@@ -184,6 +227,20 @@ class TestPredict:
         assert set(doc["per_state"]) <= {"1", "2"}
         assert 0.0 <= doc["mse"] < 0.75
         assert doc["abs"] >= 0.0
+
+    def test_ratio_above_two_thirds_is_an_error_record(self, workspace):
+        rc, _, err = run_cli(
+            [
+                "predict",
+                "--model", str(workspace.model_path),
+                "--data-dir", str(workspace.data_dir),
+                "--ratio", "0.9",
+            ]
+        )
+        assert rc == 1
+        record = json.loads(err)
+        assert record["error"] == "ValueError"
+        assert "2/3" in record["message"]
 
 
 class TestFilter:
@@ -429,3 +486,34 @@ class TestErrorRecords:
             main(argv)
         assert exc.value.code == 2
         assert "positive integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["train", "--out", "m.json", "--max-iterations", "0"], "positive integer"),
+            (["train", "--out", "m.json", "--pca", "-1"], "zero or a positive integer"),
+            (["pca", "--components", "0"], "positive integer"),
+        ],
+    )
+    def test_train_and_pca_counts_are_usage_errors(self, workspace, argv, message, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--data-dir", str(workspace.data_dir)])
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, value",
+        [("monitor", "nan"), ("monitor", "inf"), ("sweep", "0,nan"), ("sweep", "inf,0.5")],
+    )
+    def test_non_finite_lambda_is_a_usage_error(self, workspace, command, value, capsys):
+        argv = [
+            command,
+            "--model", str(workspace.model_path),
+            "--data-dir", str(workspace.data_dir),
+            "--groups", "1",
+            "--lambda", value,
+        ]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "finite" in capsys.readouterr().err

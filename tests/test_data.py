@@ -127,6 +127,12 @@ class TestPca:
         with pytest.raises(InsufficientRankError):
             fit_pca(X, 10)
 
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_rejects_fewer_than_one_component(self, k):
+        X = np.random.default_rng(3).normal(size=(20, 4))
+        with pytest.raises(ValueError, match="num_components"):
+            fit_pca(X, k)
+
     def test_reconstruction_improves_with_components(self):
         rng = np.random.default_rng(4)
         X = rng.normal(size=(80, 20)) * np.linspace(4.0, 0.2, 20)

@@ -1,13 +1,14 @@
 """Experiment harness: trajectory prediction, recognition, the adaptive
 monitor stream, energy sweep."""
 
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 import helpers
 from switchgp.data import fit_pca, apply_pca, generate_synthetic
+from switchgp.errors import UndefinedMetricError
 from switchgp.experiments import (
     SWEEP_COLUMNS,
     ExperimentConfig,
@@ -41,6 +42,27 @@ class TestExperimentConfig:
             ExperimentConfig(observed_fraction=0.0)
         with pytest.raises(ValueError):
             ExperimentConfig(observed_fraction=1.0)
+
+    @pytest.mark.parametrize("fraction", [0.7, 0.9])
+    def test_rejects_a_stride_below_two(self, fraction):
+        # 1/fraction rounds to 1: every row would be observed
+        with pytest.raises(ValueError, match="2/3"):
+            ExperimentConfig(observed_fraction=fraction)
+
+    def test_stride(self):
+        assert ExperimentConfig(observed_fraction=0.2).stride == 5
+        assert ExperimentConfig(observed_fraction=0.6).stride == 2
+
+    def test_fields(self):
+        assert [f.name for f in fields(ExperimentConfig)] == [
+            "observed_fraction",
+            "lambda_grid",
+            "num_samples",
+            "seed",
+            "group_sizes",
+            "max_steps",
+            "max_series",
+        ]
 
     def test_rejects_empty_grid(self):
         with pytest.raises(ValueError):
@@ -88,6 +110,16 @@ class TestTrajectory:
         assert out["num_held_rows"] == 97 - expected_obs
         assert set(out["per_state"]) <= {1, 2}
         assert sum(v["num_rows"] for v in out["per_state"].values()) == 97 - expected_obs
+
+    def test_no_held_out_row_is_an_undefined_metric(self):
+        # one row per series: row 0 is always observed
+        model = helpers.random_model(A=2, P=2, cap=4, seed=5)
+        series = generate_synthetic(model, 30, seed=6)
+        cfg = ExperimentConfig(max_steps=1)
+        with pytest.raises(UndefinedMetricError, match="stride of 5"):
+            experiment_trajectory(cfg, model=model, data=[series, series])
+        with pytest.raises(UndefinedMetricError):
+            experiment_trajectory(ExperimentConfig(), model=model, data=[])
 
     def test_requires_labels(self):
         model = helpers.random_model(A=2, P=2, cap=3, seed=7)

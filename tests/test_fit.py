@@ -23,6 +23,13 @@ def iid_series(mean, variance, n, seed=0):
     return SegmentedSeries(observations=obs, labels=np.ones(n, dtype=int))
 
 
+class TestFitConfig:
+    @pytest.mark.parametrize("value", [0, -2])
+    def test_rejects_fewer_than_one_iteration(self, value):
+        with pytest.raises(ValueError, match="max_iterations"):
+            FitConfig(max_iterations=value)
+
+
 class TestFitEmissions:
     def test_near_stationarity_at_generating_parameters(self):
         truth = helpers.random_model(A=2, P=2, cap=30, seed=1, lengthscale=3.0)

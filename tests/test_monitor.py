@@ -249,6 +249,14 @@ class TestCatalog:
         with pytest.raises(ValueError):
             GroupCatalog(((0,), (1,)), np.zeros(3))
 
+    @pytest.mark.parametrize("cost", [np.nan, np.inf])
+    def test_rejects_non_finite_costs(self, cost):
+        # a NaN cost makes every loss NaN and the choice arbitrary
+        with pytest.raises(ValueError, match="finite"):
+            GroupCatalog(((0,), (1,)), np.array([0.5, cost]))
+        with pytest.raises(ValueError, match="finite"):
+            GroupCatalog(((0,), (1,)), np.array([0.5, 1.0])).scaled(cost)
+
     def test_rejects_negative_features(self):
         # numpy would read -1 as the last feature and score it twice
         with pytest.raises(ValueError, match="non-negative"):
