@@ -27,18 +27,14 @@ from .experiments import (
 )
 from .filtering import (
     ForwardState,
-    PredictiveMixture,
     forward_init,
     forward_step,
     map_state,
-    predictive_mixture,
     state_posterior,
 )
 from .fit import FitConfig, fit_emissions
 from .gp_predict import (
-    PosteriorSummary,
     exact_segment_loglik,
-    posterior_predict,
     segment_emission_loglik,
     trajectory_metrics,
 )
@@ -89,8 +85,6 @@ __all__ = [
     "NonPositiveDefiniteError",
     "OptimizerContractError",
     "PcaProjection",
-    "PosteriorSummary",
-    "PredictiveMixture",
     "SegmentedSeries",
     "SelectionRecord",
     "SingularEmbeddingError",
@@ -121,8 +115,6 @@ __all__ = [
     "load_model",
     "map_state",
     "negative_loglik",
-    "posterior_predict",
-    "predictive_mixture",
     "run_adaptive",
     "save_model",
     "segment_emission_loglik",

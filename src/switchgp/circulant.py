@@ -211,13 +211,9 @@ def _block_preconditioned_cg(spec, mu, denom, B):
     """
     T, P = B.shape
     n = spec.size
-    lam = spec.eigenvalues
 
     def matvec(V, cols):
-        padded = np.zeros((n, cols.size))
-        padded[:T] = V
-        prod = np.fft.ifft(np.fft.fft(padded, axis=0) * lam[:, None], axis=0).real[:T]
-        return prod * mu[cols][None, :] + V
+        return toeplitz_matvec(spec, V) * mu[cols] + V
 
     def precond(V, cols):
         padded = np.zeros((n, cols.size))

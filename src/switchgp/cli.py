@@ -10,16 +10,18 @@ exit code is nonzero.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import itertools
 import json
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
 from . import experiments, monitor
-from .data import DEFAULT_NUM_COMPONENTS, fit_pca, generate_synthetic, load_har
+from .data import DEFAULT_NUM_COMPONENTS, fit_pca, generate_synthetic, load_har, save_har
 from .errors import SwitchGPError
 from .fit import FitConfig
 from .kernels import MaternKernel, NoiseModel, TaskCovariance
@@ -67,8 +69,15 @@ def _non_negative_int(text: str) -> int:
     return value
 
 
+@contextlib.contextmanager
 def _open_out(path):
-    return sys.stdout if path in (None, "-") else open(path, "w")
+    """Standard output for no path or "-", else the file. Newlines are not
+    translated, so the sweep CSV's CRLF line ends reach the file as written."""
+    if path in (None, "-"):
+        yield sys.stdout
+        return
+    with open(path, "w", newline="") as fh:
+        yield fh
 
 
 def _pick_series(series_list, subject):
@@ -81,7 +90,7 @@ def _pick_series(series_list, subject):
 
 
 def _load_units(args, model):
-    raw = load_har(args.data_dir, args.split, not args.split_sessions)
+    raw = load_har(args.data_dir, args.split)
     return experiments.prepare_series(model, raw)
 
 
@@ -101,13 +110,9 @@ def _emit(doc, fh):
 
 def _write_lines(docs, path) -> None:
     """Write each document as one JSON line, as soon as it is produced."""
-    fh = _open_out(path)
-    try:
+    with _open_out(path) as fh:
         for doc in docs:
             _emit(doc, fh)
-    finally:
-        if fh is not sys.stdout:
-            fh.close()
 
 
 # ---------------------------------------------------------------------------
@@ -116,7 +121,7 @@ def _write_lines(docs, path) -> None:
 
 
 def cmd_train(args) -> int:
-    raw = load_har(args.data_dir, "train", not args.split_sessions)
+    raw = load_har(args.data_dir, "train")
     pca_doc = None
     if args.pca > 0 and raw[0].num_features > args.pca:
         pca_doc = fit_pca(np.vstack([s.observations for s in raw]), args.pca).to_dict()
@@ -209,46 +214,30 @@ def cmd_sweep(args) -> int:
         max_series=args.max_series,
     )
     rows = experiments.experiment_sweep(cfg, model=model, data=data)
-    experiments.write_sweep_csv(rows, sys.stdout if args.out in (None, "-") else args.out)
+    with _open_out(args.out) as fh:
+        experiments.write_sweep_csv(rows, fh)
     return 0
 
 
 def cmd_simulate(args) -> int:
-    from pathlib import Path
-
     model = load_model(args.model)
-    root = Path(args.out)
-    counts = {"train": args.num_train, "test": args.num_test}
-    names = {
-        "train": ("X_train.txt", "y_train.txt", "subject_train.txt"),
-        "test": ("X_test.txt", "y_test.txt", "subject_test.txt"),
-    }
-    subject = 1
-    for si, split in enumerate(("train", "test")):
-        n = counts[split]
+    subject = itertools.count(1)
+    for si, (split, n) in enumerate((("train", args.num_train), ("test", args.num_test))):
         if n == 0:
             continue
-        Xs, ys, subs = [], [], []
+        series = []
         for k in range(n):
-            rng = np.random.default_rng(np.random.SeedSequence(args.seed, spawn_key=(si, k)))
-            s = generate_synthetic(model, args.steps, seed=rng)
-            Xs.append(s.observations)
-            ys.append(s.labels)
-            subs.append(np.full(s.labels.shape[0], subject, dtype=int))
-            subject += 1
-        d = root / split
-        d.mkdir(parents=True, exist_ok=True)
-        xf, yf, sf = names[split]
-        np.savetxt(d / xf, np.vstack(Xs), fmt="%.17g")
-        np.savetxt(d / yf, np.concatenate(ys)[:, None], fmt="%d")
-        np.savetxt(d / sf, np.concatenate(subs)[:, None], fmt="%d")
-    _emit({"out": str(root), "steps": args.steps, "train_series": args.num_train,
+            seed = np.random.SeedSequence(args.seed, spawn_key=(si, k))
+            s = generate_synthetic(model, args.steps, seed=seed)
+            series.append(dataclasses.replace(s, subject_id=next(subject)))
+        save_har(args.out, split, series)
+    _emit({"out": str(Path(args.out)), "steps": args.steps, "train_series": args.num_train,
            "test_series": args.num_test}, sys.stdout)
     return 0
 
 
 def cmd_pca(args) -> int:
-    raw = load_har(args.data_dir, "train", not args.split_sessions)
+    raw = load_har(args.data_dir, "train")
     stacked = np.vstack([s.observations for s in raw])
     proj = fit_pca(stacked, args.components)
     _write_lines([proj.to_dict()], args.out)
@@ -265,9 +254,6 @@ def _add_common_eval(p):
     p.add_argument("--model", required=True, help="model JSON file")
     p.add_argument("--data-dir", required=True)
     p.add_argument("--split", default="test", choices=("train", "test", "both"))
-    p.add_argument("--split-sessions", action="store_true",
-                   help="one series per contiguous subject block instead of "
-                        "per-subject concatenation")
     p.add_argument("--max-steps", type=_positive_int, default=None)
     p.add_argument("--out", default=None)
 
@@ -279,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="fit a model on the train split")
     p.add_argument("--data-dir", required=True)
     p.add_argument("--out", required=True, help="output model JSON")
-    p.add_argument("--dmax", type=int, default=None)
+    p.add_argument("--dmax", type=_positive_int, default=None)
     p.add_argument("--pca", type=_non_negative_int, default=DEFAULT_NUM_COMPONENTS,
                    help="PCA components (0 disables)")
     p.add_argument("--smoothness", type=float, default=1.5)
@@ -287,7 +273,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-iterations", type=_positive_int, default=500)
     p.add_argument("--use-fft", action="store_true",
                    help="evaluate the reported train NLL via the FFT path")
-    p.add_argument("--split-sessions", action="store_true")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("predict", help="known-state trajectory prediction")
@@ -325,16 +310,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="sample synthetic data into a dataset layout")
     p.add_argument("--model", required=True)
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--steps", type=int, default=500)
-    p.add_argument("--num-train", type=int, default=2)
-    p.add_argument("--num-test", type=int, default=1)
+    p.add_argument("--steps", type=_positive_int, default=500)
+    p.add_argument("--num-train", type=_non_negative_int, default=2)
+    p.add_argument("--num-test", type=_non_negative_int, default=1)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("pca", help="fit the PCA projection on the train split")
     p.add_argument("--data-dir", required=True)
     p.add_argument("--components", type=_positive_int, default=DEFAULT_NUM_COMPONENTS)
-    p.add_argument("--split-sessions", action="store_true")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_pca)
 

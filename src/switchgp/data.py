@@ -3,10 +3,10 @@
 The activity-recognition corpus ships as whitespace-delimited text: a
 feature matrix (rows x 561), an integer activity label per row (1..6), and
 a subject id per row, in parallel train/ and test/ files. Rows are treated
-as a uniform time grid. By default each subject's rows are concatenated in
-file order into one series; a flag switches to one series per contiguous
-subject block instead (the two agree on the published files, where every
-subject's rows are contiguous).
+as a uniform time grid, and each subject's rows are concatenated in file
+order into one series (on the published files every subject's rows are
+contiguous, so each series is one block of rows). `load_har` reads this
+layout and `save_har` writes it.
 
 The synthetic generator samples the exact generative model the filter
 assumes, including the discretized, truncated duration law, so generated
@@ -66,21 +66,16 @@ def _read_int_vector(path: Path, name: str) -> np.ndarray:
     return vec.astype(int)
 
 
-def load_har(
-    data_dir,
-    split: str = "both",
-    concatenate_subjects: bool = True,
-) -> list:
+def load_har(data_dir, split: str = "both") -> list:
     """Load the activity corpus into per-subject series.
 
     ``split`` is "train", "test", or "both" (train first). Labels must lie
-    in 1..6 and the three files of a split must agree on row count.
+    in 1..6 and the three files of a split must agree on row count. Series
+    come in the order each subject first appears.
     """
     data_dir = Path(data_dir)
     if split == "both":
-        return load_har(data_dir, "train", concatenate_subjects) + load_har(
-            data_dir, "test", concatenate_subjects
-        )
+        return load_har(data_dir, "train") + load_har(data_dir, "test")
     if split not in _SPLIT_FILES:
         raise ValueError("split must be 'train', 'test', or 'both'")
     sub, xf, yf, sf = _SPLIT_FILES[split]
@@ -104,29 +99,25 @@ def load_har(
         )
 
     series = []
-    if concatenate_subjects:
-        seen = []
-        for s in subj:
-            if s not in seen:
-                seen.append(s)
-        for s in seen:
-            rows = np.nonzero(subj == s)[0]
-            series.append(
-                SegmentedSeries(observations=X[rows], labels=y[rows], subject_id=int(s))
-            )
-    else:
-        start = 0
-        for i in range(1, subj.shape[0] + 1):
-            if i == subj.shape[0] or subj[i] != subj[start]:
-                series.append(
-                    SegmentedSeries(
-                        observations=X[start:i],
-                        labels=y[start:i],
-                        subject_id=int(subj[start]),
-                    )
-                )
-                start = i
+    for s in dict.fromkeys(subj.tolist()):
+        rows = np.nonzero(subj == s)[0]
+        series.append(SegmentedSeries(observations=X[rows], labels=y[rows], subject_id=s))
     return series
+
+
+def save_har(data_dir, split: str, series_list) -> None:
+    """Write labeled series as one split of the corpus layout `load_har` reads.
+
+    Rows are written series after series, each tagged with its series'
+    ``subject_id``; features keep full float precision.
+    """
+    sub, xf, yf, sf = _SPLIT_FILES[split]
+    base = Path(data_dir) / sub
+    base.mkdir(parents=True, exist_ok=True)
+    np.savetxt(base / xf, np.vstack([s.observations for s in series_list]), fmt="%.17g")
+    np.savetxt(base / yf, np.concatenate([s.labels for s in series_list])[:, None], fmt="%d")
+    subjects = np.concatenate([np.full(s.num_steps, s.subject_id) for s in series_list])
+    np.savetxt(base / sf, subjects[:, None], fmt="%d")
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,6 @@ evaluation order and are reproducible cell by cell.
 from __future__ import annotations
 
 import csv
-import os
 import time
 from dataclasses import dataclass, replace
 
@@ -194,7 +193,7 @@ def monitor_steps(
     it; its ``runtime_s`` includes the time the consumer held each record.
     """
     (series,) = _limit(config, [series])
-    catalog = monitor.default_catalog(model.num_features, 1.0, sizes=config.group_sizes)
+    catalog = monitor.default_catalog(model.num_features, sizes=config.group_sizes)
     t0 = time.perf_counter()
     steps = []
     for rec in monitor.adaptive_steps(
@@ -278,8 +277,7 @@ def experiment_recognition(config: ExperimentConfig, model: SwitchingGPModel, da
 def experiment_sweep(config: ExperimentConfig, model: SwitchingGPModel, data) -> list:
     """Energy/accuracy trade-off rows, one per lambda in the grid."""
     data = _limit(config, data)
-    P = model.num_features
-    catalog = monitor.default_catalog(P, 1.0, sizes=config.group_sizes)
+    catalog = monitor.default_catalog(model.num_features, sizes=config.group_sizes)
     rows = []
     for li, lam in enumerate(config.lambda_grid):
         t0 = time.perf_counter()
@@ -322,12 +320,8 @@ def experiment_sweep(config: ExperimentConfig, model: SwitchingGPModel, data) ->
 
 
 def write_sweep_csv(rows, out) -> None:
-    """Fixed-header CSV to a path or an open text file; the timing column is
-    last so byte-level comparisons can strip it."""
-    if isinstance(out, (str, os.PathLike)):
-        with open(out, "w", newline="") as fh:
-            write_sweep_csv(rows, fh)
-        return
+    """Fixed-header CSV to an open text file; the timing column is last so
+    byte-level comparisons can strip it."""
     writer = csv.writer(out)
     writer.writerow(SWEEP_COLUMNS)
     for row in rows:

@@ -139,14 +139,6 @@ class PredictiveMixture:
     covariances: np.ndarray  # (C, |m|, |m|)
     group: tuple
 
-    @property
-    def components(self) -> list:
-        """(log-weight, mean, covariance) triples."""
-        return [
-            (float(w), self.means[c], self.covariances[c])
-            for c, w in enumerate(self.log_weights)
-        ]
-
     def logpdf(self, y: np.ndarray) -> float:
         y = np.atleast_2d(np.asarray(y, dtype=float))
         L = np.linalg.cholesky(self.covariances)
@@ -471,24 +463,13 @@ def state_posterior(state: ForwardState) -> np.ndarray:
 PRUNE_LOG_WEIGHT = 30.0
 
 
-def predictive_mixture(state: ForwardState, model: SwitchingGPModel, group) -> PredictiveMixture:
-    """One-step predictive Gaussian mixture restricted to a feature group.
-
-    Components more than PRUNE_LOG_WEIGHT below the heaviest are pruned and
-    the remainder renormalized.
-    """
-    group = tuple(int(g) for g in group)
-    if len(group) == 0:
-        raise ValueError("feature group must be non-empty")
-    pred = step_predictives(state, model)
-    return mixture_from_predictives(pred, group)
-
-
 def mixture_from_predictives(pred: Predictives, group) -> PredictiveMixture:
     """The entries within PRUNE_LOG_WEIGHT of the heaviest, restricted to a
     feature group: fresh entries by state, then continuing entries (j, d) in
     row-major order."""
     group = tuple(int(g) for g in group)
+    if len(group) == 0:
+        raise ValueError("feature group must be non-empty")
     idx = np.array(group, dtype=int)
     P = pred.fresh_mean.shape[-1]
     logw = np.concatenate([pred.fresh_logw, pred.cont_logw.ravel()])

@@ -46,6 +46,8 @@ class FitConfig:
     def __post_init__(self):
         if self.max_iterations < 1:
             raise ValueError(f"max_iterations must be at least 1, got {self.max_iterations}")
+        if self.duration_cap is not None and self.duration_cap < 1:
+            raise ValueError(f"duration_cap must be at least 1, got {self.duration_cap}")
 
 
 class _Packing:
@@ -175,12 +177,11 @@ def fit_emissions(data, init: SwitchingGPModel, config: FitConfig | None = None)
     class _EarlyStop(Exception):
         pass
 
+    # L-BFGS-B reports only points it has evaluated (accepted iterates, or
+    # the last one restored after a failed line search), so every reported
+    # point's objective is read from the cache rather than recomputed.
     def callback(xk):
-        key = xk.tobytes()
-        fk = eval_cache.get(key)
-        if fk is None:
-            m = packing.unpack(xk, model0)
-            fk, _ = nll_and_gradients(m, data)
+        fk = eval_cache[xk.tobytes()]
         if fk > history[-1] + 1e-9 * (1.0 + abs(history[-1])):
             raise OptimizerContractError(
                 f"objective increased across an accepted step: {history[-1]} -> {fk}"
@@ -214,11 +215,9 @@ def fit_emissions(data, init: SwitchingGPModel, config: FitConfig | None = None)
         message = f"relative change < {REL_TOL} over {PATIENCE} iterations"
 
     final_model = packing.unpack(xf, model0)
-    packing.set_L_cache(final_model)
-    f_final, _ = nll_and_gradients(final_model, data)
     report = FitReport(
         initial_objective=float(f0),
-        final_objective=float(f_final),
+        final_objective=float(eval_cache[xf.tobytes()]),
         iterations=len(history) - 1,
         converged=converged,
         message=message,

@@ -12,8 +12,6 @@ An emission object provides ``temporal`` (MaternKernel), ``task``
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 import scipy.linalg
 
@@ -21,48 +19,11 @@ from .errors import NonPositiveDefiniteError, UndefinedMetricError
 from .kernels import LOG_2PI, NoiseModel, matern_eval, task_cov_assemble
 
 
-@dataclass(frozen=True)
-class PosteriorSummary:
-    """Posterior mean and covariance over the query points."""
-
-    mean: np.ndarray
-    covariance: np.ndarray
-
-    @property
-    def variance(self) -> np.ndarray:
-        return np.diag(self.covariance)
-
-
 def _entry_cov(emission, times_a, feats_a, times_b, feats_b) -> np.ndarray:
     """Prior covariance between two sets of (time, feature) entries."""
     KY = task_cov_assemble(emission.task)
     lags = np.subtract.outer(np.asarray(times_a, float), np.asarray(times_b, float))
     return matern_eval(emission.temporal, lags) * KY[np.ix_(feats_a, feats_b)]
-
-
-def posterior_predict(
-    emission,
-    noise: NoiseModel,
-    obs_times,
-    obs_features,
-    obs_values,
-    query_times,
-    query_feature,
-) -> PosteriorSummary:
-    """GP posterior for one feature at query times, given in-segment observations.
-
-    Observations are entry-level triplets (time, feature index, value), which
-    covers partial masks naturally. With no observations the prior is
-    returned: state mean and k^Y_ll * K^T over the query grid. The posterior
-    covariance is over the noise-free process values.
-    """
-    query_times = np.asarray(query_times, dtype=float)
-    q_feats = np.full(query_times.shape[0], int(query_feature))
-    mean, cov = joint_conditional(
-        emission, noise, obs_times, obs_features, obs_values, query_times, q_feats
-    )
-    np.fill_diagonal(cov, np.maximum(np.diag(cov), 0.0))
-    return PosteriorSummary(mean, cov)
 
 
 def joint_conditional(

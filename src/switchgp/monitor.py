@@ -78,16 +78,15 @@ class GroupCatalog:
         return GroupCatalog(self.groups, self.costs * float(factor))
 
 
-def default_catalog(
-    num_features: int, energy_weight: float = 1.0, sizes=DEFAULT_GROUP_SIZES
-) -> GroupCatalog:
-    """All feature subsets of the given sizes; cost lambda * |m| / P."""
+def default_catalog(num_features: int, sizes=DEFAULT_GROUP_SIZES) -> GroupCatalog:
+    """All feature subsets of the given sizes; cost |m| / P, to be scaled by
+    lambda through `adaptive_steps(energy_scale=)`."""
     groups = []
     for size in sizes:
         if size < 1 or size > num_features:
             raise ValueError("group sizes must lie in 1..num_features")
         groups.extend(itertools.combinations(range(num_features), size))
-    costs = np.array([energy_weight * len(g) / num_features for g in groups])
+    costs = np.array([len(g) / num_features for g in groups])
     return GroupCatalog(tuple(groups), costs)
 
 

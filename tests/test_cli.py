@@ -126,6 +126,28 @@ class TestTrain:
         assert s["fit"]["iterations"] >= 1
         assert s["fit"]["final_objective"] <= s["fit"]["initial_objective"]
 
+    def test_use_fft_reports_the_fft_nll_of_the_same_fit(self, workspace, trained, tmp_path):
+        out = tmp_path / "fft_model.json"
+        rc, stdout, err = run_cli(
+            [
+                "train",
+                "--data-dir", str(workspace.data_dir),
+                "--out", str(out),
+                "--pca", "0",
+                "--dmax", "15",
+                "--max-iterations", "40",
+                "--use-fft",
+            ]
+        )
+        assert rc == 0, err
+        # the flag changes only how the reported NLL is evaluated
+        assert sha256(out) == sha256(trained.path)
+        fft = json_lines(stdout)[-1]["train_nll"]
+        dense = trained.summary["train_nll"]
+        assert fft != dense
+        # the FFT-vs-dense tolerance of tests/test_likelihood.py
+        assert abs(fft - dense) / abs(dense) < 0.02
+
     def test_model_file_round_trips_bit_exactly(self, trained, tmp_path):
         model = load_model(trained.path)
         copy = tmp_path / "copy.json"
@@ -493,11 +515,21 @@ class TestErrorRecords:
             (["train", "--out", "m.json", "--max-iterations", "0"], "positive integer"),
             (["train", "--out", "m.json", "--pca", "-1"], "zero or a positive integer"),
             (["pca", "--components", "0"], "positive integer"),
+            (["train", "--out", "m.json", "--dmax", "0"], "positive integer"),
+            (["train", "--out", "m.json", "--dmax", "-4"], "positive integer"),
+            (["simulate", "--model", "m.json", "--out", "d", "--num-train", "-1"],
+             "zero or a positive integer"),
+            (["simulate", "--model", "m.json", "--out", "d", "--num-test", "-1"],
+             "zero or a positive integer"),
+            (["simulate", "--model", "m.json", "--out", "d", "--steps", "0"],
+             "positive integer"),
         ],
     )
     def test_train_and_pca_counts_are_usage_errors(self, workspace, argv, message, capsys):
+        if argv[0] != "simulate":
+            argv = argv + ["--data-dir", str(workspace.data_dir)]
         with pytest.raises(SystemExit) as exc:
-            main(argv + ["--data-dir", str(workspace.data_dir)])
+            main(argv)
         assert exc.value.code == 2
         assert message in capsys.readouterr().err
 

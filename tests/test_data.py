@@ -13,6 +13,7 @@ from switchgp.data import (
     fit_pca,
     generate_synthetic,
     load_har,
+    save_har,
 )
 from switchgp.errors import FormatError, InsufficientRankError
 from switchgp.kernels import MaternKernel, NoiseModel
@@ -40,15 +41,29 @@ class TestLoadHar:
         segs = segment_series(s.labels)
         assert segs == [(1, 0, 2), (2, 2, 1)]
 
-    def test_subject_grouping_modes(self, tmp_path):
-        X = np.ones((5, 2))
+    def test_subject_rows_concatenate_in_first_seen_order(self, tmp_path):
+        X = np.arange(10.0).reshape(5, 2)
         write_split(tmp_path, "train", X, [1, 1, 2, 2, 1], [1, 1, 2, 2, 1])
         merged = load_har(tmp_path, split="train")
         assert [s.subject_id for s in merged] == [1, 2]
-        assert merged[0].observations.shape == (3, 2)
-        blocks = load_har(tmp_path, split="train", concatenate_subjects=False)
-        assert [s.subject_id for s in blocks] == [1, 2, 1]
-        assert [s.observations.shape[0] for s in blocks] == [2, 2, 1]
+        np.testing.assert_array_equal(merged[0].observations, X[[0, 1, 4]])
+        np.testing.assert_array_equal(merged[0].labels, [1, 1, 1])
+
+    def test_save_har_round_trips_bit_exactly(self, tmp_path):
+        model = helpers.random_model(A=2, P=3, cap=4, seed=0)
+        series = [
+            replace(generate_synthetic(model, n, seed=n), subject_id=sid)
+            for n, sid in ((7, 3), (5, 8))
+        ]
+        save_har(tmp_path, "test", series)
+        assert sorted(p.name for p in (tmp_path / "test").iterdir()) == [
+            "X_test.txt", "subject_test.txt", "y_test.txt",
+        ]
+        loaded = load_har(tmp_path, split="test")
+        assert [s.subject_id for s in loaded] == [3, 8]
+        for a, b in zip(series, loaded):
+            np.testing.assert_array_equal(a.observations, b.observations)
+            np.testing.assert_array_equal(a.labels, b.labels)
 
     def test_both_splits_train_first(self, tmp_path):
         write_split(tmp_path, "train", np.zeros((2, 3)), [1, 1], [1, 1])

@@ -271,7 +271,7 @@ class TestMonitorSteps:
         model, series = self.series()
         lines = list(monitor_steps(self.CONFIG, model, series, 0.3))
         n = self.CONFIG.max_steps
-        catalog = monitor.default_catalog(3, 1.0, sizes=(1, 2))
+        catalog = monitor.default_catalog(3, sizes=(1, 2))
         result = monitor.run_adaptive(
             model,
             series.observations[:n],
@@ -371,7 +371,8 @@ class TestSweep:
 
     def test_csv_layout(self, sweep_rows, tmp_path):
         path = tmp_path / "sweep.csv"
-        write_sweep_csv(sweep_rows, path)
+        with open(path, "w", newline="") as fh:
+            write_sweep_csv(sweep_rows, fh)
         lines = path.read_text().strip().split("\n")
         assert lines[0] == ",".join(SWEEP_COLUMNS)
         assert len(lines) == 1 + len(SWEEP_GRID)

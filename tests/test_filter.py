@@ -28,7 +28,6 @@ from switchgp.filtering import (
     forward_step,
     map_state,
     mixture_from_predictives,
-    predictive_mixture,
     state_posterior,
     step_predictives,
 )
@@ -379,11 +378,15 @@ class TestStatePosterior:
             np.testing.assert_allclose(state_posterior(state), [0.5, 0.5], atol=1e-9)
 
 
+def one_step_mixture(state, model, group):
+    return mixture_from_predictives(step_predictives(state, model), group)
+
+
 class TestPredictiveMixture:
     def test_single_hypothesis_is_fresh_predictive(self):
         model = helpers.random_model(A=1, P=2, cap=1, seed=15)
         state = forward_init(model, np.array([0.5, -0.2]))
-        mix = predictive_mixture(state, model, (0, 1))
+        mix = one_step_mixture(state, model, (0, 1))
         assert mix.log_weights.shape == (1,)
         assert mix.log_weights[0] == pytest.approx(0.0, abs=1e-12)
         e = model.emissions[0]
@@ -397,7 +400,7 @@ class TestPredictiveMixture:
         model = helpers.random_model(A=2, P=2, cap=3, seed=16)
         series = generate_synthetic(model, 5, seed=4)
         state = run_filter(model, series.observations)
-        mix = predictive_mixture(state, model, (0, 1))
+        mix = one_step_mixture(state, model, (0, 1))
         assert scipy.special.logsumexp(mix.log_weights) == pytest.approx(0.0, abs=1e-12)
         for cov in mix.covariances:
             assert np.min(np.linalg.eigvalsh(cov)) > -1e-10
@@ -406,7 +409,7 @@ class TestPredictiveMixture:
         model = helpers.random_model(A=2, P=2, cap=3, seed=18)
         series = generate_synthetic(model, 4, seed=6)
         state = run_filter(model, series.observations)
-        mix = predictive_mixture(state, model, (0, 1))
+        mix = one_step_mixture(state, model, (0, 1))
         analytic = np.exp(mix.log_weights) @ mix.means
         draws = mix.sample(1_000_000, np.random.default_rng(0))
         se = draws.std(axis=0, ddof=1) / math.sqrt(draws.shape[0])
@@ -416,12 +419,12 @@ class TestPredictiveMixture:
         model = helpers.random_model(A=2, P=2, cap=2, seed=19)
         series = generate_synthetic(model, 3, seed=8)
         state = run_filter(model, series.observations)
-        mix = predictive_mixture(state, model, (0, 1))
+        mix = one_step_mixture(state, model, (0, 1))
         y = np.array([0.3, -1.4])
         want = scipy.special.logsumexp(
             [
                 w + scipy.stats.multivariate_normal.logpdf(y, m, c)
-                for w, m, c in mix.components
+                for w, m, c in zip(mix.log_weights, mix.means, mix.covariances)
             ]
         )
         assert mix.logpdf(y) == pytest.approx(want, abs=1e-10)
@@ -430,8 +433,8 @@ class TestPredictiveMixture:
         model = helpers.random_model(A=2, P=3, cap=2, seed=20)
         series = generate_synthetic(model, 3, seed=9)
         state = run_filter(model, series.observations)
-        full = predictive_mixture(state, model, (0, 1, 2))
-        sub = predictive_mixture(state, model, (2,))
+        full = one_step_mixture(state, model, (0, 1, 2))
+        sub = one_step_mixture(state, model, (2,))
         np.testing.assert_allclose(sub.log_weights, full.log_weights, atol=1e-12)
         np.testing.assert_allclose(sub.means[:, 0], full.means[:, 2], atol=1e-12)
         np.testing.assert_allclose(
@@ -448,7 +451,7 @@ class TestPredictiveMixture:
         for _ in range(7):
             state = forward_step(state, row, model)
         pred = step_predictives(state, model)
-        mix = predictive_mixture(state, model, (0,))
+        mix = one_step_mixture(state, model, (0,))
 
         logw, means, covs = [], [], []
         for j in range(2):
@@ -477,7 +480,7 @@ class TestPredictiveMixture:
         model = helpers.random_model(A=1, P=2, cap=2, seed=21)
         state = forward_init(model, np.zeros(2))
         with pytest.raises(ValueError):
-            predictive_mixture(state, model, ())
+            one_step_mixture(state, model, ())
 
 
 class TestEvidenceProperties:

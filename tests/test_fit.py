@@ -29,6 +29,11 @@ class TestFitConfig:
         with pytest.raises(ValueError, match="max_iterations"):
             FitConfig(max_iterations=value)
 
+    @pytest.mark.parametrize("value", [0, -4])
+    def test_rejects_a_duration_cap_below_one(self, value):
+        with pytest.raises(ValueError, match="duration_cap"):
+            FitConfig(duration_cap=value)
+
 
 class TestFitEmissions:
     def test_near_stationarity_at_generating_parameters(self):

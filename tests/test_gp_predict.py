@@ -10,7 +10,6 @@ import oracles
 from switchgp.errors import UndefinedMetricError
 from switchgp.gp_predict import (
     joint_conditional,
-    posterior_predict,
     segment_emission_loglik,
     trajectory_metrics,
 )
@@ -27,32 +26,39 @@ def correlated_emission(offdiag=0.9):
     )
 
 
+def posterior(emission, noise, obs_times, obs_features, obs_values, query_times, query_feature):
+    """Posterior mean and covariance of one feature at the query times."""
+    qt = np.asarray(query_times, dtype=float)
+    qf = np.full(qt.shape[0], query_feature)
+    return joint_conditional(emission, noise, obs_times, obs_features, obs_values, qt, qf)
+
+
 class TestPosteriorPredict:
     def test_noise_free_interpolation(self):
         e = correlated_emission()
         noise = NoiseModel(np.full(2, 1e-12))
-        summary = posterior_predict(
+        mean, cov = posterior(
             e, noise,
             obs_times=[0.0, 1.0, 2.0], obs_features=[0, 0, 0],
             obs_values=[1.0, 0.3, -0.2],
             query_times=[1.0], query_feature=0,
         )
-        assert summary.mean[0] == pytest.approx(0.3, abs=1e-6)
-        assert summary.covariance[0, 0] < 1e-6
+        assert mean[0] == pytest.approx(0.3, abs=1e-6)
+        assert cov[0, 0] < 1e-6
 
     def test_no_observations_returns_prior(self):
         e = correlated_emission()
         noise = NoiseModel(np.full(2, 0.1))
         qt = np.array([0.0, 1.0, 3.0])
-        summary = posterior_predict(
+        mean, cov = posterior(
             e, noise, obs_times=[], obs_features=[], obs_values=[],
             query_times=qt, query_feature=1,
         )
-        np.testing.assert_allclose(summary.mean, np.full(3, -0.25))
+        np.testing.assert_allclose(mean, np.full(3, -0.25))
         KY = e.task.cholesky_factor @ e.task.cholesky_factor.T
         lags = np.subtract.outer(qt, qt)
         np.testing.assert_allclose(
-            summary.covariance, KY[1, 1] * matern_eval(e.temporal, lags), atol=1e-12
+            cov, KY[1, 1] * matern_eval(e.temporal, lags), atol=1e-12
         )
 
     def test_correlated_channel_borrows_information(self):
@@ -63,9 +69,9 @@ class TestPosteriorPredict:
             obs_times=[1.0], obs_features=[0], obs_values=[2.0],
             query_times=[1.0], query_feature=1,
         )
-        coupled = posterior_predict(correlated_emission(0.9), noise, **kwargs)
-        independent = posterior_predict(correlated_emission(0.0), noise, **kwargs)
-        assert coupled.covariance[0, 0] < independent.covariance[0, 0] - 1e-3
+        _, coupled = posterior(correlated_emission(0.9), noise, **kwargs)
+        _, independent = posterior(correlated_emission(0.0), noise, **kwargs)
+        assert coupled[0, 0] < independent[0, 0] - 1e-3
 
     def test_posterior_variance_never_exceeds_prior(self):
         rng = np.random.default_rng(0)
@@ -79,9 +85,9 @@ class TestPosteriorPredict:
             ov = rng.normal(size=n_obs)
             qt = np.arange(5.0)
             feat = int(rng.integers(0, P))
-            post = posterior_predict(e, model.noise, ot, of, ov, qt, feat)
-            prior = posterior_predict(e, model.noise, [], [], [], qt, feat)
-            assert np.all(post.variance <= prior.variance + 1e-8)
+            _, post = posterior(e, model.noise, ot, of, ov, qt, feat)
+            _, prior = posterior(e, model.noise, [], [], [], qt, feat)
+            assert np.all(np.diag(post) <= np.diag(prior) + 1e-8)
 
     def test_adding_observations_is_monotone(self):
         rng = np.random.default_rng(7)
@@ -93,8 +99,8 @@ class TestPosteriorPredict:
         qt = np.array([4.0])
         prev = np.inf
         for n in range(0, 13, 3):
-            summary = posterior_predict(e, model.noise, ot[:n], of[:n], ov[:n], qt, 1)
-            var = float(summary.variance[0])
+            _, cov = posterior(e, model.noise, ot[:n], of[:n], ov[:n], qt, 1)
+            var = float(cov[0, 0])
             assert var <= prev + 1e-8
             prev = var
 

@@ -227,7 +227,7 @@ class TestCatalog:
         assert len(set(cat.groups)) == len(cat.groups)
 
     def test_default_catalog_scales_with_energy_weight(self):
-        cat = default_catalog(5, energy_weight=0.4, sizes=(2, 5))
+        cat = default_catalog(5, sizes=(2, 5)).scaled(0.4)
         for g, c in zip(cat.groups, cat.costs):
             assert c == pytest.approx(0.4 * len(g) / 5.0, abs=1e-12)
 
