@@ -292,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--subject", type=int, default=None)
     p.add_argument("--lambda", dest="energy_weight", type=_finite_float, default=0.1)
     p.add_argument("--mc-samples", type=_positive_int, default=monitor.DEFAULT_NUM_SAMPLES)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_non_negative_int, default=0)
     p.add_argument("--groups", type=_parse_int_list, default=monitor.DEFAULT_GROUP_SIZES,
                    help="comma-separated group sizes")
     p.set_defaults(func=cmd_monitor)
@@ -302,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda", dest="energy_weights", type=_parse_float_list,
                    default=(0.0, 0.1, 0.25, 0.5, 1.0), help="comma-separated grid")
     p.add_argument("--mc-samples", type=_positive_int, default=monitor.DEFAULT_NUM_SAMPLES)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_non_negative_int, default=0)
     p.add_argument("--groups", type=_parse_int_list, default=monitor.DEFAULT_GROUP_SIZES)
     p.add_argument("--max-series", type=_positive_int, default=None)
     p.set_defaults(func=cmd_sweep)
@@ -313,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=_positive_int, default=500)
     p.add_argument("--num-train", type=_non_negative_int, default=2)
     p.add_argument("--num-test", type=_non_negative_int, default=1)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_non_negative_int, default=0)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("pca", help="fit the PCA projection on the train split")

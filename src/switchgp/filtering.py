@@ -19,12 +19,14 @@ hypotheses whose segment saw only fully observed rows from a per-state
 covariance table indexed by elapsed duration, in decoupled channels, and
 the others on the joint recursion; the rows' masks alone pick the path.
 
-A backend owns an opaque cache and offers two methods:
-``update(pred_cache | None, row, mask)`` returns the cache after a row
-(``None`` starts a stream), and ``predict(cache, cont_logw)`` returns the
-continuing one-step conditionals plus the cache that ``update`` consumes
-next. Its ``fresh_mean`` and ``fresh_cov`` hold the first-row law of a new
-segment in each state. Everything else in the recursion is shared.
+A backend owns an opaque cache and offers two methods. ``predict(cache,
+cont_logw)`` returns the continuing one-step conditionals plus the cache
+that ``update`` consumes next. ``update(pred | None, row, mask)`` absorbs a
+row into the step's `Predictives` (``None`` starts a stream) and returns the
+new cache with the row's log-densities, aligned with the new table (see
+`_shifted`); the Kalman backend reads them off its measurement update, so
+each row is scored once. ``fresh_mean`` and ``fresh_cov`` hold the first-row
+law of a new segment in each state. The rest of the recursion is shared.
 
 All recursion arithmetic is in log space with logsumexp; nothing accumulates
 in probability domain. Continuous Gamma durations are discretized to unit
@@ -139,13 +141,6 @@ class PredictiveMixture:
     covariances: np.ndarray  # (C, |m|, |m|)
     group: tuple
 
-    def logpdf(self, y: np.ndarray) -> float:
-        y = np.atleast_2d(np.asarray(y, dtype=float))
-        L = np.linalg.cholesky(self.covariances)
-        comp = gaussian_logpdf(y[:, None, :] - self.means[None, :, :], L)  # (n, C)
-        out = scipy.special.logsumexp(self.log_weights[None, :] + comp, axis=1)
-        return float(out[0]) if out.shape[0] == 1 else out
-
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         w = np.exp(self.log_weights)
         idx = rng.choice(self.log_weights.shape[0], size=n, p=w / w.sum())
@@ -171,7 +166,7 @@ class Predictives:
     fresh_logw: np.ndarray  # (A,)
     fresh_mean: np.ndarray  # (A, P)
     fresh_cov: np.ndarray  # (A, P, P)
-    cache: object  # backend prediction, consumed by apply_row
+    cache: object  # backend prediction, consumed by the backend's update
 
 
 class _Slots(NamedTuple):
@@ -196,7 +191,8 @@ class KalmanBackend:
     `statespace`, on covariances from a per-state `statespace.CovarianceTable`
     that grows one entry per step the first time a stream reaches each
     duration; the other slots run the joint path. Slots the stream has not
-    reached yet hold no moments, and their predictives are placeholders.
+    reached yet hold no moments, and their predictives are placeholders and
+    their log-densities 0.
     """
 
     def __init__(self, model: SwitchingGPModel):
@@ -240,33 +236,35 @@ class KalmanBackend:
             pred_cache.append(_Slots(pm, clean, pc))
         return cont_mean, cont_cov, tuple(pred_cache)
 
-    def update(self, pred_cache, row, mask):
-        D = self.model.duration_cap
+    def update(self, pred, row, mask):
+        model = self.model
+        D = model.duration_cap
+        logdens = np.zeros((model.num_states, D))
         cache = []
-        for j, (ss, e) in enumerate(zip(self.spaces, self.model.emissions)):
+        for j, (ss, e) in enumerate(zip(self.spaces, model.emissions)):
             n = ss.A.shape[0]
-            pred = _Slots(np.zeros((0, n)), 0, np.zeros((0, n, n)))
-            if pred_cache is not None:
-                pred = pred_cache[j]
+            slots = _Slots(np.zeros((0, n)), 0, np.zeros((0, n, n)))
+            if pred is not None:
+                slots = pred.cache[j]
             # A fresh segment (no rows absorbed) joins the clean slots in
             # front; the slot that would pass the cap drops off the end.
-            clean = pred.clean + 1
-            means = np.vstack([np.zeros((1, n)), pred.means])[:D]
-            covs = pred.covs[: max(D - clean, 0)]
+            clean = slots.clean + 1
+            means = np.vstack([np.zeros((1, n)), slots.means])[:D]
+            covs = slots.covs[: max(D - clean, 0)]
             clean = min(clean, D)
-            um, uc, _ = statespace.update(
-                ss, e.mean, self.model.noise, means[:clean],
+            um, uc, logdens[j, :clean] = statespace.update(
+                ss, e.mean, model.noise, means[:clean],
                 statespace.TableCovs(self.covariances[j], 0, clean), row, mask,
             )
             if covs.shape[0]:
-                dm, dc, _ = statespace.update(
-                    ss, e.mean, self.model.noise, means[clean:], covs, row, mask
+                dm, dc, logdens[j, clean : means.shape[0]] = statespace.update(
+                    ss, e.mean, model.noise, means[clean:], covs, row, mask
                 )
                 um, covs = np.vstack([um, dm]), dc
             if not isinstance(uc, statespace.TableCovs):
                 clean, covs = 0, np.concatenate([uc, covs])
             cache.append(_Slots(um, clean, covs))
-        return tuple(cache)
+        return tuple(cache), logdens
 
 
 class ReferenceBackend:
@@ -312,15 +310,19 @@ class ReferenceBackend:
                 )
         return cont_mean, cont_cov, cache
 
-    def update(self, pred_cache, row, mask):
-        if pred_cache is None:
-            return row[None, :].copy(), mask[None, :].copy()
-        values, masks = pred_cache
-        D = self.model.duration_cap
-        return (
+    def update(self, pred, row, mask):
+        A, D, P = self.model.num_states, self.model.duration_cap, self.model.num_features
+        idx = np.flatnonzero(mask)
+        values, masks, cont = np.empty((0, P)), np.empty((0, P), bool), np.zeros((A, D))
+        if pred is not None:
+            values, masks = pred.cache
+            cont = _entry_logpdf(row[idx], idx, pred.cont_mean, pred.cont_cov)
+        fresh = _entry_logpdf(row[idx], idx, self.fresh_mean, self.fresh_cov)
+        cache = (
             np.vstack([values, row[None, :]])[-D:],
             np.vstack([masks, mask[None, :]])[-D:],
         )
+        return cache, _shifted(fresh, cont)
 
 
 def get_backend(model: SwitchingGPModel, backend: str = "kalman"):
@@ -332,10 +334,8 @@ def get_backend(model: SwitchingGPModel, backend: str = "kalman"):
 
 
 def _row_and_mask(row, mask, time_index):
-    """The row as floats, its mask as booleans, and the observed features.
-
-    Raises NonFiniteObservationError when an observed value is not finite.
-    """
+    """The row as floats and its mask as booleans; raises
+    NonFiniteObservationError when an observed value is not finite."""
     row = np.asarray(row, dtype=float)
     mask = np.ones(row.shape, dtype=bool) if mask is None else np.asarray(mask, dtype=bool)
     idx = np.flatnonzero(mask)
@@ -347,7 +347,7 @@ def _row_and_mask(row, mask, time_index):
             time_index=time_index,
             features=bad.tolist(),
         )
-    return row, mask, idx
+    return row, mask
 
 
 def _entry_logpdf(y, idx, means, covs):
@@ -362,36 +362,49 @@ def _entry_logpdf(y, idx, means, covs):
     return gaussian_logpdf(y - means[..., idx], L)
 
 
+def _shifted(fresh, cont):
+    """Terms (..., A, D) of the next table from those of fresh segments
+    (..., A) and of the current slots (..., A, D): fresh segments enter at
+    d = 1, continuing entries move from d to d+1."""
+    out = np.empty(cont.shape)
+    out[..., 0] = fresh
+    out[..., 1:] = cont[..., :-1]
+    return out
+
+
 def advance_table(pred: Predictives, y, idx) -> np.ndarray:
     """Unnormalized log table (..., A, D) after observing ``y`` (..., m) on
-    features ``idx``: continuing entries move from d to d+1, fresh segments
-    enter at d = 1."""
+    features ``idx``."""
     cont = _entry_logpdf(y, idx, pred.cont_mean, pred.cont_cov)
     fresh = _entry_logpdf(y, idx, pred.fresh_mean, pred.fresh_cov)
-    new_alpha = np.empty(cont.shape)
-    new_alpha[..., 1:] = pred.cont_logw[:, :-1] + cont[..., :-1]
-    new_alpha[..., 0] = pred.fresh_logw + fresh
-    return new_alpha
+    return _shifted(pred.fresh_logw, pred.cont_logw) + _shifted(fresh, cont)
+
+
+def _absorb(be, pred: Predictives | None, row, mask, time_index, log_evidence=0.0):
+    """Row ``time_index`` absorbed and scored by the backend, and the table
+    advanced. Without predictives the row starts a stream: fresh segments
+    weigh log pi and nothing continues."""
+    cache, logdens = be.update(pred, *_row_and_mask(row, mask, time_index))
+    if pred is None:
+        weights = _shifted(be.table.log_pi, np.full(logdens.shape, NEG_INF))
+    else:
+        weights = _shifted(pred.fresh_logw, pred.cont_logw)
+    new_alpha = weights + logdens
+    norm = scipy.special.logsumexp(new_alpha)
+    if not np.isfinite(norm):
+        why = "no state explains the first observation"
+        if pred is not None:
+            why = "all forward hypotheses vanished"
+        raise FilterCollapseError(why, time_index=time_index)
+    return ForwardState(
+        new_alpha - norm, time_index, log_evidence + float(norm), backend=be, cache=cache
+    )
 
 
 def forward_init(model: SwitchingGPModel, row, mask=None, backend="kalman") -> ForwardState:
     """Start a stream: alpha_1(j, 1) proportional to pi_j * b_j(y_1)."""
     be = get_backend(model, backend) if isinstance(backend, str) else backend
-    row, mask, idx = _row_and_mask(row, mask, 1)
-    log_alpha = np.full((model.num_states, model.duration_cap), NEG_INF)
-    log_alpha[:, 0] = be.table.log_pi + _entry_logpdf(
-        row[idx], idx, be.fresh_mean, be.fresh_cov
-    )
-    norm = scipy.special.logsumexp(log_alpha)
-    if not np.isfinite(norm):
-        raise FilterCollapseError("no state explains the first observation", time_index=1)
-    return ForwardState(
-        log_alpha=log_alpha - norm,
-        time_index=1,
-        log_evidence=float(norm),
-        backend=be,
-        cache=be.update(None, row, mask),
-    )
+    return _absorb(be, None, row, mask, 1)
 
 
 def step_predictives(state: ForwardState, model: SwitchingGPModel) -> Predictives:
@@ -424,22 +437,7 @@ def apply_row(
     mask=None,
 ) -> ForwardState:
     """Finish a forward step: score the row, update the table and the backend."""
-    be = state.backend
-    row, mask, idx = _row_and_mask(row, mask, state.time_index + 1)
-    new_alpha = advance_table(pred, row[idx], idx)
-
-    norm = scipy.special.logsumexp(new_alpha)
-    if not np.isfinite(norm):
-        raise FilterCollapseError(
-            "all forward hypotheses vanished", time_index=state.time_index + 1
-        )
-    return ForwardState(
-        log_alpha=new_alpha - norm,
-        time_index=state.time_index + 1,
-        log_evidence=state.log_evidence + float(norm),
-        backend=be,
-        cache=be.update(pred.cache, row, mask),
-    )
+    return _absorb(state.backend, pred, row, mask, state.time_index + 1, state.log_evidence)
 
 
 def forward_step(state: ForwardState, row, model: SwitchingGPModel, mask=None) -> ForwardState:

@@ -273,21 +273,3 @@ def stationary_observation(ss: StateSpace, mean_vec, noise):
     """Prior observation distribution of a fresh segment: N(mean, K(0) K^Y + D)."""
     cov = ss.H @ ss.P0 @ ss.H.T + np.diag(noise.per_feature_variance)
     return mean_vec.copy(), 0.5 * (cov + cov.T)
-
-
-def exact_grid_covariance(kernel: MaternKernel, num_steps: int) -> np.ndarray:
-    """Covariance of the observed SDE component on the grid, for validation.
-
-    Equals `kernels.gram_matrix` exactly; kept as an independent route for
-    tests (transition powers instead of kernel evaluations).
-    """
-    A1, _, P1 = discretize(kernel)
-    s = A1.shape[0]
-    out = np.zeros((num_steps + 1, num_steps + 1))
-    Ak = np.eye(s)
-    first = np.zeros(num_steps + 1)
-    for k in range(num_steps + 1):
-        first[k] = (Ak @ P1)[0, 0]
-        Ak = A1 @ Ak
-    idx = np.abs(np.subtract.outer(np.arange(num_steps + 1), np.arange(num_steps + 1)))
-    return first[idx]

@@ -55,6 +55,19 @@ def dense_gram(kernel, num_steps):
     return out
 
 
+def grid_covariance(transition, prior, num_steps):
+    """(T+1)x(T+1) covariance of the first state component of a stationary
+    linear model on the grid, from powers of its unit-step ``transition``
+    and its stationary ``prior`` (cov(x_{t+k}, x_t) = A^k P)."""
+    lagged = np.empty(num_steps + 1)
+    power = np.eye(transition.shape[0])
+    for k in range(num_steps + 1):
+        lagged[k] = (power @ prior)[0, 0]
+        power = transition @ power
+    lags = np.abs(np.subtract.outer(np.arange(num_steps + 1), np.arange(num_steps + 1)))
+    return lagged[lags]
+
+
 # ---------------------------------------------------------------------------
 # dense segment densities
 

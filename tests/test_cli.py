@@ -523,6 +523,10 @@ class TestErrorRecords:
              "zero or a positive integer"),
             (["simulate", "--model", "m.json", "--out", "d", "--steps", "0"],
              "positive integer"),
+            (["simulate", "--model", "m.json", "--out", "d", "--seed", "-1"],
+             "zero or a positive integer"),
+            (["monitor", "--model", "m.json", "--seed", "-1"], "zero or a positive integer"),
+            (["sweep", "--model", "m.json", "--seed", "-1"], "zero or a positive integer"),
         ],
     )
     def test_train_and_pca_counts_are_usage_errors(self, workspace, argv, message, capsys):

@@ -22,6 +22,7 @@ from switchgp.filtering import (
     ForwardState,
     KalmanBackend,
     ReferenceBackend,
+    advance_table,
     apply_row,
     build_duration_table,
     forward_init,
@@ -415,20 +416,6 @@ class TestPredictiveMixture:
         se = draws.std(axis=0, ddof=1) / math.sqrt(draws.shape[0])
         np.testing.assert_array_less(np.abs(draws.mean(axis=0) - analytic), 3 * se)
 
-    def test_logpdf_matches_component_sum(self):
-        model = helpers.random_model(A=2, P=2, cap=2, seed=19)
-        series = generate_synthetic(model, 3, seed=8)
-        state = run_filter(model, series.observations)
-        mix = one_step_mixture(state, model, (0, 1))
-        y = np.array([0.3, -1.4])
-        want = scipy.special.logsumexp(
-            [
-                w + scipy.stats.multivariate_normal.logpdf(y, m, c)
-                for w, m, c in zip(mix.log_weights, mix.means, mix.covariances)
-            ]
-        )
-        assert mix.logpdf(y) == pytest.approx(want, abs=1e-10)
-
     def test_group_restriction_is_marginalization(self):
         model = helpers.random_model(A=2, P=3, cap=2, seed=20)
         series = generate_synthetic(model, 3, seed=9)
@@ -469,10 +456,15 @@ class TestPredictiveMixture:
         assert mix.log_weights.shape[0] < logw.shape[0]  # something was pruned
 
         grid = np.linspace(-20.0, 20.0, 801)
-        unpruned = np.zeros_like(grid)
-        for w, m, v in zip(logw, means, covs):
-            unpruned += np.exp(w) * scipy.stats.norm.pdf(grid, m, math.sqrt(v))
-        pruned = np.exp([mix.logpdf(np.array([g])) for g in grid])
+
+        def density(logw, means, variances):
+            return sum(
+                np.exp(w) * scipy.stats.norm.pdf(grid, m, math.sqrt(v))
+                for w, m, v in zip(logw, means, variances)
+            )
+
+        unpruned = density(logw, means, covs)
+        pruned = density(mix.log_weights, mix.means[:, 0], mix.covariances[:, 0, 0])
         tv = 0.5 * np.trapezoid(np.abs(unpruned - pruned), grid)
         assert tv < 1e-9
 
@@ -646,6 +638,46 @@ class TestCleanPath:
         state = forward_step(state, rows[16], model)
         assert [slots.clean for slots in state.cache] == [1, 1, 1]
         assert [slots.covs.shape[0] for slots in state.cache] == [4, 4, 4]
+
+
+class TestRowDensity:
+    """The backend that absorbs a row also scores it."""
+
+    @pytest.mark.parametrize("cap, seed", [(1, 0), (3, 1), (6, 2)])
+    def test_matches_scoring_the_predictives(self, cap, seed):
+        # advance_table scores the predictive laws directly, as the monitor
+        # does for hypothetical rows
+        model = mixed_smoothness_model(A=3, P=3, cap=cap, seed=seed)
+        rows = generate_synthetic(model, 16, seed=seed).observations
+        mask = random_masks(np.random.default_rng(seed), 16, 3)
+        for backend in (KalmanBackend(model), ReferenceBackend(model)):
+            state = forward_init(model, rows[0], mask[0], backend=backend)
+            for t in range(1, 16):
+                pred = step_predictives(state, model)
+                idx = np.flatnonzero(mask[t])
+                want = advance_table(pred, rows[t, idx], idx)
+                want = want - scipy.special.logsumexp(want)
+                state = apply_row(state, model, pred, rows[t], mask[t])
+                finite = np.isfinite(want)
+                np.testing.assert_array_equal(np.isfinite(state.log_alpha), finite)
+                np.testing.assert_allclose(
+                    state.log_alpha[finite], want[finite], rtol=0, atol=1e-9
+                )
+
+    def test_fully_observed_stream_factors_nothing(self, monkeypatch):
+        # clean hypotheses read their innovation variances off the table
+        model = helpers.random_model(A=3, P=3, cap=5, seed=8)
+        rows = generate_synthetic(model, 21, seed=8).observations
+        backend = KalmanBackend(model)
+
+        def refuse(a):
+            raise AssertionError("factored a covariance on a fully observed row")
+
+        monkeypatch.setattr(np.linalg, "cholesky", refuse)
+        state = forward_init(model, rows[0], backend=backend)
+        for t in range(1, 21):
+            state = forward_step(state, rows[t], model)
+        assert state.time_index == 21
 
 
 class TestNonFiniteObservation:

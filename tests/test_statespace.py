@@ -74,7 +74,8 @@ class TestDiscretize:
     def test_grid_covariance_matches_kernel_gram(self, nu, ell):
         # transition powers and kernel evaluations are independent routes
         kernel = MaternKernel(1.3, ell, nu)
-        via_sde = statespace.exact_grid_covariance(kernel, 16)
+        A, _, P_inf = statespace.discretize(kernel)
+        via_sde = oracles.grid_covariance(A, P_inf, 16)
         via_kernel = gram_matrix(kernel, 16)
         np.testing.assert_allclose(via_sde, via_kernel, rtol=0, atol=1e-10)
 
