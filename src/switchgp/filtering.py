@@ -37,6 +37,7 @@ exception to the zero-diagonal transition convention).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -137,6 +138,7 @@ class PredictiveMixture:
     """Gaussian mixture over the next row restricted to a feature group."""
 
     log_weights: np.ndarray
+    states: np.ndarray  # (C,) state index of each entry
     means: np.ndarray  # (C, |m|)
     covariances: np.ndarray  # (C, |m|, |m|)
     group: tuple
@@ -167,6 +169,12 @@ class Predictives:
     fresh_mean: np.ndarray  # (A, P)
     fresh_cov: np.ndarray  # (A, P, P)
     cache: object  # backend prediction, consumed by the backend's update
+
+    @functools.cached_property
+    def live(self) -> PredictiveMixture:
+        """`mixture_from_predictives` over all features, built on first use:
+        the live set that the monitor samples from and scores, once per step."""
+        return mixture_from_predictives(self, range(self.fresh_mean.shape[-1]))
 
 
 class _Slots(NamedTuple):
@@ -372,14 +380,6 @@ def _shifted(fresh, cont):
     return out
 
 
-def advance_table(pred: Predictives, y, idx) -> np.ndarray:
-    """Unnormalized log table (..., A, D) after observing ``y`` (..., m) on
-    features ``idx``."""
-    cont = _entry_logpdf(y, idx, pred.cont_mean, pred.cont_cov)
-    fresh = _entry_logpdf(y, idx, pred.fresh_mean, pred.fresh_cov)
-    return _shifted(pred.fresh_logw, pred.cont_logw) + _shifted(fresh, cont)
-
-
 def _absorb(be, pred: Predictives | None, row, mask, time_index, log_evidence=0.0):
     """Row ``time_index`` absorbed and scored by the backend, and the table
     advanced. Without predictives the row starts a stream: fresh segments
@@ -458,6 +458,8 @@ def state_posterior(state: ForwardState) -> np.ndarray:
     return p / p.sum()
 
 
+# Entries more than this many nats below the heaviest (a weight ratio under
+# 1e-13) are left out of the predictive mixture.
 PRUNE_LOG_WEIGHT = 30.0
 
 
@@ -469,11 +471,14 @@ def mixture_from_predictives(pred: Predictives, group) -> PredictiveMixture:
     if len(group) == 0:
         raise ValueError("feature group must be non-empty")
     idx = np.array(group, dtype=int)
-    P = pred.fresh_mean.shape[-1]
+    A, D, P = pred.cont_mean.shape
     logw = np.concatenate([pred.fresh_logw, pred.cont_logw.ravel()])
     keep = logw >= logw[np.isfinite(logw)].max() - PRUNE_LOG_WEIGHT
+    states = np.concatenate([np.arange(A), np.repeat(np.arange(A), D)])[keep]
     means = np.concatenate([pred.fresh_mean, pred.cont_mean.reshape(-1, P)])[keep]
     covs = np.concatenate([pred.fresh_cov, pred.cont_cov.reshape(-1, P, P)])[keep]
     logw = logw[keep]
     logw = logw - scipy.special.logsumexp(logw)
-    return PredictiveMixture(logw, means[:, idx], covs[:, idx[:, None], idx], group)
+    return PredictiveMixture(
+        logw, states, means[:, idx], covs[:, idx[:, None], idx], group
+    )

@@ -269,6 +269,39 @@ def central_difference(func, x, eps=1e-6):
 
 
 # ---------------------------------------------------------------------------
+# one-step table advance, every entry scored
+
+
+def advance_table(pred, y, idx):
+    """Unnormalized log table (..., A, D) after observing ``y`` (..., m) on
+    features ``idx``, from the one-step laws of ``pred`` (its plain arrays
+    only): fresh segments enter at d = 1 and continuing entries move from d
+    to d+1, each law scored by scipy, none pruned. An empty ``idx`` carries
+    no evidence."""
+    y = np.asarray(y, dtype=float)
+    idx = np.asarray(idx, dtype=int)
+    lead = y.shape[:-1]
+    A, D = pred.cont_logw.shape
+
+    def logpdf(mean, cov):
+        if idx.size == 0:
+            return np.zeros(lead)
+        law = scipy.stats.multivariate_normal(mean[idx], cov[np.ix_(idx, idx)])
+        return np.atleast_1d(law.logpdf(y.reshape(-1, idx.size))).reshape(lead)
+
+    out = np.full(lead + (A, D), -np.inf)
+    for j in range(A):
+        if np.isfinite(pred.fresh_logw[j]):
+            out[..., j, 0] = pred.fresh_logw[j] + logpdf(pred.fresh_mean[j], pred.fresh_cov[j])
+        for d in range(D - 1):  # an entry at the cap cannot continue
+            if np.isfinite(pred.cont_logw[j, d]):
+                out[..., j, d + 1] = pred.cont_logw[j, d] + logpdf(
+                    pred.cont_mean[j, d], pred.cont_cov[j, d]
+                )
+    return out
+
+
+# ---------------------------------------------------------------------------
 # expected-entropy quadrature
 
 

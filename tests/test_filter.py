@@ -22,7 +22,6 @@ from switchgp.filtering import (
     ForwardState,
     KalmanBackend,
     ReferenceBackend,
-    advance_table,
     apply_row,
     build_duration_table,
     forward_init,
@@ -428,6 +427,24 @@ class TestPredictiveMixture:
             sub.covariances[:, 0, 0], full.covariances[:, 2, 2], atol=1e-12
         )
 
+    def test_live_set_keeps_near_entries_with_their_states(self):
+        model = helpers.random_model(A=3, P=4, cap=6, seed=33)
+        series = generate_synthetic(model, 12, seed=33)
+        pred = step_predictives(run_filter(model, series.observations), model)
+        entries = [(w, j, m) for j, (w, m) in enumerate(zip(pred.fresh_logw, pred.fresh_mean))]
+        for j in range(3):
+            entries += [(w, j, m) for w, m in zip(pred.cont_logw[j], pred.cont_mean[j])]
+        top = max(w for w, _, _ in entries)
+        near = [(w, j, m) for w, j, m in entries if w >= top - 30.0]
+        assert 0 < len(near) < sum(np.isfinite(w) for w, _, _ in entries)
+        live = pred.live
+        np.testing.assert_array_equal(live.states, [j for _, j, _ in near])
+        np.testing.assert_array_equal(live.means, [m for _, _, m in near])
+        want = np.array([w for w, _, _ in near])
+        want = want - scipy.special.logsumexp(want)
+        np.testing.assert_allclose(live.log_weights, want, atol=1e-12)
+        assert pred.live is live  # built once per step
+
     def test_pruning_changes_density_negligibly(self):
         # mixture weights for the wrong state fall below max - 30 after a
         # long stay in one state; the pruned and unpruned densities must agree
@@ -645,8 +662,7 @@ class TestRowDensity:
 
     @pytest.mark.parametrize("cap, seed", [(1, 0), (3, 1), (6, 2)])
     def test_matches_scoring_the_predictives(self, cap, seed):
-        # advance_table scores the predictive laws directly, as the monitor
-        # does for hypothetical rows
+        # the oracle scores every predictive law directly, unpruned
         model = mixed_smoothness_model(A=3, P=3, cap=cap, seed=seed)
         rows = generate_synthetic(model, 16, seed=seed).observations
         mask = random_masks(np.random.default_rng(seed), 16, 3)
@@ -655,7 +671,7 @@ class TestRowDensity:
             for t in range(1, 16):
                 pred = step_predictives(state, model)
                 idx = np.flatnonzero(mask[t])
-                want = advance_table(pred, rows[t, idx], idx)
+                want = oracles.advance_table(pred, rows[t, idx], idx)
                 want = want - scipy.special.logsumexp(want)
                 state = apply_row(state, model, pred, rows[t], mask[t])
                 finite = np.isfinite(want)

@@ -5,10 +5,18 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.special
 
 import helpers
 import oracles
-from switchgp.filtering import forward_init, forward_step, map_state, state_posterior
+from switchgp import monitor
+from switchgp.filtering import (
+    forward_init,
+    forward_step,
+    map_state,
+    state_posterior,
+    step_predictives,
+)
 from switchgp.model import GammaDuration
 from switchgp.monitor import (
     GroupCatalog,
@@ -214,6 +222,104 @@ class TestSelectGroup:
             lam = catalog.costs[g]
             assert record.losses[g] >= lam - 1e-12
             assert record.losses[g] <= lam + math.log(3) + 1e-12
+
+
+def oracle_losses(pred, catalog, samples):
+    """Losses of every group, each scored on its own over every predictive
+    entry, pruned or not."""
+    ents = []
+    for group in catalog.groups:
+        idx = np.array(group)
+        table = oracles.advance_table(pred, samples[:, idx], idx)  # (N, A, D)
+        state_log = scipy.special.logsumexp(table, axis=2)
+        post = np.exp(state_log - scipy.special.logsumexp(state_log, axis=1, keepdims=True))
+        ents.append(np.mean([oracles.shannon_entropy(p) for p in post]))
+    return np.array(ents) + catalog.costs
+
+
+# sizes in shuffled order, (1, 3) twice
+MIXED_GROUPS = ((1, 3), (0, 1, 2), (2,), (0, 3), (1, 2, 3), (0,), (1, 3), (0, 1, 2, 3), (3,))
+
+
+class TestBatchedScoring:
+    """`select_group` scores each group size in one batched pass over the
+    live (pruned) entries; these pin it to per-group, unpruned scoring."""
+
+    @staticmethod
+    def setting(seed, T=12):
+        model = helpers.random_model(A=3, P=4, cap=6, seed=seed)
+        state = run_filter(model, generate_synthetic(model, T, seed=seed).observations)
+        return model, state, step_predictives(state, model)
+
+    def test_select_group_matches_the_unpruned_oracle(self):
+        pruned = 0
+        for seed in (31, 32, 33):
+            model, state, pred = self.setting(seed)
+            logw = np.concatenate([pred.fresh_logw, pred.cont_logw.ravel()])
+            pruned += np.isfinite(logw).sum() - pred.live.log_weights.size
+            costs = np.array([0.05 * len(g) for g in MIXED_GROUPS])
+            catalog = GroupCatalog(MIXED_GROUPS, costs)
+            group, record = select_group(
+                state, model, catalog, num_samples=40, rng=seed, pred=pred
+            )
+            samples = posterior_samples(state, model, 40, seed, pred=pred)
+            want = oracle_losses(pred, catalog, samples)
+            np.testing.assert_allclose(record.losses, want, rtol=0, atol=1e-10)
+            best = min(
+                range(len(catalog)),
+                key=lambda g: (want[g], len(catalog.groups[g]), catalog.groups[g]),
+            )
+            assert group == catalog.groups[best]
+            assert record.losses[0] == record.losses[6]  # the duplicate
+        assert pruned > 0  # at least one setting leaves entries out
+
+    @pytest.mark.parametrize("num_samples", [1, 2, 64])
+    def test_chunking_leaves_losses_bitwise_unchanged(self, monkeypatch, num_samples):
+        model, state, pred = self.setting(33)
+        catalog = default_catalog(4, sizes=(1, 2, 3, 4))
+        _, default = select_group(state, model, catalog, num_samples=num_samples, rng=4, pred=pred)
+        monkeypatch.setattr(monitor, "SCORE_CHUNK_ELEMENTS", 1)
+        _, one_at_a_time = select_group(
+            state, model, catalog, num_samples=num_samples, rng=4, pred=pred
+        )
+        np.testing.assert_array_equal(one_at_a_time.losses, default.losses)
+        assert one_at_a_time.stderr == default.stderr
+
+    def test_stack_equals_single_group_calls(self):
+        model, state, pred = self.setting(32)
+        samples = posterior_samples(state, model, 48, 6, pred=pred)
+        stack = [(0, 1), (2, 3), (1, 3), (0, 2), (1, 3)]
+        est, err = expected_entropy_mc(state, model, stack, samples=samples, pred=pred)
+        assert est.shape == err.shape == (5,)
+        for g, group in enumerate(stack):
+            one = expected_entropy_mc(state, model, group, samples=samples, pred=pred)
+            assert isinstance(one[0], float) and isinstance(one[1], float)
+            assert (est[g], err[g]) == one
+
+    def test_stack_of_mixed_sizes_rejected(self):
+        model, state, pred = self.setting(31)
+        with pytest.raises(ValueError, match="one size"):
+            expected_entropy_mc(state, model, [(0, 1), (2,)], num_samples=8, rng=0, pred=pred)
+
+    @pytest.mark.parametrize("group", [(), (0, 4), (-1,)])
+    def test_groups_outside_the_features_rejected(self, group):
+        model, state, pred = self.setting(31)
+        with pytest.raises(ValueError, match="group"):
+            expected_entropy_mc(state, model, group, num_samples=8, rng=0, pred=pred)
+
+    def test_select_group_calls_the_scorer_once_per_size(self, monkeypatch):
+        model, state, pred = self.setting(32)
+        calls = []
+        scorer = monitor.expected_entropy_mc
+
+        def counted(*args, **kwargs):
+            calls.append(args[2])
+            return scorer(*args, **kwargs)
+
+        monkeypatch.setattr(monitor, "expected_entropy_mc", counted)
+        catalog = GroupCatalog(MIXED_GROUPS, np.zeros(len(MIXED_GROUPS)))
+        select_group(state, model, catalog, num_samples=8, rng=0, pred=pred)
+        assert sorted(len(c[0]) for c in calls) == [1, 2, 3, 4]
 
 
 class TestCatalog:
