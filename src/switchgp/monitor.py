@@ -14,14 +14,24 @@ hypotheses within `filtering.PRUNE_LOG_WEIGHT` nats of the heaviest, with
 their state index, built once per step. Each pruned entry weighs under 1e-13
 of the heaviest, so leaving them out of a hypothetical posterior moves its
 entropy by rounding-level amounts; on a HAR-sized model (6 states, duration
-cap 80) a handful of the 486 entries stay live. `expected_entropy_mc` scores
-a stack of same-size groups in one batched pass: it gathers the (H, G, m, m)
-covariance blocks of the H live entries, factors them with one batched
-Cholesky, scores the (N, H, G, m) sample residuals, and takes a logsumexp
-per state and the entropy per sample. `select_group` makes one such call per
-group size. The stack is cut into chunks of at most `SCORE_CHUNK_ELEMENTS`
-residual entries, which bounds the working memory; every group's result is
-bitwise the same whatever the chunking or the stack it came in.
+cap 80) a handful of the 486 entries stay live, and at times near a hundred.
+`expected_entropy_mc` scores a stack of same-size groups in one batched
+pass. For each live entry and group it sweeps the (m+1)-square block
+[[C, mu], [mu^T, 0]] of the entry's covariance C and mean mu on the group:
+the swept block holds C^-1, C^-1 mu and mu^T C^-1 mu, and the pivots give
+log det C. The entry's log weight after a sample is then a quadratic
+polynomial in the sample, and one matrix product per group evaluates it for
+every entry and sample. Samples and means are first centered on the heaviest
+entry's mean, which keeps the polynomial's terms near the scale of the
+residuals. A logsumexp per state and the entropy per sample follow.
+`select_group` makes one such call per group size. The sweep is elementwise
+over all the entries and groups of a chunk at once, with no factorization
+per entry and group, which keeps the cost of each live entry small next to
+the rest of the step however many entries are live. The stack is cut into
+chunks whose (g, H, N) log-weight table and (m+1, m+1, g, H) swept blocks
+hold at most `SCORE_CHUNK_ELEMENTS` entries each, which bounds the working
+memory; every group's result is bitwise the same whatever the chunking or
+the stack it came in.
 
 Hypothetical updates touch only the filter's log-weight table; the live
 ForwardState is never mutated. The per-hypothesis one-step conditionals are
@@ -49,15 +59,15 @@ from .filtering import (
     state_posterior,
     step_predictives,
 )
-from .kernels import gaussian_logpdf
+from .kernels import LOG_2PI
 from .model import SwitchingGPModel
 
 DEFAULT_GROUP_SIZES = (4, 7, 10)
 DEFAULT_NUM_SAMPLES = 50
 
-# Residual entries N * H * g * m scored at once, g groups at a time: this
-# bounds the scorer's working memory to a few MB. On the default catalog the
-# speed is flat from 2**14 to 2**20.
+# Entries of one chunk's (g, H, N) log-weight table, and of its (m+1, m+1,
+# g, H) swept blocks, g groups at a time: this bounds the scorer's working
+# memory to a few MB.
 SCORE_CHUNK_ELEMENTS = 2**16
 
 
@@ -200,29 +210,93 @@ def expected_entropy_mc(
 def _hypothetical_entropies(live: PredictiveMixture, samples: np.ndarray, stack) -> np.ndarray:
     """Posterior state entropies (G, N) after observing each sample on each
     group of a (G, m) stack, from the live entries alone."""
-    N, (H, _), (G, m) = samples.shape[0], live.means.shape, stack.shape
-    # (S, H): 1 where entry h belongs to the s-th state that has live entries
-    member = (live.states == np.unique(live.states)[:, None]).astype(float)
+    N, (H, P), (G, m) = samples.shape[0], live.means.shape, stack.shape
+    # entries sorted by state, so each state's mass is one contiguous sum
+    order = np.argsort(live.states, kind="stable")
+    states = live.states[order]
+    starts = np.flatnonzero(np.r_[True, states[1:] != states[:-1]])
+    logw = live.log_weights[order]
+    center = live.means[np.argmax(live.log_weights)]
+    # (P+1, P+1, H): each entry's covariance, bordered by its centered mean
+    aug = np.zeros((P + 1, P + 1, H))
+    aug[:P, :P] = live.covariances[order].transpose(1, 2, 0)
+    aug[:P, P] = aug[P, :P] = (live.means[order] - center).T
+    feats = _quadratic_features(samples - center)  # (F, N)
+    cols = _quadratic_columns(stack, P)  # (G, K)
+    ia, ib = np.triu_indices(m)
+    halve = np.where(ia == ib, 0.5, 1.0)[:, None, None]
+    border = np.concatenate([stack, np.full((G, 1), P)], axis=1).T  # (m+1, G)
     ents = np.empty((G, N))
-    step = max(1, SCORE_CHUNK_ELEMENTS // (N * H * m))
+    step = max(1, SCORE_CHUNK_ELEMENTS // (H * max(N, (m + 1) ** 2)))
     for lo in range(0, G, step):
-        idx = stack[lo : lo + step]  # (g, m)
-        chol = np.linalg.cholesky(live.covariances[:, idx[:, :, None], idx[:, None, :]])
-        diff = samples[:, idx][:, None] - live.means[:, idx]  # (N, H, g, m)
-        logdens = gaussian_logpdf(diff, chol)  # (N, H, g)
-        # (g, N, H) with H contiguous: each sum over H runs in one order,
-        # whatever the chunk, so chunking leaves every result bitwise alone
-        joint = np.ascontiguousarray(np.moveaxis(logdens, 2, 0)) + live.log_weights
-        # logsumexp per state, shifted by each sample's heaviest entry
-        peak = joint.max(axis=-1, keepdims=True)  # (g, N, 1)
+        sl = slice(lo, lo + step)
+        blocks = aug[border[:, None, sl], border[None, :, sl]]  # (m+1, m+1, g, H)
+        logdet = _sweep(blocks, m)
+        # log weight of entry h after sample y on the group, logw - (log det
+        # C + m log 2pi + (y - mu)^T C^-1 (y - mu)) / 2, as coefficients of
+        # the features [y_a y_b (a <= b), y_a, 1]: (g, H, K)
+        coef = np.concatenate(
+            [
+                halve * blocks[ia, ib],
+                blocks[:m, m],
+                (logw + 0.5 * (blocks[m, m] - logdet - m * LOG_2PI))[None],
+            ]
+        )
+        joint = np.ascontiguousarray(coef.transpose(1, 2, 0)) @ feats[cols[sl]]  # (g, H, N)
+        peak = joint.max(axis=1)  # (g, N)
         if not np.all(np.isfinite(peak)):
             raise FilterCollapseError("hypothetical update produced no surviving hypothesis")
-        mass = np.sum(np.exp(joint - peak)[:, :, None, :] * member, axis=-1)  # (g, N, S)
-        probs = mass / mass.sum(axis=-1, keepdims=True)
+        joint -= peak[:, None]
+        mass = np.add.reduceat(np.exp(joint, out=joint), starts, axis=1)  # (g, S, N)
+        probs = mass / mass.sum(axis=1, keepdims=True)
         with np.errstate(divide="ignore", invalid="ignore"):
             terms = np.where(probs > 0.0, probs * np.log(probs), 0.0)
-        ents[lo : lo + step] = -np.sum(terms, axis=-1)
+        ents[sl] = -np.sum(terms, axis=1)
     return ents
+
+
+def _sweep(blocks: np.ndarray, m: int) -> np.ndarray:
+    """Sweep pivots 0..m-1 of the (m+1, m+1, ...) bordered blocks
+    [[C, mu], [mu^T, 0]] in place, leaving [[-C^-1, C^-1 mu], [., -mu^T
+    C^-1 mu]]; returns log det C. Every operation is elementwise over the
+    trailing batch axes, so a block's result does not depend on the batch."""
+    logdet = np.zeros(blocks.shape[2:])
+    for k in range(m):
+        d = blocks[k, k].copy()
+        if not np.all(d > 0.0):
+            raise np.linalg.LinAlgError("predictive covariance block is not positive definite")
+        col = blocks[:, k] / d
+        blocks -= col[:, None] * blocks[k]
+        blocks[:, k] = col
+        blocks[k] = col
+        blocks[k, k] = -1.0 / d
+        logdet += np.log(d)
+    return logdet
+
+
+def _quadratic_features(y: np.ndarray) -> np.ndarray:
+    """Features (F, N) of rows ``y`` (N, P): the products y_a y_b (a <= b),
+    then y_a, then 1."""
+    a, b = np.triu_indices(y.shape[1])
+    return np.concatenate([y[:, a] * y[:, b], y, np.ones((y.shape[0], 1))], axis=1).T
+
+
+def _quadratic_columns(stack: np.ndarray, num_features: int) -> np.ndarray:
+    """Rows of `_quadratic_features` that each group of a (G, m) stack reads,
+    in the order of its coefficients: products (a <= b within the group),
+    singles, the constant."""
+    pair = np.zeros((num_features, num_features), dtype=int)
+    a, b = np.triu_indices(num_features)
+    pair[a, b] = pair[b, a] = np.arange(a.size)
+    ia, ib = np.triu_indices(stack.shape[1])
+    return np.concatenate(
+        [
+            pair[stack[:, ia], stack[:, ib]],
+            a.size + stack,
+            np.full((stack.shape[0], 1), a.size + num_features),
+        ],
+        axis=1,
+    )
 
 
 @dataclass(frozen=True)

@@ -246,15 +246,21 @@ class TestBatchedScoring:
     live (pruned) entries; these pin it to per-group, unpruned scoring."""
 
     @staticmethod
-    def setting(seed, T=12):
+    def setting(seed, T=12, shift=0.0):
         model = helpers.random_model(A=3, P=4, cap=6, seed=seed)
+        emissions = tuple(replace(e, mean=e.mean + shift) for e in model.emissions)
+        model = replace(model, emissions=emissions)
         state = run_filter(model, generate_synthetic(model, T, seed=seed).observations)
         return model, state, step_predictives(state, model)
 
-    def test_select_group_matches_the_unpruned_oracle(self):
+    # shift moves every emission mean, and so the data, far from the origin;
+    # a scorer that did not center samples and means first would lose the
+    # 1e-10 to cancellation between its quadratic terms
+    @pytest.mark.parametrize("shift", [0.0, 1e3])
+    def test_select_group_matches_the_unpruned_oracle(self, shift):
         pruned = 0
         for seed in (31, 32, 33):
-            model, state, pred = self.setting(seed)
+            model, state, pred = self.setting(seed, shift=shift)
             logw = np.concatenate([pred.fresh_logw, pred.cont_logw.ravel()])
             pruned += np.isfinite(logw).sum() - pred.live.log_weights.size
             costs = np.array([0.05 * len(g) for g in MIXED_GROUPS])
