@@ -20,6 +20,15 @@ driven to the exact Toeplitz value by conjugate gradients preconditioned with
 those blocks, and the accumulated block log-determinant is corrected by the
 second-order spectral constant (the classical strong Szego term) computed
 from the same block spectrum.
+
+Two grids serve a segment of T rows. The minimal embedding, n = 2T - 2 for
+the lags 0..T-1, defines the approximation: its block log-determinant, Szego
+term and positive-definiteness check. The exact solve only needs a circulant
+whose leading T x T block is K_T, which the kernel's periodic row
+C(min(k, m - k)) gives on any grid m >= n; it runs on the 5-smooth
+m = next_fast_len(n), where real FFTs are fast, and on n when a block of the
+m-grid is not positive. Every spectrum is symmetric, so real transforms over
+the half spectrum carry it.
 """
 
 from __future__ import annotations
@@ -27,6 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.fft
 
 from .errors import SingularEmbeddingError
 from .kernels import (
@@ -94,11 +104,8 @@ def toeplitz_matvec(spec: CirculantSpec, vec: np.ndarray) -> np.ndarray:
     m = vec.shape[0]
     if m > spec.size // 2 + 1:
         raise ValueError("vector longer than the embedded Toeplitz dimension")
-    pad_shape = (spec.size,) + vec.shape[1:]
-    padded = np.zeros(pad_shape)
-    padded[:m] = vec
-    full = np.fft.ifft(np.fft.fft(padded, axis=0) * _col(spec.eigenvalues, padded), axis=0).real
-    return full[:m]
+    spectrum = np.fft.fft(vec, spec.size, axis=0) * _col(spec.eigenvalues, vec)
+    return np.fft.ifft(spectrum, axis=0).real[:m]
 
 
 def circulant_logdet_solve(spec: CirculantSpec, rhs: np.ndarray, tol: float = SINGULAR_TOL):
@@ -134,10 +141,13 @@ def fast_segment_loglik(
     """Approximate Gaussian log-density of a fully observed segment.
 
     Residuals of the T x P ``values`` matrix against ``means`` are scored
-    under kron(K^Y, K_T) + kron(D, I) using the circulant embedding of the
-    temporal Gram matrix. Cost is O(P^2 T log T). Raises
-    SingularEmbeddingError when any Fourier-index block of the embedding is
-    not positive definite; callers fall back to the dense path.
+    under kron(K^Y, K_T) + kron(D, I). The log-determinant is the
+    approximation of the minimal embedding n = 2T - 2; the quadratic form is
+    exact, solved by conjugate gradients on the 5-smooth grid
+    m = next_fast_len(n) (on n where a block of the m-grid is not positive),
+    at O(P m log m) per iteration. Raises SingularEmbeddingError when any
+    Fourier-index block of the minimal embedding is not positive definite;
+    callers fall back to the dense path.
 
     ``emission`` provides ``temporal`` (MaternKernel) and ``task``
     (TaskCovariance) plus an optional ``mean`` used when ``means`` is None.
@@ -159,33 +169,47 @@ def fast_segment_loglik(
     # unit noise, and the Fourier-index blocks lambda_k K^Y + D have
     # eigenvalues 1 + lambda_k mu_p under the same congruence.
     mu, W = channel_basis(emission.task, noise)
-    Rt = resid @ W  # (T, P) decoupled channels
+    Rt = (resid @ W).T  # (P, T) decoupled channels, one per row
 
-    c0 = matern_eval(emission.temporal, np.arange(T, dtype=float))
-    spec = embed_circulant(c0)
-    lam = spec.eigenvalues.real
-    n = spec.size
-
-    denom = 1.0 + lam[:, None] * mu[None, :]  # (n, P) block eigenvalues
+    n = 2 * T - 2
+    m = scipy.fft.next_fast_len(n, real=True)
+    lags = matern_eval(emission.temporal, np.arange(m // 2 + 1, dtype=float))
+    lam_mu = mu[:, None] * _half_spectrum(lags, n)  # (P, n/2 + 1)
+    denom = 1.0 + lam_mu  # block eigenvalues, half spectrum
     if np.any(denom <= SINGULAR_TOL):
-        k_bad, _ = np.unravel_index(int(np.argmin(denom)), denom.shape)
+        _, k_bad = np.unravel_index(int(np.argmin(denom)), denom.shape)
         raise SingularEmbeddingError(
             f"Fourier-index block {k_bad} of the embedding is not positive definite",
             fourier_index=int(k_bad),
         )
 
-    # Accumulated block log-determinant, rescaled to the Toeplitz dimension,
-    # plus the strong Szego second-order constant per decoupled channel.
-    logdet = (T / n) * float(np.sum(np.log(denom))) + T * float(np.sum(np.log(Dn)))
-    coeff = np.fft.ifft(np.log(denom), axis=0).real  # (n, P) spectral log coefficients
-    if n >= 4:
-        m_idx = np.arange(1, n // 2, dtype=float)
-        logdet += float(np.sum(m_idx[:, None] * coeff[1 : n // 2] ** 2))
+    # Accumulated block log-determinant, rescaled to the Toeplitz dimension
+    # (T times the mean log block, coeff[0]), plus the strong Szego
+    # second-order constant per decoupled channel.
+    coeff = np.fft.irfft(np.log(denom), n)  # (P, n) spectral log coefficients
+    logdet = T * float(np.sum(coeff[:, 0])) + T * float(np.sum(np.log(Dn)))
+    logdet += float(np.sum(np.arange(1, n // 2) * coeff[:, 1 : n // 2] ** 2))
 
-    X = _block_preconditioned_cg(spec, mu, denom, Rt)
+    # Any grid of size >= n holds K_T as its leading block; the solve runs on
+    # the fast one unless a block there is not positive.
+    if m > n:
+        lam_mu_m = mu[:, None] * _half_spectrum(lags, m)
+        if np.all(1.0 + lam_mu_m > SINGULAR_TOL):
+            lam_mu = lam_mu_m
+        else:
+            m = n
+    X = _block_preconditioned_cg(m, lam_mu, Rt)
     quad = float(np.sum(Rt * X))
 
     return -0.5 * (quad + logdet + T * P * LOG_2PI)
+
+
+def _half_spectrum(lags, size: int) -> np.ndarray:
+    """Eigenvalues at Fourier indices 0..size//2 of the symmetric circulant
+    of ``size`` whose first row is the kernel's periodic row
+    ``lags[min(k, size - k)]``."""
+    k = np.arange(size)
+    return np.fft.rfft(lags[np.minimum(k, size - k)]).real
 
 
 def _resolve_means(emission, means, T: int, P: int) -> np.ndarray:
@@ -202,48 +226,47 @@ def _resolve_means(emission, means, T: int, P: int) -> np.ndarray:
     return np.broadcast_to(np.asarray(mean, dtype=float), (T, P))
 
 
-def _block_preconditioned_cg(spec, mu, denom, B):
+def _block_preconditioned_cg(m, lam_mu, B):
     """Solve (mu_p K_T + I) x_p = b_p for all channels, exactly via CG.
 
-    Matrix products use the exact FFT Toeplitz path; the preconditioner
-    applies the inverse Fourier-index blocks (1 + lambda_k mu_p). Channels
-    are iterated jointly and frozen once converged.
+    ``B`` holds one channel per row (P x T). ``lam_mu`` holds lambda_k mu_p
+    over the half spectrum of a circulant of size m >= 2T - 2 whose leading
+    T x T block is K_T. Matrix products run through that circulant, which is
+    exact on the zero-padded channels; the preconditioner applies the
+    inverse Fourier-index blocks (1 + lambda_k mu_p). Channels are iterated
+    jointly and frozen once converged.
     """
-    T, P = B.shape
-    n = spec.size
+    P, T = B.shape
 
-    def matvec(V, cols):
-        return toeplitz_matvec(spec, V) * mu[cols] + V
+    def circulant(weights, V):
+        return np.fft.irfft(np.fft.rfft(V, m) * weights, m)[:, :T]
 
-    def precond(V, cols):
-        padded = np.zeros((n, cols.size))
-        padded[:T] = V
-        return np.fft.ifft(np.fft.fft(padded, axis=0) / denom[:, cols], axis=0).real[:T]
-
-    X = np.zeros((T, P))
+    lam, inv = lam_mu, 1.0 / (1.0 + lam_mu)
+    X = np.zeros((P, T))
     active = np.arange(P)
     R = B.copy()
-    bnorm = np.maximum(np.linalg.norm(B, axis=0), 1e-300)
-    Z = precond(R, active)
+    bnorm = np.maximum(np.linalg.norm(B, axis=1), 1e-300)
+    Z = circulant(inv, R)
     Pdir = Z.copy()
-    rz = np.sum(R * Z, axis=0)
+    rz = np.sum(R * Z, axis=1)
     for _ in range(CG_MAXITER):
-        done = np.linalg.norm(R, axis=0) <= CG_RTOL * bnorm[active]
+        done = np.linalg.norm(R, axis=1) <= CG_RTOL * bnorm[active]
         if np.any(done):
             keep = ~done
             if not np.any(keep):
                 return X
             active = active[keep]
-            R, Z, Pdir, rz = R[:, keep], Z[:, keep], Pdir[:, keep], rz[keep]
-        Ap = matvec(Pdir, active)
-        alpha = rz / np.sum(Pdir * Ap, axis=0)
-        X[:, active] += alpha[None, :] * Pdir
-        R = R - alpha[None, :] * Ap
-        Z = precond(R, active)
-        rz_new = np.sum(R * Z, axis=0)
-        Pdir = Z + (rz_new / rz)[None, :] * Pdir
+            R, Z, Pdir, rz = R[keep], Z[keep], Pdir[keep], rz[keep]
+            lam, inv = lam[keep], inv[keep]
+        Ap = circulant(lam, Pdir) + Pdir
+        alpha = rz / np.sum(Pdir * Ap, axis=1)
+        X[active] += alpha[:, None] * Pdir
+        R = R - alpha[:, None] * Ap
+        Z = circulant(inv, R)
+        rz_new = np.sum(R * Z, axis=1)
+        Pdir = Z + (rz_new / rz)[:, None] * Pdir
         rz = rz_new
-    resid = np.linalg.norm(R, axis=0) / bnorm[active]
+    resid = np.linalg.norm(R, axis=1) / bnorm[active]
     if np.max(resid) > 1e-6:
         raise SingularEmbeddingError(
             f"conjugate gradients failed to converge (residual {np.max(resid):.2e})"

@@ -47,7 +47,7 @@ import scipy.special
 
 from .errors import FilterCollapseError, NonFiniteObservationError
 from .gp_predict import joint_conditional
-from .kernels import gaussian_logpdf
+from .kernels import gaussian_logpdf, logsumexp
 from .model import SwitchingGPModel
 from . import statespace
 
@@ -390,7 +390,7 @@ def _absorb(be, pred: Predictives | None, row, mask, time_index, log_evidence=0.
     else:
         weights = _shifted(pred.fresh_logw, pred.cont_logw)
     new_alpha = weights + logdens
-    norm = scipy.special.logsumexp(new_alpha)
+    norm = logsumexp(new_alpha)
     if not np.isfinite(norm):
         why = "no state explains the first observation"
         if pred is not None:
@@ -414,8 +414,8 @@ def step_predictives(state: ForwardState, model: SwitchingGPModel) -> Predictive
     cont_logw = state.log_alpha + tbl.cont_ratio
 
     # Rebirth mass per destination: end hazard pooled over (i, d'), then p_ij.
-    end_mass = scipy.special.logsumexp(state.log_alpha + tbl.hazard, axis=1)  # (A,)
-    fresh_logw = scipy.special.logsumexp(end_mass[:, None] + tbl.log_p, axis=0)
+    end_mass = logsumexp(state.log_alpha + tbl.hazard, axis=1)  # (A,)
+    fresh_logw = logsumexp(end_mass[:, None] + tbl.log_p, axis=0)
 
     cont_mean, cont_cov, cache = be.predict(state.cache, cont_logw)
     return Predictives(
@@ -453,8 +453,8 @@ def map_state(state: ForwardState) -> int:
 
 def state_posterior(state: ForwardState) -> np.ndarray:
     """Filtered distribution over states: p(j) proportional to sum_d alpha(j, d)."""
-    logp = scipy.special.logsumexp(state.log_alpha, axis=1)
-    p = np.exp(logp - scipy.special.logsumexp(logp))
+    logp = logsumexp(state.log_alpha, axis=1)
+    p = np.exp(logp - logsumexp(logp))
     return p / p.sum()
 
 
@@ -478,7 +478,7 @@ def mixture_from_predictives(pred: Predictives, group) -> PredictiveMixture:
     means = np.concatenate([pred.fresh_mean, pred.cont_mean.reshape(-1, P)])[keep]
     covs = np.concatenate([pred.fresh_cov, pred.cont_cov.reshape(-1, P, P)])[keep]
     logw = logw[keep]
-    logw = logw - scipy.special.logsumexp(logw)
+    logw = logw - logsumexp(logw)
     return PredictiveMixture(
         logw, states, means[:, idx], covs[:, idx[:, None], idx], group
     )

@@ -218,3 +218,20 @@ def gaussian_logpdf(diff: np.ndarray, chol: np.ndarray) -> np.ndarray:
     logdet = 2.0 * np.sum(np.log(np.diagonal(chol, axis1=-2, axis2=-1)), axis=-1)
     out = -0.5 * (quad + logdet + diff.shape[-1] * LOG_2PI)
     return out.reshape(lead + out.shape[1:])
+
+
+def logsumexp(a: np.ndarray, axis: int | None = None) -> np.ndarray:
+    """log(sum(exp(a))) over ``axis`` (all entries when None).
+
+    The form of scipy.special.logsumexp, without its per-call dispatch cost:
+    the k maxima are split off and the rest summed relative to them, as
+    log1p(rest / k) + log(k) + max, so exact ties in the inputs stay ties.
+    All--inf input gives -inf, and NaN propagates.
+    """
+    peak = np.max(a, axis=axis, keepdims=True)
+    at_peak = a == peak
+    count = np.sum(at_peak, axis=axis, keepdims=True)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rest = np.sum(np.exp(np.where(at_peak, -np.inf, a - peak)), axis=axis, keepdims=True)
+        out = np.log1p(rest / count) + np.log(count) + peak
+    return np.squeeze(out, axis=axis)[()]

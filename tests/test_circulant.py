@@ -8,9 +8,11 @@ import math
 
 import numpy as np
 import pytest
+import scipy.fft
 import scipy.linalg
 
 import helpers
+from switchgp import circulant, likelihood
 from switchgp.circulant import (
     CirculantSpec,
     circulant_logdet_solve,
@@ -20,7 +22,14 @@ from switchgp.circulant import (
 )
 from switchgp.errors import SingularEmbeddingError
 from switchgp.gp_predict import exact_segment_loglik
-from switchgp.kernels import MaternKernel, matern_eval
+from switchgp.kernels import MaternKernel, NoiseModel, TaskCovariance, matern_eval
+from switchgp.model import (
+    GammaDuration,
+    SegmentedSeries,
+    StateEmission,
+    SwitchingGPModel,
+    TransitionMatrix,
+)
 
 
 def dense_circulant(first_row):
@@ -197,3 +206,69 @@ class TestFastSegmentLoglik:
             gaps.append(abs(fast - exact) / T)
         for a, b in zip(gaps, gaps[1:]):
             assert b <= a * 1.1 + 1e-12
+
+
+def quadratic_gap(score, emission, noise, values):
+    """score(values) - score(mean): the log-determinant cancels, leaving
+    minus half the quadratic form of the residuals."""
+    at_mean = np.broadcast_to(np.asarray(emission.mean, float), values.shape)
+    return score(emission, noise, values) - score(emission, noise, at_mean)
+
+
+class TestSolveGrids:
+    """The log-determinant is the minimal embedding's (n = 2T - 2); the
+    quadratic form is solved exactly on a 5-smooth grid m >= n, or on n
+    where the m-grid has a block that is not positive."""
+
+    @pytest.mark.parametrize("T", [24, 192, 384])
+    def test_exact_quadratic_form_off_the_minimal_grid(self, T):
+        n = 2 * T - 2
+        assert scipy.fft.next_fast_len(n, real=True) > n  # n is not 5-smooth
+        model = helpers.random_model(A=1, P=3, seed=T, lengthscale=T / 12.0)
+        e = model.emissions[0]
+        values = e.mean + np.random.default_rng(T).normal(size=(T, 3))
+        fast = quadratic_gap(fast_segment_loglik, e, model.noise, values)
+        exact = quadratic_gap(exact_segment_loglik, e, model.noise, values)
+        assert fast == pytest.approx(exact, rel=1e-9)
+
+    def test_indefinite_fast_grid_stays_on_the_fft_path(self, monkeypatch):
+        # nu = 5/2, lengthscale 100 and mu = 10 over T = 24 rows: every block
+        # of the minimal embedding (n = 46) is positive, but the kernel's
+        # periodic row on the 5-smooth grid m = 48 has a negative one
+        T, mu = 24, 10.0
+        kernel = MaternKernel(1.0, 100.0, 2.5)
+        lags = matern_eval(kernel, np.arange(T, dtype=float))
+        periodic = matern_eval(kernel, np.minimum(np.arange(48), 48 - np.arange(48)).astype(float))
+        assert np.linalg.eigvalsh(dense_circulant(embed_circulant(lags).first_row)).min() * mu > -1
+        assert np.linalg.eigvalsh(dense_circulant(periodic)).min() * mu < -1
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("dense fallback")
+
+        monkeypatch.setattr(likelihood, "segment_emission_loglik", refuse)
+        # conjugate gradients needs a positive-definite preconditioner
+        solve, least_block = circulant._block_preconditioned_cg, []
+
+        def checked(m, lam_mu, B):
+            least_block.append(float(np.min(1.0 + lam_mu)))
+            return solve(m, lam_mu, B)
+
+        monkeypatch.setattr(circulant, "_block_preconditioned_cg", checked)
+        e = StateEmission(np.array([0.5]), kernel, TaskCovariance(np.eye(1)))
+        model = SwitchingGPModel(
+            durations=[GammaDuration(2.0, 2.0)],
+            transitions=TransitionMatrix(np.zeros((1, 1))),
+            emissions=[e],
+            noise=NoiseModel(np.array([1.0 / mu])),
+            duration_cap=T,
+        )
+
+        def fft_loglik(emission, noise, values):
+            seg = SegmentedSeries(values, labels=np.ones(T, dtype=int))
+            return -likelihood.negative_loglik(model, [seg], use_fft=True)
+
+        values = e.mean + np.random.default_rng(5).normal(size=(T, 1))
+        fast = quadratic_gap(fft_loglik, e, model.noise, values)
+        exact = quadratic_gap(exact_segment_loglik, e, model.noise, values)
+        assert fast == pytest.approx(exact, rel=1e-9)
+        assert least_block and min(least_block) > 0

@@ -8,6 +8,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -20,6 +21,7 @@ from switchgp.kernels import (
     add_jitter,
     chol_or_raise,
     gram_matrix,
+    logsumexp,
     matern_eval,
     matern_grad,
     task_cov_assemble,
@@ -172,3 +174,26 @@ class TestJitterAndFactorization:
         with pytest.raises(NonPositiveDefiniteError) as info:
             chol_or_raise(bad, "test", state=3)
         assert info.value.state == 3
+
+
+class TestLogsumexp:
+    @pytest.mark.parametrize("axis", [None, 0, 1])
+    def test_matches_scipy_with_vanished_entries(self, axis):
+        rng = np.random.default_rng(7)
+        a = rng.normal(scale=30.0, size=(5, 40))
+        a[rng.random(a.shape) < 0.3] = -np.inf
+        a[2] = -np.inf  # an all--inf row
+        a[:, 3] = -np.inf  # and column
+        got = logsumexp(a, axis=axis)
+        want = scipy.special.logsumexp(a, axis=axis)
+        assert np.shape(got) == np.shape(want)
+        np.testing.assert_allclose(got, want, rtol=1e-14)
+
+    def test_all_vanished_input_gives_minus_infinity(self):
+        assert logsumexp(np.full(4, -np.inf)) == -np.inf
+
+    def test_nan_propagates(self):
+        a = np.array([[0.0, np.nan, -np.inf], [1.0, 2.0, 3.0]])
+        assert np.isnan(logsumexp(a))
+        got = logsumexp(a, axis=1)
+        assert np.isnan(got[0]) and got[1] == pytest.approx(scipy.special.logsumexp(a[1]))
