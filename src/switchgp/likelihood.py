@@ -3,17 +3,25 @@
 The emission covariance of one segment factorizes through the congruence
 W^T D W = I, W^T K^Y W = diag(mu) (generalized eigendecomposition of the task
 covariance against the noise): transformed channels are independent GPs with
-kernel mu_p * k_T plus unit noise. The dense path exploits this to score and
-differentiate per-channel with T x T temporal eigendecompositions instead of
-TP x TP factorizations; it is exact, not an approximation.
+kernel mu_p * k_T plus unit noise, so channel p of a length-T segment has
+covariance A_p = mu_p K_T + I. The dense path is exact, not an approximation:
+each state factors A_p once per channel on the grid of its longest segment
+(Tmax points), and since the Cholesky factor and its inverse are triangular,
+their leading T x T blocks serve every shorter segment (`_state_nll`). With
+gradients that is about P Tmax^3 flops per state however many segments and
+distinct lengths the state has, where a T x T eigendecomposition per
+distinct length would cost several T^3 each. It favours training data, in
+which a state holds many label runs of differing lengths, and loses on a
+state whose only segment is very long.
 
 Gradients are with respect to log(variance), log(lengthscale), raw
 lower-triangular task entries with log-diagonal, and log noise variances,
 matching the unconstrained optimizer parameterization in `fit`.
 
-Both paths walk the segments of `collect_segments`: fully observed groups in
-(state, length) order, then partially observed segments in data order, so the
-total is deterministic for a fixed ordering.
+Both paths walk the segments of `collect_segments`: the fully observed
+segments of each state in state order, shortest first, then partially
+observed segments in data order, so the total is deterministic for a fixed
+ordering.
 """
 
 from __future__ import annotations
@@ -22,13 +30,13 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.lapack import dlauum, dpotrf, dtrtri
 
 from .circulant import fast_segment_loglik
 from .errors import InsufficientDataError, NonPositiveDefiniteError, SingularEmbeddingError
 from .gp_predict import segment_emission_loglik
 from .kernels import (
     LOG_2PI,
-    MaternKernel,
     channel_basis,
     matern_eval,
     matern_grad,
@@ -36,14 +44,10 @@ from .kernels import (
 )
 from .model import SwitchingGPModel, segment_series
 
-
-@dataclass
-class _Group:
-    """Fully observed segments of one state sharing a common length."""
-
-    state: int
-    length: int
-    resids: np.ndarray  # (n_seg, T, P)
+# Entries of one chunk's (c, Tmax, Tmax) stack of prefix factors, c channels
+# at a time: a state with one long segment holds O(Tmax^2) working memory
+# whatever its channel count, and at Tmax <= 80 ten channels share a chunk.
+FACTOR_CHUNK_ELEMENTS = 2**16
 
 
 @dataclass
@@ -54,8 +58,13 @@ class _MaskedSegment:
 
 
 def collect_segments(model: SwitchingGPModel, data):
-    """Group labeled segments by (state, length); partial masks kept separate."""
-    groups = {}
+    """Residuals of fully observed segments by state; partial masks kept separate.
+
+    Returns ``(full, masked)``. ``full`` maps each state (0-based, in order)
+    to the residual windows (T, P) of its fully observed segments, shortest
+    first and in data order among equal lengths.
+    """
+    full = {}
     masked = []
     for series in data:
         if series.labels is None:
@@ -67,46 +76,97 @@ def collect_segments(model: SwitchingGPModel, data):
             vals = series.observations[start : start + dur]
             m = series.mask[start : start + dur]
             if np.all(m):
-                resid = vals - model.emissions[j].mean[None, :]
-                groups.setdefault((j, dur), []).append(resid)
+                full.setdefault(j, []).append(vals - model.emissions[j].mean[None, :])
             else:
                 masked.append(_MaskedSegment(j, vals, m))
-    out = [
-        _Group(state=j, length=T, resids=np.stack(rs))
-        for (j, T), rs in sorted(groups.items())
-    ]
-    return out, masked
+    return {j: sorted(full[j], key=len) for j in sorted(full)}, masked
 
 
-def _temporal_eig(kernel: MaternKernel, length: int):
-    """Lags and eigendecomposition of the temporal Gram matrix on grid 0..length-1."""
-    lags = np.abs(np.subtract.outer(np.arange(length, dtype=float), np.arange(length, dtype=float)))
-    S, U = np.linalg.eigh(matern_eval(kernel, lags))
-    return lags, S, U
+def _state_nll(model: SwitchingGPModel, j: int, resids, gradients: bool = False):
+    """Exact dense NLL of the fully observed segments ``resids`` of state ``j``.
 
+    Each channel p of the state's basis (mu, W) is factored once on the
+    grid 0..Tmax-1: A_p = mu_p K + I = C_p C_p^T, Li_p = C_p^-1. With the
+    rotated residuals r zero-padded to Tmax, z = Li_p r cut to each
+    segment's rows gives the quadratic form, and with w_k the number of
+    segments longer than k, sum_i log det A_{T_i} = 2 sum_k w_k log C_kk.
 
-def _group_value(model: SwitchingGPModel, group: _Group, mu, W):
-    """Exact dense NLL of all segments in a (state, length) group.
-
-    ``mu, W`` is the state's channel basis. Returns the value with the pieces
-    the gradients reuse: lags, temporal eigenpairs ``S, U``, the inverse
-    channel variances ``ginv`` (T, P) and the residuals ``Rh`` rotated into
-    both eigenbases (n, T, P).
+    Returns ``(value, grads)``. ``grads`` is None unless ``gradients`` is
+    set; then it holds the ``temporal``, ``task`` and ``noise`` blocks of
+    `_masked_nll_and_grads`, summed over the segments.
     """
-    j, T, R = group.state, group.length, group.resids
-    lags, S, U = _temporal_eig(model.emissions[j].temporal, T)
-    scaled = mu[None, :] * S[:, None] + 1.0  # (T, P) entries mu_p S_t + 1
-    if np.any(scaled <= 0):
-        raise NonPositiveDefiniteError(
-            f"emission covariance not positive definite for state {j + 1}", state=j
-        )
-    ginv = 1.0 / scaled
-    Rh = np.einsum("tu,ntp->nup", U, R @ W)
-    quad = np.sum(Rh**2 * ginv[None, :, :])
+    e = model.emissions[j]
+    P = model.num_features
     Dn = model.noise.per_feature_variance
-    logdet = float(np.sum(np.log(scaled))) + T * float(np.sum(np.log(Dn)))
-    value = 0.5 * (quad + R.shape[0] * (logdet + T * model.num_features * LOG_2PI))
-    return value, lags, S, U, ginv, Rh
+    mu, W = channel_basis(e.task, model.noise, j)
+    lengths = np.array([len(r) for r in resids])
+    T = int(lengths.max())
+    R = np.zeros((P, T, len(resids)))  # rotated residuals, zero past each end
+    for i, r in enumerate(resids):
+        R[:, : len(r), i] = (r @ W).T
+    inside = np.arange(T)[:, None] < lengths[None, :]  # (T, n)
+    w = inside.sum(axis=1).astype(float)  # segments longer than k
+    k_row, dk_row = matern_grad(e.temporal, np.arange(T, dtype=float))
+    # Kernel values under eps^2 of the variance are dropped. That moves A_p
+    # by less than rounding does even at condition number 1/eps, and keeps
+    # the factorization out of subnormal arithmetic, which made factoring a
+    # segment of a thousand rows about three times slower.
+    tail = k_row < np.finfo(float).eps ** 2 * k_row[0]
+    K = scipy.linalg.toeplitz(np.where(tail, 0.0, k_row))
+    if gradients:
+        dK = scipy.linalg.toeplitz(np.where(tail, 0.0, dk_row))
+        sqrt_w = np.sqrt(w)[:, None]
+        alpha = np.empty_like(R)  # A_{T_i}^-1 r, exactly zero past each end
+        traces = np.empty((3, P))  # sum_i tr(A_{T_i}^-1 X) for X = I, K, dK
+    eye = np.eye(T)
+    quad = logdet = 0.0
+    step = max(1, FACTOR_CHUNK_ELEMENTS // (T * T))
+    for lo in range(0, P, step):
+        sl = slice(lo, min(lo + step, P))
+        Li = np.empty((sl.stop - lo, T, T))
+        for k, m in enumerate(mu[sl]):
+            C, info = dpotrf(m * K + eye, lower=1, clean=1)
+            if info == 0:
+                logdet += 2.0 * float(w @ np.log(np.diag(C)))
+                Li[k], info = dtrtri(C, lower=1)
+            if info != 0:
+                raise NonPositiveDefiniteError(
+                    f"emission covariance not positive definite for state {j + 1}", state=j
+                )
+        z = (Li @ R[sl]) * inside
+        quad += float(np.sum(z**2))
+        if gradients:
+            alpha[sl] = np.swapaxes(Li, 1, 2) @ z
+            # sum_i tr(A_{T_i}^-1 X) = sum_k w_k (Li X Li^T)_kk = <X, B> with
+            # B = Li^T diag(w) Li. dlauum forms the lower triangle of B, so
+            # <X, B> = 2 <X, tril B> - X_00 tr B for symmetric Toeplitz X.
+            B = np.stack([dlauum(sqrt_w * L, lower=1)[0] for L in Li])
+            tr_B = np.einsum("ckk->c", B)
+            traces[0, sl] = tr_B
+            for row, X in zip(traces[1:], (K, dK)):
+                row[sl] = 2.0 * (B.reshape(len(B), -1) @ X.ravel()) - X[0, 0] * tr_B
+    rows = int(lengths.sum())
+    value = 0.5 * (quad + logdet + rows * (float(np.sum(np.log(Dn))) + P * LOG_2PI))
+    if not gradients:
+        return value, None
+
+    tr_I, tr_K, tr_dK = traces
+    Ka, dKa = K @ alpha, dK @ alpha
+    # Temporal: dNLL = 0.5 sum_p mu_p [sum_i tr(A^-1 dK) - alpha^T dK alpha],
+    # where dK/dlog(variance) = K.
+    grad_t = 0.5 * np.array(
+        [
+            mu @ (tr_K - np.einsum("pti,pti->p", alpha, Ka)),
+            mu @ (tr_dK - np.einsum("pti,pti->p", alpha, dKa)),
+        ]
+    )
+    # Task: dNLL/dL = W (diag(tr_K) - C2) W^T L, C2_pq = sum_i alpha_p^T K alpha_q.
+    C2 = np.einsum("pti,qti->pq", alpha, Ka)
+    grad_task = W @ (np.diag(tr_K) - C2) @ W.T @ e.task.cholesky_factor
+    # Noise: dNLL/dlog sigma_p^2 = 0.5 sigma_p^2 [W (diag(tr_I) - G3) W^T]_pp.
+    G3 = np.einsum("pti,qti->pq", alpha, alpha)
+    grad_noise = 0.5 * Dn * np.sum((W @ (np.diag(tr_I) - G3)) * W, axis=1)
+    return value, {"temporal": grad_t, "task": grad_task, "noise": grad_noise}
 
 
 def negative_loglik(model: SwitchingGPModel, data, use_fft: bool = False) -> float:
@@ -117,17 +177,17 @@ def negative_loglik(model: SwitchingGPModel, data, use_fft: bool = False) -> flo
     representable there); a structurally singular embedding falls back to the
     dense path for that segment.
     """
-    groups, masked = collect_segments(model, data)
+    full, masked = collect_segments(model, data)
     if use_fft and masked:
         raise InsufficientDataError("the FFT likelihood path requires fully observed segments")
     zero = np.zeros(model.num_features)
     total = 0.0
-    for g in groups:
-        e = model.emissions[g.state]
+    for j, resids in full.items():
         if not use_fft:
-            total += _group_value(model, g, *channel_basis(e.task, model.noise, g.state))[0]
+            total += _state_nll(model, j, resids)[0]
             continue
-        for resid in g.resids:
+        e = model.emissions[j]
+        for resid in resids:
             try:
                 ll = fast_segment_loglik(e, model.noise, resid, means=zero)
             except SingularEmbeddingError:
@@ -157,59 +217,19 @@ class GradientAccumulator:
 def nll_and_gradients(model: SwitchingGPModel, data):
     """Exact dense NLL and its gradient pieces for every parameter block."""
     A, P = model.num_states, model.num_features
-    Dn = model.noise.per_feature_variance
-    groups, masked = collect_segments(model, data)
+    full, masked = collect_segments(model, data)
+    terms = [(j, *_state_nll(model, j, resids, gradients=True)) for j, resids in full.items()]
+    terms += [(seg.state, *_masked_nll_and_grads(model, seg)) for seg in masked]
 
     total = 0.0
     d_temporal = np.zeros((A, 2))
-    n_task = 1 if model.shared_task else A
-    task_acc = [np.zeros((P, P)) for _ in range(n_task)]
-    noise_by_state = [np.zeros((P, P)) for _ in range(A)]
-
-    basis = {}
-    for g in groups:
-        j, n = g.state, g.resids.shape[0]
-        if j not in basis:
-            basis[j] = channel_basis(model.emissions[j].task, model.noise, j)
-        mu, W = basis[j]
-        value, lags, S, U, ginv, Rh = _group_value(model, g, mu, W)
-        total += value
-
-        GR = Rh * ginv[None, :, :]  # per-channel solves in the temporal eigenbasis
-        At = np.einsum("tu,nup->ntp", U, GR)
-
-        # Temporal parameters: dNLL = 0.5 <dK_T, n * Hmat - sum mu_p At_p At_p^T>.
-        hd = (mu[None, :] * ginv).sum(axis=1)  # (T,)
-        Hmat = (U * hd[None, :]) @ U.T
-        Gt = n * Hmat - np.einsum("ntp,nsp,p->ts", At, At, mu)
-        dK_var, dK_len = matern_grad(model.emissions[j].temporal, lags)
-        d_temporal[j, 0] += 0.5 * float(np.sum(dK_var * Gt))
-        d_temporal[j, 1] += 0.5 * float(np.sum(dK_len * Gt))
-
-        # Task parameters: dNLL/dL = (W diag(tau) W^T - W C2 W^T) L.
-        tau = (S[:, None] * ginv).sum(axis=0)  # (P,)
-        V = np.einsum("tu,nup->ntp", U, S[:, None] * GR)  # K_T @ At
-        C2 = np.einsum("ntp,ntq->pq", At, V)
-        Gy = (W * (n * tau)[None, :]) @ W.T - W @ C2 @ W.T
-        Lmat = model.emissions[j].task.cholesky_factor
-        task_acc[0 if model.shared_task else j] += Gy @ Lmat
-
-        # Noise: dNLL/dlog sigma_p^2 = 0.5 sigma_p^2 [W diag(nu) W^T - W G3 W^T]_pp.
-        nu = ginv.sum(axis=0)  # (P,)
-        G3 = np.einsum("ntp,ntq->pq", At, At)
-        noise_by_state[j] += (W * (n * nu)[None, :]) @ W.T - W @ G3 @ W.T
-
-    noise_grad = 0.5 * Dn * np.array(
-        [sum(noise_by_state[j][p, p] for j in range(A)) for p in range(P)]
-    )
-
-    for seg in masked:
-        val, grads = _masked_nll_and_grads(model, seg)
+    task_acc = [np.zeros((P, P)) for _ in range(1 if model.shared_task else A)]
+    noise_grad = np.zeros(P)
+    for j, val, grads in terms:
         total += val
-        d_temporal[seg.state] += grads["temporal"]
-        task_acc[0 if model.shared_task else seg.state] += grads["task"]
+        d_temporal[j] += grads["temporal"]
+        task_acc[0 if model.shared_task else j] += grads["task"]
         noise_grad += grads["noise"]
-
     return total, GradientAccumulator(temporal=d_temporal, task=task_acc, noise=noise_grad)
 
 

@@ -8,8 +8,9 @@ import pytest
 
 import helpers
 import oracles
+from switchgp import likelihood
 from switchgp.data import generate_synthetic
-from switchgp.errors import InsufficientDataError
+from switchgp.errors import InsufficientDataError, NonPositiveDefiniteError
 from switchgp.fit import FitConfig, _Packing
 from switchgp.kernels import MaternKernel, NoiseModel, TaskCovariance
 from switchgp.likelihood import negative_loglik, nll_and_gradients
@@ -192,3 +193,118 @@ class TestGradients:
         fd = oracles.central_difference(objective, x0, eps=1e-5)
         scale = np.maximum(np.abs(fd), 1.0)
         assert np.max(np.abs(analytic - fd) / scale) < 1e-4
+
+
+# (state, length, masked) blocks: state 1 holds fully observed segments of
+# lengths 1, 2, 7, 7 and 13, with masked segments of both states between them.
+PREFIX_BLOCKS = [
+    (1, 7, False),
+    (2, 3, True),
+    (1, 1, False),
+    (2, 4, False),
+    (1, 13, False),
+    (1, 5, True),
+    (2, 6, False),
+    (1, 2, False),
+    (2, 2, True),
+    (1, 7, False),
+    (2, 4, False),
+]
+
+
+def prefix_series(P, seed):
+    rng = np.random.default_rng(seed)
+    labels = np.concatenate([np.full(n, state) for state, n, _ in PREFIX_BLOCKS])
+    mask = np.ones((len(labels), P), dtype=bool)
+    start = 0
+    for _, n, masked in PREFIX_BLOCKS:
+        if masked:
+            mask[start : start + n] = rng.uniform(size=(n, P)) < 0.6
+            mask[start, 0] = False  # at least one hole in the segment
+        start += n
+    return labeled(rng.normal(size=(len(labels), P)), labels, mask=mask)
+
+
+def prefix_model(smoothness, shared_task, P=3, seed=21):
+    model = helpers.random_model(A=2, P=P, cap=13, seed=seed)
+    emissions = [
+        replace(e, temporal=replace(e.temporal, smoothness=smoothness)) for e in model.emissions
+    ]
+    if shared_task:
+        emissions = [replace(e, task=emissions[0].task) for e in emissions]
+    return replace(model, emissions=tuple(emissions), shared_task=shared_task)
+
+
+def entry_level_nll_and_gradients(model, data):
+    """Sum of the entry-level masked-segment terms over every labeled segment,
+    with an all-True mask on the fully observed ones."""
+    total = 0.0
+    temporal = np.zeros((model.num_states, 2))
+    task = np.zeros((1 if model.shared_task else model.num_states,) + (model.num_features,) * 2)
+    noise = np.zeros(model.num_features)
+    for series in data:
+        for state, start, dur in oracles.run_lengths(series.labels):
+            j = state - 1
+            seg = likelihood._MaskedSegment(
+                j, series.observations[start : start + dur], series.mask[start : start + dur]
+            )
+            val, grads = likelihood._masked_nll_and_grads(model, seg)
+            total += val
+            temporal[j] += grads["temporal"]
+            task[0 if model.shared_task else j] += grads["task"]
+            noise += grads["noise"]
+    return total, temporal, task, noise
+
+
+def assert_blocks_close(got, want, rel):
+    value, acc = got
+    assert abs(value - want[0]) <= rel * abs(want[0])
+    for g, w in zip((acc.temporal, np.array(acc.task), acc.noise), want[1:]):
+        assert np.max(np.abs(g - w)) <= rel * np.max(np.abs(w))
+
+
+class TestPrefixFactors:
+    """Every fully observed segment of a state reads its terms off one
+    Cholesky factor per channel on the state's longest segment."""
+
+    @pytest.mark.parametrize("smoothness", [0.5, 1.5, 2.5])
+    @pytest.mark.parametrize("shared_task", [False, True])
+    def test_matches_entry_level_oracle(self, smoothness, shared_task):
+        model = prefix_model(smoothness, shared_task)
+        data = [prefix_series(model.num_features, seed=3)]
+        want = entry_level_nll_and_gradients(model, data)
+        assert_blocks_close(nll_and_gradients(model, data), want, 1e-10)
+        assert negative_loglik(model, data) == pytest.approx(want[0], rel=1e-10)
+
+    def test_one_channel_chunks_agree_with_default(self, monkeypatch):
+        model = prefix_model(1.5, False, P=4)
+        data = [prefix_series(model.num_features, seed=5)]
+        value, acc = nll_and_gradients(model, data)
+        want = (value, acc.temporal, np.array(acc.task), acc.noise)
+        dense = negative_loglik(model, data)
+        monkeypatch.setattr(likelihood, "FACTOR_CHUNK_ELEMENTS", 1)
+        assert_blocks_close(nll_and_gradients(model, data), want, 1e-12)
+        assert negative_loglik(model, data) == pytest.approx(dense, rel=1e-12)
+
+    @pytest.mark.parametrize("use_gradients", [False, True])
+    def test_failed_factorization_names_the_state(self, monkeypatch, use_gradients):
+        model = prefix_model(1.5, False)
+        P = model.num_features
+        data = [prefix_series(P, seed=7)]
+        calls = []
+        factor = likelihood.dpotrf
+
+        def failing(a, **kwargs):
+            calls.append(a.shape)
+            c, info = factor(a, **kwargs)
+            # the third channel of the second state is not positive definite
+            return c, (1 if len(calls) == P + 3 else info)
+
+        monkeypatch.setattr(likelihood, "dpotrf", failing)
+        with pytest.raises(NonPositiveDefiniteError) as err:
+            if use_gradients:
+                nll_and_gradients(model, data)
+            else:
+                negative_loglik(model, data)
+        assert err.value.state == 1
+        assert len(calls) == P + 3
