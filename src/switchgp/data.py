@@ -190,16 +190,13 @@ def fit_pca(features, num_components: int = DEFAULT_NUM_COMPONENTS) -> PcaProjec
     return PcaProjection(comps, means, explained)
 
 
-def apply_pca(proj: PcaProjection, features, whiten: bool = False) -> np.ndarray:
-    """Project rows onto the components; optionally scale to unit variance."""
+def apply_pca(proj: PcaProjection, features) -> np.ndarray:
+    """Project rows onto the components, scaled to unit training variance."""
     X = np.asarray(features, dtype=float)
-    scores = (X - proj.feature_means) @ proj.component_matrix.T
-    if whiten:
-        ev = proj.explained_variance
-        if np.any(ev <= 0):
-            raise ValueError("cannot whiten with non-positive explained variance")
-        scores = scores / np.sqrt(ev)
-    return scores
+    ev = proj.explained_variance
+    if np.any(ev <= 0):
+        raise ValueError("cannot whiten with non-positive explained variance")
+    return (X - proj.feature_means) @ proj.component_matrix.T / np.sqrt(ev)
 
 
 def generate_synthetic(model: SwitchingGPModel, num_steps: int, seed=0) -> SegmentedSeries:

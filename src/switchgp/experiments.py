@@ -78,7 +78,7 @@ def prepare_series(model: SwitchingGPModel, series_list) -> list:
     proj = PcaProjection.from_dict(model.pca)
     out = []
     for s in series_list:
-        scores = apply_pca(proj, s.observations, whiten=True)
+        scores = apply_pca(proj, s.observations)
         mask = np.repeat(np.all(s.mask, axis=1, keepdims=True), scores.shape[1], axis=1)
         out.append(replace(s, observations=scores, mask=mask))
     return out

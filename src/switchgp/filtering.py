@@ -14,10 +14,10 @@ buffered in-segment window under each hypothesis. Two interchangeable
 backends compute them: the exact Kalman recursion of `statespace` (constant
 per step, the default) and dense Gaussian conditioning on the window
 (grid-agnostic, cubic in window length, kept as the test oracle). They agree
-to floating-point accuracy on the uniform grid. The Kalman backend runs
-hypotheses whose segment saw only fully observed rows from a per-state
-covariance table indexed by elapsed duration, in decoupled channels, and
-the others on the joint recursion; the rows' masks alone pick the path.
+to floating-point accuracy on the uniform grid. The Kalman backend hands
+each state's hypotheses to `statespace` as one slot set per state;
+`statespace` decides, from the rows' masks alone, which of them read their
+covariances off the state's table indexed by elapsed duration.
 
 A backend owns an opaque cache and offers two methods. ``predict(cache,
 cont_logw)`` returns the continuing one-step conditionals plus the cache
@@ -40,7 +40,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 import scipy.special
@@ -177,30 +176,17 @@ class Predictives:
         return mixture_from_predictives(self, range(self.fresh_mean.shape[-1]))
 
 
-class _Slots(NamedTuple):
-    """Kalman moments of one state's reached hypotheses, slot d-1 for d = 1..r.
-
-    The first ``clean`` slots are clean: slot i absorbed i+1 fully observed
-    rows, and its covariance is that entry of the state's table. ``covs``
-    holds the joint covariances of the other slots.
-    """
-
-    means: np.ndarray  # (r, n)
-    clean: int
-    covs: np.ndarray  # (r - clean, n, n)
-
-
 class KalmanBackend:
     """Constant-cost-per-row emission backend (exact on the uniform grid).
 
-    The cache holds one `_Slots` per state. A fully observed row advances
-    each state's clean count by one (up to the duration cap); a row with a
-    missing feature resets it to zero. Clean slots run the decoupled path of
-    `statespace`, on covariances from a per-state `statespace.CovarianceTable`
-    that grows one entry per step the first time a stream reaches each
-    duration; the other slots run the joint path. Slots the stream has not
-    reached yet hold no moments, and their predictives are placeholders and
-    their log-densities 0.
+    The cache holds one `statespace.Slots` per state, and each row costs one
+    `statespace` call per state and stage; `statespace.update` decides which
+    slots read their covariances from the state's
+    `statespace.CovarianceTable`, which grows one entry per step the first
+    time a stream reaches each duration. Slots the stream has not reached
+    yet hold no moments, and their predictives are placeholders and their
+    log-densities 0. A fresh segment's law is the emission mean and entry 0
+    of the table.
     """
 
     def __init__(self, model: SwitchingGPModel):
@@ -209,13 +195,9 @@ class KalmanBackend:
         self.spaces = [
             statespace.build_statespace(e, model.noise) for e in model.emissions
         ]
-        self.covariances = [statespace.CovarianceTable(ss, model.noise) for ss in self.spaces]
-        fresh = [
-            statespace.stationary_observation(ss, e.mean, model.noise)
-            for ss, e in zip(self.spaces, model.emissions)
-        ]
-        self.fresh_mean = np.stack([m for m, _ in fresh])
-        self.fresh_cov = np.stack([c for _, c in fresh])
+        self.covariances = [statespace.CovarianceTable(ss) for ss in self.spaces]
+        self.fresh_mean = np.stack([ss.mean for ss in self.spaces])
+        self.fresh_cov = np.stack([tab.rows("ycov", 0, 1)[0] for tab in self.covariances])
 
     def predict(self, cache, cont_logw):
         model = self.model
@@ -223,25 +205,14 @@ class KalmanBackend:
         cont_mean = np.empty((A, D, P))
         cont_cov = np.empty((A, D, P, P))
         pred_cache = []
-        for j, (ss, e, slots) in enumerate(zip(self.spaces, model.emissions, cache)):
-            clean, r = slots.clean, slots.means.shape[0]
-            pm = np.empty(slots.means.shape)
-            pc = slots.covs
-            batches = (
-                (0, clean, statespace.TableCovs(self.covariances[j], 1, clean + 1)),
-                (clean, r, slots.covs),
+        for j, (ss, tab, slots) in enumerate(zip(self.spaces, self.covariances, cache)):
+            slots = statespace.predict(ss, slots)
+            r = slots.means.shape[0]
+            cont_mean[j, :r], cont_cov[j, :r] = statespace.observation_conditionals(
+                ss, tab, slots
             )
-            for lo, hi, covs in batches:
-                if hi == lo:
-                    continue
-                pm[lo:hi], covs = statespace.predict(ss, slots.means[lo:hi], covs)
-                cont_mean[j, lo:hi], cont_cov[j, lo:hi] = statespace.observation_conditionals(
-                    ss, e.mean, model.noise, pm[lo:hi], covs
-                )
-                if lo == clean:
-                    pc = covs
             cont_mean[j, r:], cont_cov[j, r:] = self.fresh_mean[j], self.fresh_cov[j]
-            pred_cache.append(_Slots(pm, clean, pc))
+            pred_cache.append(slots)
         return cont_mean, cont_cov, tuple(pred_cache)
 
     def update(self, pred, row, mask):
@@ -249,29 +220,11 @@ class KalmanBackend:
         D = model.duration_cap
         logdens = np.zeros((model.num_states, D))
         cache = []
-        for j, (ss, e) in enumerate(zip(self.spaces, model.emissions)):
-            n = ss.A.shape[0]
-            slots = _Slots(np.zeros((0, n)), 0, np.zeros((0, n, n)))
-            if pred is not None:
-                slots = pred.cache[j]
-            # A fresh segment (no rows absorbed) joins the clean slots in
-            # front; the slot that would pass the cap drops off the end.
-            clean = slots.clean + 1
-            means = np.vstack([np.zeros((1, n)), slots.means])[:D]
-            covs = slots.covs[: max(D - clean, 0)]
-            clean = min(clean, D)
-            um, uc, logdens[j, :clean] = statespace.update(
-                ss, e.mean, model.noise, means[:clean],
-                statespace.TableCovs(self.covariances[j], 0, clean), row, mask,
-            )
-            if covs.shape[0]:
-                dm, dc, logdens[j, clean : means.shape[0]] = statespace.update(
-                    ss, e.mean, model.noise, means[clean:], covs, row, mask
-                )
-                um, covs = np.vstack([um, dm]), dc
-            if not isinstance(uc, statespace.TableCovs):
-                clean, covs = 0, np.concatenate([uc, covs])
-            cache.append(_Slots(um, clean, covs))
+        for j, (ss, tab) in enumerate(zip(self.spaces, self.covariances)):
+            slots = None if pred is None else pred.cache[j]
+            slots, ld = statespace.update(ss, tab, slots, row, mask, D)
+            logdens[j, : ld.shape[0]] = ld
+            cache.append(slots)
         return tuple(cache), logdens
 
 

@@ -82,14 +82,28 @@ def collect_segments(model: SwitchingGPModel, data):
     return {j: sorted(full[j], key=len) for j in sorted(full)}, masked
 
 
-def _state_nll(model: SwitchingGPModel, j: int, resids, gradients: bool = False):
+def _channel_bases(model: SwitchingGPModel, states) -> dict:
+    """The channel basis (mu, W) of each of ``states``, with one generalized
+    eigendecomposition per task factor: states that share a factor, as every
+    state does under ``shared_task``, share its basis."""
+    by_task, bases = {}, {}
+    for j in states:
+        task = model.emissions[j].task
+        if id(task) not in by_task:
+            by_task[id(task)] = channel_basis(task, model.noise, j)
+        bases[j] = by_task[id(task)]
+    return bases
+
+
+def _state_nll(model: SwitchingGPModel, j: int, resids, basis, gradients: bool = False):
     """Exact dense NLL of the fully observed segments ``resids`` of state ``j``.
 
-    Each channel p of the state's basis (mu, W) is factored once on the
-    grid 0..Tmax-1: A_p = mu_p K + I = C_p C_p^T, Li_p = C_p^-1. With the
-    rotated residuals r zero-padded to Tmax, z = Li_p r cut to each
-    segment's rows gives the quadratic form, and with w_k the number of
-    segments longer than k, sum_i log det A_{T_i} = 2 sum_k w_k log C_kk.
+    Each channel p of the state's channel basis ``basis`` = (mu, W) is
+    factored once on the grid 0..Tmax-1: A_p = mu_p K + I = C_p C_p^T,
+    Li_p = C_p^-1. With the rotated residuals r zero-padded to Tmax,
+    z = Li_p r cut to each segment's rows gives the quadratic form, and
+    with w_k the number of segments longer than k,
+    sum_i log det A_{T_i} = 2 sum_k w_k log C_kk.
 
     Returns ``(value, grads)``. ``grads`` is None unless ``gradients`` is
     set; then it holds the ``temporal``, ``task`` and ``noise`` blocks of
@@ -98,7 +112,7 @@ def _state_nll(model: SwitchingGPModel, j: int, resids, gradients: bool = False)
     e = model.emissions[j]
     P = model.num_features
     Dn = model.noise.per_feature_variance
-    mu, W = channel_basis(e.task, model.noise, j)
+    mu, W = basis
     lengths = np.array([len(r) for r in resids])
     T = int(lengths.max())
     R = np.zeros((P, T, len(resids)))  # rotated residuals, zero past each end
@@ -181,10 +195,11 @@ def negative_loglik(model: SwitchingGPModel, data, use_fft: bool = False) -> flo
     if use_fft and masked:
         raise InsufficientDataError("the FFT likelihood path requires fully observed segments")
     zero = np.zeros(model.num_features)
+    bases = {} if use_fft else _channel_bases(model, full)
     total = 0.0
     for j, resids in full.items():
         if not use_fft:
-            total += _state_nll(model, j, resids)[0]
+            total += _state_nll(model, j, resids, bases[j])[0]
             continue
         e = model.emissions[j]
         for resid in resids:
@@ -218,7 +233,8 @@ def nll_and_gradients(model: SwitchingGPModel, data):
     """Exact dense NLL and its gradient pieces for every parameter block."""
     A, P = model.num_states, model.num_features
     full, masked = collect_segments(model, data)
-    terms = [(j, *_state_nll(model, j, resids, gradients=True)) for j, resids in full.items()]
+    bases = _channel_bases(model, full)
+    terms = [(j, *_state_nll(model, j, r, bases[j], gradients=True)) for j, r in full.items()]
     terms += [(seg.state, *_masked_nll_and_grads(model, seg)) for seg in masked]
 
     total = 0.0

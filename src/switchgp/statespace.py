@@ -13,23 +13,25 @@ processes with variances mu_p. One joint state vector stacks the P channel
 states (channel-major); all channels share the transition matrix because
 they share the temporal kernel within a state.
 
-`predict`, `observation_conditionals` and `update` take a batch of
-hypotheses as means plus covariances, which come in one of two forms:
+`predict`, `observation_conditionals` and `update` work on one state's
+`Slots`: the Kalman moments of its hypotheses, one slot per elapsed
+duration. Slots come in two kinds, and `update` alone decides which:
 
-- joint (d, n, n) arrays, the general path. A row with missing features
-  couples the channels, so after one the covariances depend on which
-  features each row observed;
-- a `TableCovs` range of a `CovarianceTable`, for clean hypotheses, whose
-  segment so far saw only fully observed rows. Their covariances depend on
-  the number of rows absorbed alone, so the table holds them once per state,
-  and a fully observed row moves only the means, channel by channel, in the
-  rotated residual ``W^T (y - mean_j)``.
+- clean slots, whose segment so far saw only fully observed rows. Their
+  covariances depend on the number of rows absorbed alone, so the state's
+  `CovarianceTable` holds them once, and a fully observed row moves only
+  their means, channel by channel, in the rotated residual
+  ``W^T (y - mean_j)``;
+- joint slots, with (n, n) covariances of their own. A row with missing
+  features couples the channels, so after one the covariances depend on
+  which features each row observed, and every slot turns joint.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
@@ -83,6 +85,8 @@ class StateSpace:
     H: np.ndarray  # (P, n) observation matrix (position components through W^{-T})
     dim: int  # per-channel state dimension
     W: np.ndarray  # (P, P) channel basis: z = W^T (y - mean) has unit noise
+    mean: np.ndarray  # (P,) emission mean
+    noise: np.ndarray  # (P, P) diagonal observation noise covariance
 
 
 def build_statespace(emission, noise) -> StateSpace:
@@ -107,7 +111,10 @@ def build_statespace(emission, noise) -> StateSpace:
 
     H = np.zeros((P, n))
     H[:, ::s] = np.linalg.inv(W).T
-    return StateSpace(A=A, Q=Q, P0=P0, H=H, dim=s, W=W)
+    return StateSpace(
+        A=A, Q=Q, P0=P0, H=H, dim=s, W=W,
+        mean=emission.mean, noise=np.diag(noise.per_feature_variance),
+    )
 
 
 def _channel_blocks(ss: StateSpace, mat: np.ndarray) -> np.ndarray:
@@ -131,13 +138,13 @@ class CovarianceTable:
     index m only after a stream has run m rows without a masked one.
     """
 
-    def __init__(self, ss: StateSpace, noise):
+    def __init__(self, ss: StateSpace):
         P, s = ss.H.shape[0], ss.dim
         self.A1 = ss.A[:s, :s]
         self.Q = _channel_blocks(ss, ss.Q)
         self.P0 = _channel_blocks(ss, ss.P0)
         self.Hpos = ss.H[:, ::s]
-        self.noise = np.diag(noise.per_feature_variance)
+        self.noise = ss.noise
         self.logdet_W = float(np.linalg.slogdet(ss.W)[1])
         self.size = 0
         self.prior = np.empty((0, P, s, s))
@@ -178,71 +185,93 @@ class CovarianceTable:
         view.flags.writeable = False
         return view
 
-
-@dataclass(frozen=True)
-class TableCovs:
-    """Covariances of a batch of clean hypotheses, held by a CovarianceTable.
-
-    Hypothesis i has absorbed ``lo + i`` rows since its segment started, all
-    fully observed. Passed where the functions below take covariances, it
-    selects the decoupled path: `predict` and `observation_conditionals`
-    read the table, and `update` on a fully observed row propagates only the
-    means. Any other row needs the joint covariances (`dense`).
-    """
-
-    table: CovarianceTable
-    lo: int
-    hi: int
-
-    def dense(self) -> np.ndarray:
-        """Joint (h, n, n) prior covariances: block diagonal over channels."""
-        prior = self.table.rows("prior", self.lo, self.hi)  # (h, P, s, s)
+    def dense(self, lo: int, hi: int) -> np.ndarray:
+        """Joint (h, n, n) prior covariances of entries lo..hi-1: block
+        diagonal over channels."""
+        prior = self.rows("prior", lo, hi)  # (h, P, s, s)
         h, P, s, _ = prior.shape
         return np.einsum("hpab,pq->hpaqb", prior, np.eye(P)).reshape(h, P * s, P * s)
 
 
-def predict(ss: StateSpace, means: np.ndarray, covs):
-    """One-step-ahead prior for a batch of hypotheses: x -> A x, P -> A P A^T + Q.
+class Slots(NamedTuple):
+    """Kalman moments of one state's reached hypotheses, slot d-1 for d = 1..r.
 
-    Clean hypotheses (`TableCovs`) keep their table entry: the table holds
-    the prior of each entry's next row.
+    The first ``clean`` slots are clean: slot i has absorbed i+1 fully
+    observed rows, so the prior covariance of its next row is entry i+1 of
+    the state's table, and nothing is stored for it. ``covs`` holds the
+    joint covariances of the other slots: posterior after `update`, prior of
+    the next row after `predict`.
     """
-    pm = means @ ss.A.T
-    if isinstance(covs, TableCovs):
-        return pm, covs
-    pc = ss.A @ covs @ ss.A.T + ss.Q
-    return pm, 0.5 * (pc + np.swapaxes(pc, 1, 2))
+
+    means: np.ndarray  # (r, n)
+    clean: int
+    covs: np.ndarray  # (r - clean, n, n)
 
 
-def observation_conditionals(ss: StateSpace, mean_vec, noise, pm, pc):
-    """Predicted observation mean (d, P) and covariance (d, P, P) per hypothesis."""
-    om = pm @ ss.H.T + mean_vec[None, :]
-    if isinstance(pc, TableCovs):
-        return om, pc.table.rows("ycov", pc.lo, pc.hi)
-    oc = ss.H @ pc @ ss.H.T + np.diag(noise.per_feature_variance)
+def predict(ss: StateSpace, slots: Slots) -> Slots:
+    """One-step-ahead prior of every slot: x -> A x, P -> A P A^T + Q.
+
+    Clean slots keep their table entry, which holds the prior already.
+    """
+    covs = slots.covs
+    if covs.shape[0]:
+        covs = ss.A @ covs @ ss.A.T + ss.Q
+        covs = 0.5 * (covs + np.swapaxes(covs, 1, 2))
+    return Slots(slots.means @ ss.A.T, slots.clean, covs)
+
+
+def observation_conditionals(ss: StateSpace, table: CovarianceTable, slots: Slots):
+    """Predicted observation mean (r, P) and covariance (r, P, P) per slot.
+
+    Without joint slots the covariances are a read-only view of the table.
+    """
+    om = slots.means @ ss.H.T + ss.mean[None, :]
+    oc = table.rows("ycov", 1, slots.clean + 1)
+    if slots.covs.shape[0]:
+        oc = np.concatenate([oc, ss.H @ slots.covs @ ss.H.T + ss.noise])
     return om, oc
 
 
-def update(ss: StateSpace, mean_vec, noise, pm, pc, row, mask):
-    """Kalman measurement update on observed features; returns log-densities.
+def update(ss: StateSpace, table: CovarianceTable, slots: Slots | None, row, mask, cap: int):
+    """Absorb a row into one state's predicted slots; returns the new slots
+    and the row's log-density under each.
 
-    ``row`` is a length-P observation; ``mask`` its observed-feature booleans.
-    With nothing observed the prediction passes through with zero evidence.
-    Clean hypotheses (`TableCovs`) stay clean on a fully observed row, with
-    covariances one table entry further on; any other row turns them into
-    joint covariances.
+    A fresh segment, with no rows absorbed and the prior of table entry 0,
+    joins in front of ``slots`` (``None`` starts a stream), and the slot
+    that would pass the duration cap ``cap`` drops off the end. ``row`` is a
+    length-P observation; ``mask`` its observed-feature booleans. On a fully
+    observed row the clean slots stay clean, one table entry further on, and
+    the joint ones take the joint update; any other row turns every slot
+    joint, and with nothing observed the priors pass through with zero
+    evidence.
     """
-    if isinstance(pc, TableCovs):
-        if np.all(mask):
-            return _update_clean(ss, mean_vec, pm, pc, row)
-        pc = pc.dense()
+    n = ss.A.shape[0]
+    means, clean, covs = np.zeros((0, n)), 0, np.zeros((0, n, n))
+    if slots is not None:
+        means, clean, covs = slots
+    means = np.vstack([np.zeros((1, n)), means])[:cap]
+    clean = min(clean + 1, cap)
+    covs = covs[: cap - clean]
+    if not np.all(mask):
+        covs = np.concatenate([table.dense(0, clean), covs])
+        means, covs, logdens = _update_joint(ss, means, covs, row, mask)
+        return Slots(means, 0, covs), logdens
+    new_means, logdens = _update_clean(ss, table, means[:clean], row)
+    if covs.shape[0]:
+        jm, covs, jl = _update_joint(ss, means[clean:], covs, row, mask)
+        new_means, logdens = np.vstack([new_means, jm]), np.concatenate([logdens, jl])
+    return Slots(new_means, clean, covs), logdens
+
+
+def _update_joint(ss: StateSpace, pm, pc, row, mask):
+    """Kalman measurement update of joint slots on the observed features."""
     d = pm.shape[0]
     if not np.any(mask):
         return pm, pc, np.zeros(d)
     Hm = ss.H[mask]
-    innov = (row[mask] - mean_vec[mask])[None, :] - pm @ Hm.T  # (d, m)
+    innov = (row[mask] - ss.mean[mask])[None, :] - pm @ Hm.T  # (d, m)
     PH = pc @ Hm.T  # (d, n, m)
-    S = Hm @ PH + np.diag(noise.per_feature_variance[mask])
+    S = Hm @ PH + ss.noise[np.ix_(mask, mask)]
     S = 0.5 * (S + np.swapaxes(S, 1, 2))
     logdens = gaussian_logpdf(innov, np.linalg.cholesky(S))
 
@@ -253,23 +282,17 @@ def update(ss: StateSpace, mean_vec, noise, pm, pc, row, mask):
     return new_m, new_c, logdens
 
 
-def _update_clean(ss: StateSpace, mean_vec, pm, pc: TableCovs, row):
-    """Fully observed update of clean hypotheses, channel by channel.
+def _update_clean(ss: StateSpace, table: CovarianceTable, pm, row):
+    """Fully observed update of the first ``len(pm)`` clean slots, channel
+    by channel.
 
     The rotated residual z_p - x_p[0] of channel p has variance var_p; the
     channel's state moves along its gain. Densities pick up the Jacobian
     |det W| of the rotation.
     """
-    tab, d = pc.table, pm.shape[0]
-    var = tab.rows("var", pc.lo, pc.hi)  # (d, P)
-    resid = (row - mean_vec) @ ss.W - pm[:, :: ss.dim]  # (d, P)
-    new_m = pm + (resid[:, :, None] * tab.rows("gain", pc.lo, pc.hi)).reshape(d, -1)
+    d = pm.shape[0]
+    var = table.rows("var", 0, d)  # (d, P)
+    resid = (row - ss.mean) @ ss.W - pm[:, :: ss.dim]  # (d, P)
+    new_m = pm + (resid[:, :, None] * table.rows("gain", 0, d)).reshape(d, -1)
     quad = np.sum(resid**2 / var + np.log(var), axis=1)
-    logdens = -0.5 * (quad + var.shape[1] * LOG_2PI) + tab.logdet_W
-    return new_m, TableCovs(tab, pc.lo + 1, pc.hi + 1), logdens
-
-
-def stationary_observation(ss: StateSpace, mean_vec, noise):
-    """Prior observation distribution of a fresh segment: N(mean, K(0) K^Y + D)."""
-    cov = ss.H @ ss.P0 @ ss.H.T + np.diag(noise.per_feature_variance)
-    return mean_vec.copy(), 0.5 * (cov + cov.T)
+    return new_m, -0.5 * (quad + var.shape[1] * LOG_2PI) + table.logdet_W

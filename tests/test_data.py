@@ -128,7 +128,7 @@ class TestPca:
         rng = np.random.default_rng(2)
         X = rng.normal(size=(40, 10))
         proj = fit_pca(X, 10)
-        scores = apply_pca(proj, X)
+        scores = apply_pca(proj, X) * np.sqrt(proj.explained_variance)
         centered = X - X.mean(axis=0)
         for i in range(0, 40, 7):
             for j in range(0, 40, 5):
@@ -154,7 +154,8 @@ class TestPca:
         err = {}
         for k in (9, 10):
             proj = fit_pca(X, k)
-            recon = apply_pca(proj, X) @ proj.component_matrix + proj.feature_means
+            scores = apply_pca(proj, X) * np.sqrt(proj.explained_variance)
+            recon = scores @ proj.component_matrix + proj.feature_means
             err[k] = float(np.linalg.norm(X - recon))
         assert err[10] <= err[9] + 1e-12
 
@@ -174,7 +175,7 @@ class TestPca:
         rng = np.random.default_rng(6)
         X = rng.normal(size=(200, 12)) * np.linspace(5.0, 0.5, 12)
         proj = fit_pca(X, 10)
-        scores = apply_pca(proj, X, whiten=True)
+        scores = apply_pca(proj, X)
         np.testing.assert_allclose(scores.var(axis=0, ddof=1), 1.0, atol=1e-8)
 
     def test_dict_round_trip(self):

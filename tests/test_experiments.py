@@ -216,7 +216,7 @@ class TestPrepareSeries:
             labels=np.ones(20, dtype=int),
         )
         (prepped,) = prepare_series(model, [raw])
-        want = apply_pca(proj, raw.observations, whiten=True)
+        want = apply_pca(proj, raw.observations)
         np.testing.assert_allclose(prepped.observations, want, atol=1e-12)
         assert prepped.observations.shape == (20, 2)
         assert np.all(prepped.mask)
@@ -234,7 +234,7 @@ class TestPrepareSeries:
         assert prepped.mask.shape == (50, 3)
         assert not prepped.mask[4].any()
         assert np.delete(prepped.mask, 4, axis=0).all()
-        want = apply_pca(proj, np.delete(raw, 4, axis=0), whiten=True)
+        want = apply_pca(proj, np.delete(raw, 4, axis=0))
         np.testing.assert_allclose(np.delete(prepped.observations, 4, axis=0), want, atol=1e-12)
 
     def test_identity_without_pca(self):

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 import helpers
 import oracles
+from switchgp import statespace
 from switchgp.data import generate_synthetic
 from switchgp.errors import FilterCollapseError, NonFiniteObservationError
 from switchgp.filtering import (
@@ -637,7 +638,8 @@ class TestCleanPath:
         model = mixed_smoothness_model(A=3, P=3, cap=5, seed=1)
         rows = generate_synthetic(model, 20, seed=2).observations
         backend = KalmanBackend(model)
-        assert [tab.size for tab in backend.covariances] == [0, 0, 0]
+        # entry 0 holds the fresh-segment law
+        assert [tab.size for tab in backend.covariances] == [1, 1, 1]
         state = forward_init(model, rows[0], backend=backend)
         for t in range(1, 3):
             state = forward_step(state, rows[t], model)
@@ -655,6 +657,27 @@ class TestCleanPath:
         state = forward_step(state, rows[16], model)
         assert [slots.clean for slots in state.cache] == [1, 1, 1]
         assert [slots.covs.shape[0] for slots in state.cache] == [4, 4, 4]
+
+    def test_every_row_costs_one_update_call_per_state(self, monkeypatch):
+        # statespace sorts each state's slots into clean and joint itself,
+        # so slot sets that hold both still take one call
+        model = mixed_smoothness_model(A=3, P=3, cap=5, seed=1)
+        rows = generate_synthetic(model, 12, seed=2).observations
+        calls = []
+        update = statespace.update
+
+        def counted(*args):
+            calls.append(args)
+            return update(*args)
+
+        monkeypatch.setattr(statespace, "update", counted)
+        partial = np.array([True, False, True])
+        masks = [None] * 6 + [partial, None, None, partial, partial]
+        state = forward_init(model, rows[0])
+        for t, mask in enumerate(masks, 1):
+            calls.clear()
+            state = forward_step(state, rows[t], model, mask)
+            assert len(calls) == 3, f"row {t}"
 
 
 class TestRowDensity:

@@ -286,6 +286,22 @@ class TestPrefixFactors:
         assert_blocks_close(nll_and_gradients(model, data), want, 1e-12)
         assert negative_loglik(model, data) == pytest.approx(dense, rel=1e-12)
 
+    @pytest.mark.parametrize("shared_task, factors", [(False, 2), (True, 1)])
+    def test_one_channel_basis_per_task_factor(self, monkeypatch, shared_task, factors):
+        model = prefix_model(1.5, shared_task)
+        data = [prefix_series(model.num_features, seed=3)]
+        calls = []
+        basis = likelihood.channel_basis
+
+        def counted(*args):
+            calls.append(args)
+            return basis(*args)
+
+        monkeypatch.setattr(likelihood, "channel_basis", counted)
+        nll_and_gradients(model, data)
+        negative_loglik(model, data)
+        assert len(calls) == 2 * factors
+
     @pytest.mark.parametrize("use_gradients", [False, True])
     def test_failed_factorization_names_the_state(self, monkeypatch, use_gradients):
         model = prefix_model(1.5, False)

@@ -18,22 +18,25 @@ SMOOTHNESS = [0.5, 1.5, 2.5]
 
 
 def kalman_segment_logdensity(model, state, rows, mask=None):
-    """Sum of per-row Kalman log-densities for one segment.
+    """Sums of per-row Kalman log-densities for one segment, two ways.
 
-    Mirrors the filter's driver: stationary prior for the first row, then
-    predict/update per row.
+    Mirrors the filter's driver: predict/update per row. The segment is
+    scored by the slot that `update` starts fresh at the first row (on the
+    table while the rows are fully observed), and by a joint slot that
+    enters with the stationary prior and always sits one slot behind it.
     """
     e = model.emissions[state]
     ss = statespace.build_statespace(e, model.noise)
-    pm = np.zeros((1, ss.A.shape[0]))
-    pc = ss.P0[None, :, :].copy()
-    total = 0.0
-    for t in range(rows.shape[0]):
+    table = statespace.CovarianceTable(ss)
+    T = rows.shape[0]
+    slots = statespace.Slots(np.zeros((1, ss.A.shape[0])), 0, ss.P0[None])
+    total = np.zeros(2)
+    for t in range(T):
         m = np.ones(rows.shape[1], dtype=bool) if mask is None else mask[t]
         if t > 0:
-            pm, pc = statespace.predict(ss, pm, pc)
-        pm, pc, ld = statespace.update(ss, e.mean, model.noise, pm, pc, rows[t], m)
-        total += float(ld[0])
+            slots = statespace.predict(ss, slots)
+        slots, ld = statespace.update(ss, table, slots, rows[t], m, T + 1)
+        total += ld[t : t + 2]
     return total
 
 
@@ -90,23 +93,23 @@ class TestJointStateSpace:
         np.testing.assert_allclose(ss.A, np.kron(np.eye(3), a1), atol=1e-12)
 
     def test_stationary_observation_is_prior_marginal(self):
+        # a fresh segment's law: the emission mean and table entry 0
         model = helpers.random_model(A=1, P=3, seed=7)
         e = model.emissions[0]
         ss = statespace.build_statespace(e, model.noise)
-        mean, cov = statespace.stationary_observation(ss, e.mean, model.noise)
+        cov = statespace.CovarianceTable(ss).rows("ycov", 0, 1)[0]
         expected = e.temporal.variance * task_cov_assemble(e.task)
         expected = expected + np.diag(model.noise.per_feature_variance)
-        np.testing.assert_allclose(mean, e.mean)
+        np.testing.assert_allclose(ss.mean, e.mean)
         np.testing.assert_allclose(cov, expected, atol=1e-9)
 
     def test_first_row_update_matches_stationary_density(self):
         model = helpers.random_model(A=1, P=2, seed=11)
         e = model.emissions[0]
-        ss = statespace.build_statespace(e, model.noise)
         row = np.array([0.4, -1.1])
         got = kalman_segment_logdensity(model, 0, row[None, :])
         want = oracles.segment_logdensity(e, model.noise, row[None, :])
-        assert got == pytest.approx(want, abs=1e-10)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-10)
 
 
 class TestKalmanMatchesDense:
@@ -119,7 +122,7 @@ class TestKalmanMatchesDense:
             e = model.emissions[j]
             dense = oracles.segment_logdensity(e, model.noise, rows)
             kal = kalman_segment_logdensity(model, j, rows)
-            assert kal == pytest.approx(dense, abs=1e-9)
+            np.testing.assert_allclose(kal, dense, rtol=0, atol=1e-9)
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
     def test_partial_masks(self, seed):
@@ -132,7 +135,7 @@ class TestKalmanMatchesDense:
         e = model.emissions[1]
         dense = oracles.segment_logdensity(e, model.noise, rows, mask=mask)
         kal = kalman_segment_logdensity(model, 1, rows, mask=mask)
-        assert kal == pytest.approx(dense, abs=1e-9)
+        np.testing.assert_allclose(kal, dense, rtol=0, atol=1e-9)
 
     def test_fully_masked_rows_pass_prediction_through(self):
         model = helpers.random_model(A=1, P=2, cap=6, seed=3)
@@ -143,21 +146,24 @@ class TestKalmanMatchesDense:
         e = model.emissions[0]
         dense = oracles.segment_logdensity(e, model.noise, rows, mask=mask)
         kal = kalman_segment_logdensity(model, 0, rows, mask=mask)
-        assert kal == pytest.approx(dense, abs=1e-9)
+        np.testing.assert_allclose(kal, dense, rtol=0, atol=1e-9)
 
     def test_update_with_empty_mask_returns_zero_evidence(self):
         model = helpers.random_model(A=1, P=2, seed=4)
         e = model.emissions[0]
         ss = statespace.build_statespace(e, model.noise)
-        pm = np.zeros((3, ss.A.shape[0]))
+        table = statespace.CovarianceTable(ss)
+        pm = np.random.default_rng(4).normal(size=(3, ss.A.shape[0]))
         pc = np.broadcast_to(ss.P0, (3,) + ss.P0.shape).copy()
         row = np.array([1.0, 2.0])
-        nm, nc, ld = statespace.update(
-            ss, e.mean, model.noise, pm, pc, row, np.zeros(2, dtype=bool)
+        out, ld = statespace.update(
+            ss, table, statespace.Slots(pm, 0, pc), row, np.zeros(2, dtype=bool), 4
         )
-        np.testing.assert_array_equal(nm, pm)
-        np.testing.assert_array_equal(nc, pc)
-        np.testing.assert_array_equal(ld, np.zeros(3))
+        # the fresh slot joins in front with the stationary prior
+        assert out.clean == 0
+        np.testing.assert_array_equal(out.means, np.vstack([np.zeros((1, pm.shape[1])), pm]))
+        np.testing.assert_array_equal(out.covs, np.concatenate([table.dense(0, 1), pc]))
+        np.testing.assert_array_equal(ld, np.zeros(4))
 
     def test_smoothness_variants_agree_with_dense(self):
         # state dimension differs per smoothness; the densities must not
@@ -180,7 +186,7 @@ class TestKalmanMatchesDense:
             rows = rng.normal(size=(6, 2))
             dense = oracles.segment_logdensity(e, model.noise, rows)
             kal = kalman_segment_logdensity(model, 0, rows)
-            assert kal == pytest.approx(dense, abs=1e-9)
+            np.testing.assert_allclose(kal, dense, rtol=0, atol=1e-9)
 
 
 class TestCovarianceTable:
@@ -190,35 +196,45 @@ class TestCovarianceTable:
         e = model.emissions[0]
         e = replace(e, temporal=replace(e.temporal, smoothness=nu))
         ss = statespace.build_statespace(e, model.noise)
-        table = statespace.CovarianceTable(ss, model.noise)
+        table = statespace.CovarianceTable(ss)
         rows = np.random.default_rng(42).normal(size=(8, 3))
         full = np.ones(3, dtype=bool)
-        jm = cm = np.zeros((2, ss.A.shape[0]))
-        joint = np.stack([ss.P0, ss.P0])
-        clean = statespace.TableCovs(table, 0, 2)
+        # A joint slot with the stationary prior enters behind the fresh slot
+        # of row 0, so after each row slot t (clean) and slot t + 1 (joint)
+        # hold the same hypothesis. `clean` runs the same rows from nothing.
+        mixed = statespace.Slots(np.zeros((1, ss.A.shape[0])), 0, ss.P0[None])
+        clean = None
         for t in range(7):
             if t > 0:
-                jm, joint = statespace.predict(ss, jm, joint)
-                cm, clean = statespace.predict(ss, cm, clean)
-            np.testing.assert_allclose(clean.dense()[0], joint[0], rtol=0, atol=1e-12)
-            jo = statespace.observation_conditionals(ss, e.mean, model.noise, jm, joint)
-            co = statespace.observation_conditionals(ss, e.mean, model.noise, cm, clean)
-            np.testing.assert_allclose(co[0], jo[0], rtol=0, atol=1e-12)
-            np.testing.assert_allclose(co[1][0], jo[1][0], rtol=0, atol=1e-12)
-            assert not co[1].flags.writeable
-            jm, joint, jl = statespace.update(ss, e.mean, model.noise, jm, joint, rows[t], full)
-            cm, clean, cl = statespace.update(ss, e.mean, model.noise, cm, clean, rows[t], full)
-            np.testing.assert_allclose(cm[0], jm[0], rtol=0, atol=1e-12)
-            assert cl[0] == pytest.approx(jl[0], abs=1e-12)
-            # the second hypothesis absorbed the same rows one step later
-            joint[1], jm[1] = clean.dense()[1], cm[1]
+                mixed = statespace.predict(ss, mixed)
+                clean = statespace.predict(ss, clean)
+                np.testing.assert_allclose(
+                    table.dense(t, t + 1)[0], mixed.covs[0], rtol=0, atol=1e-12
+                )
+                om, oc = statespace.observation_conditionals(ss, table, mixed)
+                np.testing.assert_allclose(om[t - 1], om[t], rtol=0, atol=1e-12)
+                np.testing.assert_allclose(oc[t - 1], oc[t], rtol=0, atol=1e-12)
+                # with no joint slot the covariances are read-only table views
+                co = statespace.observation_conditionals(ss, table, clean)
+                np.testing.assert_allclose(co[0], om[:t], rtol=0, atol=1e-12)
+                np.testing.assert_array_equal(co[1], oc[:t])
+                assert not co[1].flags.writeable
+            mixed, ml = statespace.update(ss, table, mixed, rows[t], full, 9)
+            clean, cl = statespace.update(ss, table, clean, rows[t], full, 9)
+            assert (mixed.clean, clean.clean, len(mixed.covs)) == (t + 1, t + 1, 1)
+            np.testing.assert_allclose(mixed.means[t], mixed.means[t + 1], rtol=0, atol=1e-12)
+            assert ml[t] == pytest.approx(ml[t + 1], abs=1e-12)
+            np.testing.assert_allclose(cl, ml[: t + 1], rtol=0, atol=1e-12)
             assert table.size <= t + 3
 
-        # a row with a missing feature leaves the table for joint covariances
-        jm, joint = statespace.predict(ss, jm, joint)
-        cm, clean = statespace.predict(ss, cm, clean)
+        # a row with a missing feature turns every slot joint
+        mixed = statespace.predict(ss, mixed)
+        clean = statespace.predict(ss, clean)
         partial = np.array([True, False, True])
-        jm, joint, jl = statespace.update(ss, e.mean, model.noise, jm, joint, rows[7], partial)
-        cm, dense, cl = statespace.update(ss, e.mean, model.noise, cm, clean, rows[7], partial)
-        np.testing.assert_allclose(dense[0], joint[0], rtol=0, atol=1e-12)
-        np.testing.assert_allclose(cl[0], jl[0], rtol=0, atol=1e-12)
+        mixed, ml = statespace.update(ss, table, mixed, rows[7], partial, 9)
+        clean, cl = statespace.update(ss, table, clean, rows[7], partial, 9)
+        assert (mixed.clean, clean.clean) == (0, 0)
+        np.testing.assert_allclose(mixed.covs[7], mixed.covs[8], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(ml[7], ml[8], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(clean.covs, mixed.covs[:8], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(cl, ml[:8], rtol=0, atol=1e-12)
