@@ -15,9 +15,11 @@ backends compute them: the exact Kalman recursion of `statespace` (constant
 per step, the default) and dense Gaussian conditioning on the window
 (grid-agnostic, cubic in window length, kept as the test oracle). They agree
 to floating-point accuracy on the uniform grid. The Kalman backend hands
-each state's hypotheses to `statespace` as one slot set per state;
-`statespace` decides, from the rows' masks alone, which of them read their
-covariances off the state's table indexed by elapsed duration.
+the hypotheses of all states that share a state dimension to `statespace`
+as one stacked slot set, so a row costs one `statespace` call per stack and
+stage, and a trained model is one stack; `statespace` decides, from the
+rows' masks alone, which of them read their covariances off the stack's
+table indexed by state and elapsed duration.
 
 A backend owns an opaque cache and offers two methods. ``predict(cache,
 cont_logw)`` returns the continuing one-step conditionals plus the cache
@@ -179,25 +181,34 @@ class Predictives:
 class KalmanBackend:
     """Constant-cost-per-row emission backend (exact on the uniform grid).
 
-    The cache holds one `statespace.Slots` per state, and each row costs one
-    `statespace` call per state and stage; `statespace.update` decides which
-    slots read their covariances from the state's
-    `statespace.CovarianceTable`, which grows one entry per step the first
-    time a stream reaches each duration. Slots the stream has not reached
-    yet hold no moments, and their predictives are placeholders and their
-    log-densities 0. A fresh segment's law is the emission mean and entry 0
-    of the table.
+    States that share a smoothness share a state dimension and form one
+    stack (every trained model is one stack). The cache holds one
+    `statespace.Slots` set per stack, and each row costs one `statespace`
+    call per stack and stage; `statespace.update` decides which slots read
+    their covariances from the stack's `statespace.CovarianceTable`, which
+    grows one entry per step the first time a stream reaches each duration.
+    Slots the stream has not reached yet hold no moments, and their
+    predictives are placeholders and their log-densities 0. A fresh
+    segment's law is the emission mean and entry 0 of the table. The tables
+    grow, and lend the joint path their scratch buffer, in place, so a
+    backend serves one thread at a time.
     """
 
     def __init__(self, model: SwitchingGPModel):
         self.model = model
         self.table = build_duration_table(model)
+        by_smoothness = {}
+        for j, e in enumerate(model.emissions):
+            by_smoothness.setdefault(e.temporal.smoothness, []).append(j)
         self.spaces = [
-            statespace.build_statespace(e, model.noise) for e in model.emissions
+            statespace.build_statespace(model, states) for states in by_smoothness.values()
         ]
         self.covariances = [statespace.CovarianceTable(ss) for ss in self.spaces]
-        self.fresh_mean = np.stack([ss.mean for ss in self.spaces])
-        self.fresh_cov = np.stack([tab.rows("ycov", 0, 1)[0] for tab in self.covariances])
+        self.fresh_mean = np.stack([e.mean for e in model.emissions])
+        P = model.num_features
+        self.fresh_cov = np.empty((model.num_states, P, P))
+        for ss, tab in zip(self.spaces, self.covariances):
+            self.fresh_cov[ss.states] = tab.rows("ycov", 0, 1)[:, 0]
 
     def predict(self, cache, cont_logw):
         model = self.model
@@ -205,13 +216,13 @@ class KalmanBackend:
         cont_mean = np.empty((A, D, P))
         cont_cov = np.empty((A, D, P, P))
         pred_cache = []
-        for j, (ss, tab, slots) in enumerate(zip(self.spaces, self.covariances, cache)):
-            slots = statespace.predict(ss, slots)
-            r = slots.means.shape[0]
-            cont_mean[j, :r], cont_cov[j, :r] = statespace.observation_conditionals(
-                ss, tab, slots
-            )
-            cont_mean[j, r:], cont_cov[j, r:] = self.fresh_mean[j], self.fresh_cov[j]
+        for ss, tab, slots in zip(self.spaces, self.covariances, cache):
+            slots = statespace.predict(ss, tab, slots)
+            r = slots.means.shape[1]
+            om, oc = statespace.observation_conditionals(ss, tab, slots)
+            cont_mean[ss.states, :r], cont_cov[ss.states, :r] = om, oc
+            cont_mean[ss.states, r:] = self.fresh_mean[ss.states, None]
+            cont_cov[ss.states, r:] = self.fresh_cov[ss.states, None]
             pred_cache.append(slots)
         return cont_mean, cont_cov, tuple(pred_cache)
 
@@ -220,10 +231,10 @@ class KalmanBackend:
         D = model.duration_cap
         logdens = np.zeros((model.num_states, D))
         cache = []
-        for j, (ss, tab) in enumerate(zip(self.spaces, self.covariances)):
-            slots = None if pred is None else pred.cache[j]
+        slot_sets = [None] * len(self.spaces) if pred is None else pred.cache
+        for ss, tab, slots in zip(self.spaces, self.covariances, slot_sets):
             slots, ld = statespace.update(ss, tab, slots, row, mask, D)
-            logdens[j, : ld.shape[0]] = ld
+            logdens[ss.states, : ld.shape[1]] = ld
             cache.append(slots)
         return tuple(cache), logdens
 

@@ -201,6 +201,20 @@ def channel_basis(task: TaskCovariance, noise: NoiseModel, state: int | None = N
         ) from exc
 
 
+def channel_bases(emissions, noise: NoiseModel, states) -> dict:
+    """The channel basis (mu, W) of each of ``states`` (0-based indices into
+    ``emissions``), with one generalized eigendecomposition per task factor:
+    states that share a factor, as every state does under ``shared_task``,
+    share its basis."""
+    by_task, bases = {}, {}
+    for j in states:
+        task = emissions[j].task
+        if id(task) not in by_task:
+            by_task[id(task)] = channel_basis(task, noise, j)
+        bases[j] = by_task[id(task)]
+    return bases
+
+
 def gaussian_logpdf(diff: np.ndarray, chol: np.ndarray) -> np.ndarray:
     """Zero-mean Gaussian log-density of residuals, given covariance factors.
 

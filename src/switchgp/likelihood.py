@@ -37,7 +37,7 @@ from .errors import InsufficientDataError, NonPositiveDefiniteError, SingularEmb
 from .gp_predict import segment_emission_loglik
 from .kernels import (
     LOG_2PI,
-    channel_basis,
+    channel_bases,
     matern_eval,
     matern_grad,
     task_cov_assemble,
@@ -80,19 +80,6 @@ def collect_segments(model: SwitchingGPModel, data):
             else:
                 masked.append(_MaskedSegment(j, vals, m))
     return {j: sorted(full[j], key=len) for j in sorted(full)}, masked
-
-
-def _channel_bases(model: SwitchingGPModel, states) -> dict:
-    """The channel basis (mu, W) of each of ``states``, with one generalized
-    eigendecomposition per task factor: states that share a factor, as every
-    state does under ``shared_task``, share its basis."""
-    by_task, bases = {}, {}
-    for j in states:
-        task = model.emissions[j].task
-        if id(task) not in by_task:
-            by_task[id(task)] = channel_basis(task, model.noise, j)
-        bases[j] = by_task[id(task)]
-    return bases
 
 
 def _state_nll(model: SwitchingGPModel, j: int, resids, basis, gradients: bool = False):
@@ -195,7 +182,7 @@ def negative_loglik(model: SwitchingGPModel, data, use_fft: bool = False) -> flo
     if use_fft and masked:
         raise InsufficientDataError("the FFT likelihood path requires fully observed segments")
     zero = np.zeros(model.num_features)
-    bases = {} if use_fft else _channel_bases(model, full)
+    bases = {} if use_fft else channel_bases(model.emissions, model.noise, full)
     total = 0.0
     for j, resids in full.items():
         if not use_fft:
@@ -233,7 +220,7 @@ def nll_and_gradients(model: SwitchingGPModel, data):
     """Exact dense NLL and its gradient pieces for every parameter block."""
     A, P = model.num_states, model.num_features
     full, masked = collect_segments(model, data)
-    bases = _channel_bases(model, full)
+    bases = channel_bases(model.emissions, model.noise, full)
     terms = [(j, *_state_nll(model, j, r, bases[j], gradients=True)) for j, r in full.items()]
     terms += [(seg.state, *_masked_nll_and_grads(model, seg)) for seg in masked]
 

@@ -42,6 +42,7 @@ time, and `run_adaptive` folds that stream into one result.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import time
 from dataclasses import dataclass, field
@@ -102,6 +103,24 @@ class GroupCatalog:
     def __len__(self) -> int:
         return len(self.groups)
 
+    @functools.cached_property
+    def stacks(self) -> tuple:
+        """Per group size, in order of first appearance: the catalog indices
+        of the groups of that size and their (G, m) stack."""
+        by_size = {}
+        for g, group in enumerate(self.groups):
+            by_size.setdefault(len(group), []).append(g)
+        return tuple(
+            (np.array(rows), np.array([self.groups[g] for g in rows])) for rows in by_size.values()
+        )
+
+    @functools.cached_property
+    def tie_rank(self) -> np.ndarray:
+        """Each group's place in the tie-break order: smaller groups first,
+        then lexicographic feature order."""
+        groups = self.groups
+        return np.argsort(sorted(range(len(groups)), key=lambda g: (len(groups[g]), groups[g])))
+
     def scaled(self, factor: float) -> "GroupCatalog":
         return GroupCatalog(self.groups, self.costs * float(factor))
 
@@ -126,7 +145,7 @@ def entropy(probs) -> float:
 
 
 def _check_catalog(catalog: GroupCatalog, model: SwitchingGPModel) -> None:
-    top = max(max(g) for g in catalog.groups)
+    top = max(int(stack.max()) for _, stack in catalog.stacks)
     if top >= model.num_features:
         raise ValueError(
             f"catalog feature {top} is out of range for {model.num_features} features"
@@ -154,15 +173,15 @@ def posterior_samples(
 
 def _group_stack(group, num_features: int):
     """``group`` as a (G, m) index array, and whether it was one group."""
-    items = list(group)
-    single = not items or np.ndim(items[0]) == 0
-    stack = [items] if single else [list(g) for g in items]
-    sizes = sorted({len(g) for g in stack})
-    if len(sizes) != 1:
-        raise ValueError(f"stacked groups must share one size, got sizes {sizes}")
-    if sizes[0] == 0:
+    items = group if isinstance(group, np.ndarray) else list(group)
+    single = len(items) == 0 or np.ndim(items[0]) == 0
+    try:
+        stack = np.array([items] if single else items, dtype=int)
+    except ValueError:
+        sizes = sorted({len(g) for g in items})
+        raise ValueError(f"stacked groups must share one size, got sizes {sizes}") from None
+    if stack.shape[1] == 0:
         raise ValueError("feature groups must be non-empty")
-    stack = np.array(stack, dtype=int)
     if stack.min() < 0 or stack.max() >= num_features:
         raise ValueError(f"group features must lie in 0..{num_features - 1}")
     return stack, single
@@ -243,15 +262,17 @@ def _hypothetical_entropies(live: PredictiveMixture, samples: np.ndarray, stack)
             ]
         )
         joint = np.ascontiguousarray(coef.transpose(1, 2, 0)) @ feats[cols[sl]]  # (g, H, N)
-        peak = joint.max(axis=1)  # (g, N)
+        # state-major (H, g, N), so each state's sum adds whole (g, N) slabs
+        joint = np.ascontiguousarray(joint.transpose(1, 0, 2))
+        peak = joint.max(axis=0)  # (g, N)
         if not np.all(np.isfinite(peak)):
             raise FilterCollapseError("hypothetical update produced no surviving hypothesis")
-        joint -= peak[:, None]
-        mass = np.add.reduceat(np.exp(joint, out=joint), starts, axis=1)  # (g, S, N)
-        probs = mass / mass.sum(axis=1, keepdims=True)
+        joint -= peak
+        mass = np.add.reduceat(np.exp(joint, out=joint), starts, axis=0)  # (S, g, N)
+        probs = mass / mass.sum(axis=0)
         with np.errstate(divide="ignore", invalid="ignore"):
             terms = np.where(probs > 0.0, probs * np.log(probs), 0.0)
-        ents[sl] = -np.sum(terms, axis=1)
+        ents[sl] = -np.sum(terms, axis=0)
     return ents
 
 
@@ -284,12 +305,19 @@ def _quadratic_features(y: np.ndarray) -> np.ndarray:
 def _quadratic_columns(stack: np.ndarray, num_features: int) -> np.ndarray:
     """Rows of `_quadratic_features` that each group of a (G, m) stack reads,
     in the order of its coefficients: products (a <= b within the group),
-    singles, the constant."""
+    singles, the constant. Read-only, and computed once per distinct stack,
+    so a catalog's stacks (`GroupCatalog.stacks`) cost one pass each."""
+    return _columns_of(stack.tobytes(), stack.shape[1], num_features)
+
+
+@functools.lru_cache(maxsize=64)
+def _columns_of(key: bytes, m: int, num_features: int) -> np.ndarray:
+    stack = np.frombuffer(key, dtype=int).reshape(-1, m)
     pair = np.zeros((num_features, num_features), dtype=int)
     a, b = np.triu_indices(num_features)
     pair[a, b] = pair[b, a] = np.arange(a.size)
-    ia, ib = np.triu_indices(stack.shape[1])
-    return np.concatenate(
+    ia, ib = np.triu_indices(m)
+    cols = np.concatenate(
         [
             pair[stack[:, ia], stack[:, ib]],
             a.size + stack,
@@ -297,6 +325,8 @@ def _quadratic_columns(stack: np.ndarray, num_features: int) -> np.ndarray:
         ],
         axis=1,
     )
+    cols.flags.writeable = False
+    return cols
 
 
 @dataclass(frozen=True)
@@ -333,21 +363,14 @@ def select_group(
     if pred is None:
         pred = step_predictives(state, model)
     samples = posterior_samples(state, model, num_samples, rng, pred=pred)
-    G = len(catalog)
-    by_size = {}
-    for g, group in enumerate(catalog.groups):
-        by_size.setdefault(len(group), []).append(g)
-    ents = np.empty(G)
-    errs = np.empty(G)
-    for rows in by_size.values():
+    ents = np.empty(len(catalog))
+    errs = np.empty(len(catalog))
+    for rows, stack in catalog.stacks:
         ents[rows], errs[rows] = expected_entropy_mc(
-            state, model, [catalog.groups[g] for g in rows], samples=samples, pred=pred
+            state, model, stack, samples=samples, pred=pred
         )
     losses = ents + catalog.costs
-    best = min(
-        range(G),
-        key=lambda g: (losses[g], len(catalog.groups[g]), catalog.groups[g]),
-    )
+    best = int(np.lexsort((catalog.tie_rank, losses))[0])
     record = SelectionRecord(
         time_index=state.time_index + 1,
         group=catalog.groups[best],

@@ -13,12 +13,16 @@ processes with variances mu_p. One joint state vector stacks the P channel
 states (channel-major); all channels share the transition matrix because
 they share the temporal kernel within a state.
 
-`predict`, `observation_conditionals` and `update` work on one state's
-`Slots`: the Kalman moments of its hypotheses, one slot per elapsed
-duration. Slots come in two kinds, and `update` alone decides which:
+A `StateSpace` stacks the emission states that share one state dimension
+(one smoothness), and `predict`, `observation_conditionals` and `update`
+work on the stack's one `Slots` set: the Kalman moments of every stacked
+state's hypotheses, one slot per state and elapsed duration. Which slots a
+row reaches, and which are clean, follow from the rows' masks alone, so all
+states of a stack share them, and each call is one batched pass over the
+states. Slots come in two kinds, and `update` alone decides which:
 
 - clean slots, whose segment so far saw only fully observed rows. Their
-  covariances depend on the number of rows absorbed alone, so the state's
+  covariances depend on the number of rows absorbed alone, so the stack's
   `CovarianceTable` holds them once, and a fully observed row moves only
   their means, channel by channel, in the rotated residual
   ``W^T (y - mean_j)``;
@@ -36,7 +40,7 @@ from typing import NamedTuple
 import numpy as np
 import scipy.linalg
 
-from .kernels import LOG_2PI, MaternKernel, channel_basis, gaussian_logpdf
+from .kernels import LOG_2PI, MaternKernel, channel_bases, gaussian_logpdf
 
 _STATE_DIM = {0.5: 1, 1.5: 2, 2.5: 3}
 
@@ -77,164 +81,212 @@ def discretize(kernel: MaternKernel, dt: float = 1.0):
 
 @dataclass
 class StateSpace:
-    """Joint state-space model of one emission state across all channels."""
+    """Joint state-space models of a stack of S emission states that share
+    one state dimension, across all channels; state k of the stack is the
+    model's state ``states[k]``."""
 
-    A: np.ndarray  # (n, n) joint transition
-    Q: np.ndarray  # (n, n) joint process noise
-    P0: np.ndarray  # (n, n) joint stationary prior
-    H: np.ndarray  # (P, n) observation matrix (position components through W^{-T})
+    states: np.ndarray  # (S,) 0-based state indices
+    A: np.ndarray  # (S, n, n) joint transitions
+    Q: np.ndarray  # (S, n, n) joint process noise
+    P0: np.ndarray  # (S, n, n) joint stationary priors
+    H: np.ndarray  # (S, P, n) observation matrices (position components through W^{-T})
     dim: int  # per-channel state dimension
-    W: np.ndarray  # (P, P) channel basis: z = W^T (y - mean) has unit noise
-    mean: np.ndarray  # (P,) emission mean
+    W: np.ndarray  # (S, P, P) channel bases: z = W^T (y - mean) has unit noise
+    mean: np.ndarray  # (S, P) emission means
     noise: np.ndarray  # (P, P) diagonal observation noise covariance
 
 
-def build_statespace(emission, noise) -> StateSpace:
-    """Assemble the joint channel-stacked state space for one emission state."""
-    mu, W = channel_basis(emission.task, noise)
-    mu = np.maximum(mu, 0.0)
-    P = mu.shape[0]
-
-    unit = MaternKernel(1.0, emission.temporal.lengthscale, emission.temporal.smoothness)
-    A1, Q1, P1 = discretize(unit)
-    s = A1.shape[0]
-    n = P * s
-    scale = emission.temporal.variance * mu  # per-channel signal variance
-
-    A = np.kron(np.eye(P), A1)
-    Q = np.zeros((n, n))
-    P0 = np.zeros((n, n))
-    for p in range(P):
-        blk = slice(p * s, (p + 1) * s)
-        Q[blk, blk] = scale[p] * Q1
-        P0[blk, blk] = scale[p] * P1
-
-    H = np.zeros((P, n))
-    H[:, ::s] = np.linalg.inv(W).T
+def build_statespace(model, states) -> StateSpace:
+    """Assemble the joint channel-stacked state spaces of ``states`` (0-based
+    indices into ``model.emissions``), which must share one smoothness; states
+    that share a task factor share one channel basis."""
+    states = np.asarray(states, dtype=int)
+    emissions = [model.emissions[j] for j in states]
+    if len({e.temporal.smoothness for e in emissions}) != 1:
+        raise ValueError("stacked states must share one smoothness")
+    bases = channel_bases(model.emissions, model.noise, states.tolist())
+    P = model.num_features
+    blocks = []
+    for j, e in zip(states, emissions):
+        mu, W = bases[j]
+        unit = MaternKernel(1.0, e.temporal.lengthscale, e.temporal.smoothness)
+        A1, Q1, P1 = discretize(unit)
+        s = A1.shape[0]
+        scale = e.temporal.variance * np.maximum(mu, 0.0)  # per-channel signal variance
+        Q, P0 = np.zeros((P * s, P * s)), np.zeros((P * s, P * s))
+        for p, c in enumerate(scale):
+            blk = slice(p * s, (p + 1) * s)
+            Q[blk, blk], P0[blk, blk] = c * Q1, c * P1
+        H = np.zeros((P, P * s))
+        H[:, ::s] = np.linalg.inv(W).T
+        blocks.append((np.kron(np.eye(P), A1), Q, P0, H, W))
+    A, Q, P0, H, W = (np.stack(x) for x in zip(*blocks))
     return StateSpace(
-        A=A, Q=Q, P0=P0, H=H, dim=s, W=W,
-        mean=emission.mean, noise=np.diag(noise.per_feature_variance),
+        states=states, A=A, Q=Q, P0=P0, H=H, dim=A.shape[1] // P, W=W,
+        mean=np.stack([e.mean for e in emissions]),
+        noise=np.diag(model.noise.per_feature_variance),
     )
 
 
 def _channel_blocks(ss: StateSpace, mat: np.ndarray) -> np.ndarray:
-    """Diagonal (s, s) blocks (P, s, s) of a channel-block-diagonal (n, n) matrix."""
-    P, s = ss.H.shape[0], ss.dim
+    """Diagonal (s, s) blocks (S, P, s, s) of channel-block-diagonal (S, n, n)
+    matrices."""
+    S, P, _ = ss.H.shape
+    s = ss.dim
     ch = np.arange(P)
-    return mat.reshape(P, s, P, s)[ch, :, ch, :]
+    return np.moveaxis(mat.reshape(S, P, s, P, s)[:, ch, :, ch, :], 0, 1)
+
+
+def _mT(a: np.ndarray) -> np.ndarray:
+    """Transpose of each matrix in a stack (a view)."""
+    return np.swapaxes(a, -1, -2)
+
+
+def _symmetrize(a: np.ndarray, work: np.ndarray) -> np.ndarray:
+    """(a + a^T) / 2 of each matrix in a stack, in place, with ``work`` (of
+    a's shape, overwritten) holding the transposes."""
+    np.copyto(work, _mT(a))
+    a += work
+    a *= 0.5
+    return a
 
 
 class CovarianceTable:
-    """Kalman covariances of one state's fully observed segments, indexed by d.
+    """Kalman covariances of a stack's fully observed segments, indexed by
+    state and d.
 
     On fully observed rows the Riccati recursion does not depend on the
     data, and in the channel basis it splits into P independent
     s-dimensional filters with unit noise. Entry m describes a segment that
     has absorbed m rows (m = 0 is a fresh segment) before its next one: the
     per-channel prior covariance of that row's state, the innovation
-    variances and gains of the rotated channels, and the row's predictive
-    covariance in y-space. Entries are a pure function of the state's model;
-    each is computed the first time a stream asks for it, so a table reaches
+    variances (and their logs) and gains of the rotated channels, and the
+    row's predictive covariance in y-space, each with a leading state axis.
+    Entries are a pure function of the states' models; each is computed for
+    every state the first time a stream asks for it, so a table reaches
     index m only after a stream has run m rows without a masked one.
     """
 
     def __init__(self, ss: StateSpace):
-        P, s = ss.H.shape[0], ss.dim
-        self.A1 = ss.A[:s, :s]
+        S, P, _ = ss.H.shape
+        s = ss.dim
+        self.A1 = ss.A[:, None, :s, :s]
         self.Q = _channel_blocks(ss, ss.Q)
         self.P0 = _channel_blocks(ss, ss.P0)
-        self.Hpos = ss.H[:, ::s]
+        self.Hpos = ss.H[:, :, ::s]
         self.noise = ss.noise
-        self.logdet_W = float(np.linalg.slogdet(ss.W)[1])
+        self.logdet_W = np.linalg.slogdet(ss.W)[1]
         self.size = 0
-        self.prior = np.empty((0, P, s, s))
-        self.var = np.empty((0, P))
-        self.gain = np.empty((0, P, s))
-        self.ycov = np.empty((0, P, P))
-        self._post = None  # per-channel posterior after absorbing `size` rows
+        self.prior = np.empty((S, 0, P, s, s))
+        self.var = np.empty((S, 0, P))
+        self.logvar = np.empty((S, 0, P))
+        self.gain = np.empty((S, 0, P, s))
+        self.ycov = np.empty((S, 0, P, P))
+        self._post = None  # per-channel posteriors after absorbing `size` rows
+        self._scratch = np.empty(0)
 
     def extend(self, size: int) -> None:
         """Compute the entries below ``size`` that are not there yet."""
-        if size > self.var.shape[0]:
-            capacity = max(size, 2 * self.var.shape[0])
-            for name in ("prior", "var", "gain", "ycov"):
+        if size > self.var.shape[1]:
+            capacity = max(size, 2 * self.var.shape[1])
+            for name in ("prior", "var", "logvar", "gain", "ycov"):
                 old = getattr(self, name)
-                new = np.empty((capacity,) + old.shape[1:])
-                new[: self.size] = old[: self.size]
+                new = np.empty(old.shape[:1] + (capacity,) + old.shape[2:])
+                new[:, : self.size] = old[:, : self.size]
                 setattr(self, name, new)
         while self.size < size:
             if self.size == 0:
                 prior = self.P0
             else:
-                prior = self.A1 @ self._post @ self.A1.T + self.Q
-                prior = 0.5 * (prior + np.swapaxes(prior, 1, 2))
-            var = prior[:, 0, 0] + 1.0
-            gain = prior[:, :, 0] / var[:, None]
-            post = prior - gain[:, :, None] * prior[:, None, 0, :]
-            self._post = 0.5 * (post + np.swapaxes(post, 1, 2))
-            ycov = (self.Hpos * prior[:, 0, 0]) @ self.Hpos.T + self.noise
+                prior = self.A1 @ self._post @ _mT(self.A1) + self.Q
+                prior = 0.5 * (prior + _mT(prior))
+            var = prior[..., 0, 0] + 1.0
+            gain = prior[..., :, 0] / var[..., None]
+            post = prior - gain[..., :, None] * prior[..., None, 0, :]
+            self._post = 0.5 * (post + _mT(post))
+            ycov = (self.Hpos * prior[:, None, :, 0, 0]) @ _mT(self.Hpos) + self.noise
             m = self.size
-            self.prior[m], self.var[m], self.gain[m] = prior, var, gain
-            self.ycov[m] = 0.5 * (ycov + ycov.T)
+            self.prior[:, m], self.var[:, m], self.gain[:, m] = prior, var, gain
+            self.logvar[:, m] = np.log(var)
+            self.ycov[:, m] = 0.5 * (ycov + _mT(ycov))
             self.size = m + 1
 
     def rows(self, name: str, lo: int, hi: int) -> np.ndarray:
-        """Read-only view of entries lo..hi-1 of one of the table's arrays."""
+        """Read-only view (S, hi - lo, ...) of entries lo..hi-1 of one of the
+        table's arrays."""
         self.extend(hi)
-        view = getattr(self, name)[lo:hi]
+        view = getattr(self, name)[:, lo:hi]
         view.flags.writeable = False
         return view
 
+    def scratch(self, shape) -> np.ndarray:
+        """A work array of ``shape``, a view of one buffer the table keeps
+        for the joint path, whose contents die with the call that asked for
+        it. The joint path's (S, d, n, n) temporaries run to megabytes, and a
+        fresh one on every row costs page faults."""
+        size = math.prod(shape)
+        if self._scratch.size < size:
+            self._scratch = np.empty(size)
+        return self._scratch[:size].reshape(shape)
+
     def dense(self, lo: int, hi: int) -> np.ndarray:
-        """Joint (h, n, n) prior covariances of entries lo..hi-1: block
+        """Joint (S, h, n, n) prior covariances of entries lo..hi-1: block
         diagonal over channels."""
-        prior = self.rows("prior", lo, hi)  # (h, P, s, s)
-        h, P, s, _ = prior.shape
-        return np.einsum("hpab,pq->hpaqb", prior, np.eye(P)).reshape(h, P * s, P * s)
+        prior = self.rows("prior", lo, hi)  # (S, h, P, s, s)
+        S, h, P, s, _ = prior.shape
+        return np.einsum("khpab,pq->khpaqb", prior, np.eye(P)).reshape(S, h, P * s, P * s)
 
 
 class Slots(NamedTuple):
-    """Kalman moments of one state's reached hypotheses, slot d-1 for d = 1..r.
+    """Kalman moments of a stack's reached hypotheses, slot d-1 for d = 1..r
+    of each state.
 
-    The first ``clean`` slots are clean: slot i has absorbed i+1 fully
-    observed rows, so the prior covariance of its next row is entry i+1 of
-    the state's table, and nothing is stored for it. ``covs`` holds the
-    joint covariances of the other slots: posterior after `update`, prior of
-    the next row after `predict`.
+    The first ``clean`` slots of every state are clean: slot i has absorbed
+    i+1 fully observed rows, so the prior covariance of its next row is
+    entry i+1 of the stack's table, and nothing is stored for it. ``covs``
+    holds the joint covariances of the other slots: posterior after
+    `update`, prior of the next row after `predict`.
     """
 
-    means: np.ndarray  # (r, n)
+    means: np.ndarray  # (S, r, n)
     clean: int
-    covs: np.ndarray  # (r - clean, n, n)
+    covs: np.ndarray  # (S, r - clean, n, n)
 
 
-def predict(ss: StateSpace, slots: Slots) -> Slots:
+def predict(ss: StateSpace, table: CovarianceTable, slots: Slots) -> Slots:
     """One-step-ahead prior of every slot: x -> A x, P -> A P A^T + Q.
 
     Clean slots keep their table entry, which holds the prior already.
     """
     covs = slots.covs
-    if covs.shape[0]:
-        covs = ss.A @ covs @ ss.A.T + ss.Q
-        covs = 0.5 * (covs + np.swapaxes(covs, 1, 2))
-    return Slots(slots.means @ ss.A.T, slots.clean, covs)
+    if covs.shape[1]:
+        A = ss.A[:, None]
+        work = np.matmul(A, covs, out=table.scratch(covs.shape))
+        covs = work @ _mT(A)
+        covs += ss.Q[:, None]
+        _symmetrize(covs, work)
+    return Slots(slots.means @ _mT(ss.A), slots.clean, covs)
 
 
 def observation_conditionals(ss: StateSpace, table: CovarianceTable, slots: Slots):
-    """Predicted observation mean (r, P) and covariance (r, P, P) per slot.
+    """Predicted observation mean (S, r, P) and covariance (S, r, P, P) per
+    slot.
 
     Without joint slots the covariances are a read-only view of the table.
     """
-    om = slots.means @ ss.H.T + ss.mean[None, :]
+    om = slots.means @ _mT(ss.H) + ss.mean[:, None, :]
     oc = table.rows("ycov", 1, slots.clean + 1)
-    if slots.covs.shape[0]:
-        oc = np.concatenate([oc, ss.H @ slots.covs @ ss.H.T + ss.noise])
+    if slots.covs.shape[1]:
+        H = ss.H[:, None]
+        joint = H @ slots.covs @ _mT(H)
+        joint += ss.noise
+        oc = np.concatenate([oc, joint], axis=1) if slots.clean else joint
     return om, oc
 
 
 def update(ss: StateSpace, table: CovarianceTable, slots: Slots | None, row, mask, cap: int):
-    """Absorb a row into one state's predicted slots; returns the new slots
-    and the row's log-density under each.
+    """Absorb a row into a stack's predicted slots; returns the new slots and
+    the row's log-density (S, r) under each.
 
     A fresh segment, with no rows absorbed and the prior of table entry 0,
     joins in front of ``slots`` (``None`` starts a stream), and the slot
@@ -245,54 +297,56 @@ def update(ss: StateSpace, table: CovarianceTable, slots: Slots | None, row, mas
     joint, and with nothing observed the priors pass through with zero
     evidence.
     """
-    n = ss.A.shape[0]
-    means, clean, covs = np.zeros((0, n)), 0, np.zeros((0, n, n))
+    S, n = ss.A.shape[:2]
+    means, clean, covs = np.zeros((S, 0, n)), 0, np.zeros((S, 0, n, n))
     if slots is not None:
         means, clean, covs = slots
-    means = np.vstack([np.zeros((1, n)), means])[:cap]
+    means = np.concatenate([np.zeros((S, 1, n)), means], axis=1)[:, :cap]
     clean = min(clean + 1, cap)
-    covs = covs[: cap - clean]
+    covs = covs[:, : cap - clean]
     if not np.all(mask):
-        covs = np.concatenate([table.dense(0, clean), covs])
-        means, covs, logdens = _update_joint(ss, means, covs, row, mask)
+        covs = np.concatenate([table.dense(0, clean), covs], axis=1)
+        means, covs, logdens = _update_joint(ss, table, means, covs, row, mask)
         return Slots(means, 0, covs), logdens
-    new_means, logdens = _update_clean(ss, table, means[:clean], row)
-    if covs.shape[0]:
-        jm, covs, jl = _update_joint(ss, means[clean:], covs, row, mask)
-        new_means, logdens = np.vstack([new_means, jm]), np.concatenate([logdens, jl])
+    new_means, logdens = _update_clean(ss, table, means[:, :clean], row)
+    if covs.shape[1]:
+        jm, covs, jl = _update_joint(ss, table, means[:, clean:], covs.copy(), row, mask)
+        new_means = np.concatenate([new_means, jm], axis=1)
+        logdens = np.concatenate([logdens, jl], axis=1)
     return Slots(new_means, clean, covs), logdens
 
 
-def _update_joint(ss: StateSpace, pm, pc, row, mask):
-    """Kalman measurement update of joint slots on the observed features."""
-    d = pm.shape[0]
+def _update_joint(ss: StateSpace, table: CovarianceTable, pm, pc, row, mask):
+    """Kalman measurement update of joint slots (S, d, ...) on the observed
+    features; the posterior covariances overwrite ``pc``."""
     if not np.any(mask):
-        return pm, pc, np.zeros(d)
-    Hm = ss.H[mask]
-    innov = (row[mask] - ss.mean[mask])[None, :] - pm @ Hm.T  # (d, m)
-    PH = pc @ Hm.T  # (d, n, m)
-    S = Hm @ PH + ss.noise[np.ix_(mask, mask)]
-    S = 0.5 * (S + np.swapaxes(S, 1, 2))
+        return pm, pc, np.zeros(pm.shape[:2])
+    Hm = ss.H[:, mask]  # (S, m, n)
+    innov = (row[mask] - ss.mean[:, mask])[:, None, :] - pm @ _mT(Hm)  # (S, d, m)
+    PH = pc @ _mT(Hm)[:, None]  # (S, d, n, m)
+    S = Hm[:, None] @ PH + ss.noise[np.ix_(mask, mask)]
+    S = 0.5 * (S + _mT(S))
     logdens = gaussian_logpdf(innov, np.linalg.cholesky(S))
 
-    gain_t = np.linalg.solve(S, np.swapaxes(PH, 1, 2))  # K^T = S^{-1} H P, (d, m, n)
-    new_m = pm + (innov[:, None, :] @ gain_t)[:, 0]
-    new_c = pc - PH @ gain_t
-    new_c = 0.5 * (new_c + np.swapaxes(new_c, 1, 2))
-    return new_m, new_c, logdens
+    gain_t = np.linalg.solve(S, _mT(PH))  # K^T = S^{-1} H P, (S, d, m, n)
+    new_m = pm + (innov[..., None, :] @ gain_t)[..., 0, :]
+    work = np.matmul(PH, gain_t, out=table.scratch(pc.shape))
+    np.subtract(pc, work, out=pc)
+    return new_m, _symmetrize(pc, work), logdens
 
 
 def _update_clean(ss: StateSpace, table: CovarianceTable, pm, row):
-    """Fully observed update of the first ``len(pm)`` clean slots, channel
-    by channel.
+    """Fully observed update of the first ``pm.shape[1]`` clean slots of
+    every state, channel by channel.
 
     The rotated residual z_p - x_p[0] of channel p has variance var_p; the
     channel's state moves along its gain. Densities pick up the Jacobian
     |det W| of the rotation.
     """
-    d = pm.shape[0]
-    var = table.rows("var", 0, d)  # (d, P)
-    resid = (row - ss.mean) @ ss.W - pm[:, :: ss.dim]  # (d, P)
-    new_m = pm + (resid[:, :, None] * table.rows("gain", 0, d)).reshape(d, -1)
-    quad = np.sum(resid**2 / var + np.log(var), axis=1)
-    return new_m, -0.5 * (quad + var.shape[1] * LOG_2PI) + table.logdet_W
+    S, d, n = pm.shape
+    var = table.rows("var", 0, d)  # (S, d, P)
+    resid = (row - ss.mean)[:, None, :] @ ss.W - pm[..., :: ss.dim]  # (S, d, P)
+    # each channel's residual repeated over its s state components
+    new_m = pm + np.repeat(resid, ss.dim, axis=-1) * table.rows("gain", 0, d).reshape(S, d, n)
+    quad = np.sum(resid**2 / var + table.rows("logvar", 0, d), axis=-1)
+    return new_m, -0.5 * (quad + var.shape[-1] * LOG_2PI) + table.logdet_W[:, None]

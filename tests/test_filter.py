@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 import helpers
 import oracles
-from switchgp import statespace
+from switchgp import kernels, statespace
 from switchgp.data import generate_synthetic
 from switchgp.errors import FilterCollapseError, NonFiniteObservationError
 from switchgp.filtering import (
@@ -634,50 +634,86 @@ class TestCleanPath:
             oracles.enumerate_log_evidence(model, rows, mask=mask), abs=1e-8
         )
 
-    def test_full_rows_keep_every_slot_clean_and_a_masked_row_resets(self):
-        model = mixed_smoothness_model(A=3, P=3, cap=5, seed=1)
-        rows = generate_synthetic(model, 20, seed=2).observations
-        backend = KalmanBackend(model)
-        # entry 0 holds the fresh-segment law
-        assert [tab.size for tab in backend.covariances] == [1, 1, 1]
-        state = forward_init(model, rows[0], backend=backend)
-        for t in range(1, 3):
-            state = forward_step(state, rows[t], model)
-        # the tables grow one entry per row, up to the cap plus one
-        assert [tab.size for tab in backend.covariances] == [3, 3, 3]
-        for t in range(3, 15):
-            state = forward_step(state, rows[t], model)
-        assert [tab.size for tab in backend.covariances] == [6, 6, 6]
-        for slots in state.cache:
-            assert slots.clean == 5
-            assert slots.means.shape[0] == 5
-            assert slots.covs.shape[0] == 0
-        state = forward_step(state, rows[15], model, np.array([True, False, True]))
-        assert [slots.clean for slots in state.cache] == [0, 0, 0]
-        state = forward_step(state, rows[16], model)
-        assert [slots.clean for slots in state.cache] == [1, 1, 1]
-        assert [slots.covs.shape[0] for slots in state.cache] == [4, 4, 4]
+    @staticmethod
+    def stacked_models():
+        """A model whose three states each have their own smoothness, so
+        three one-state stacks, and one whose states share a smoothness, so
+        one stack of three states."""
+        yield mixed_smoothness_model(A=3, P=3, cap=5, seed=1), 3
+        yield helpers.random_model(A=3, P=3, cap=5, seed=1), 1
 
-    def test_every_row_costs_one_update_call_per_state(self, monkeypatch):
-        # statespace sorts each state's slots into clean and joint itself,
-        # so slot sets that hold both still take one call
-        model = mixed_smoothness_model(A=3, P=3, cap=5, seed=1)
-        rows = generate_synthetic(model, 12, seed=2).observations
+    def test_full_rows_keep_every_slot_clean_and_a_masked_row_resets(self):
+        for model, stacks in self.stacked_models():
+            rows = generate_synthetic(model, 20, seed=2).observations
+            backend = KalmanBackend(model)
+            sizes = [len(ss.states) for ss in backend.spaces]
+            states = np.concatenate([ss.states for ss in backend.spaces])
+            assert sorted(states.tolist()) == [0, 1, 2]
+            # entry 0 holds the fresh-segment law, and the first row reads
+            # nothing past it
+            assert [tab.size for tab in backend.covariances] == [1] * stacks
+            state = forward_init(model, rows[0], backend=backend)
+            assert [tab.size for tab in backend.covariances] == [1] * stacks
+            for t in range(1, 3):
+                state = forward_step(state, rows[t], model)
+            # the tables grow one entry per row for all their states at
+            # once, up to the cap plus one
+            assert [tab.size for tab in backend.covariances] == [3] * stacks
+            for t in range(3, 15):
+                state = forward_step(state, rows[t], model)
+            assert [tab.size for tab in backend.covariances] == [6] * stacks
+            for tab, S in zip(backend.covariances, sizes):
+                assert tab.rows("ycov", 0, 6).shape == (S, 6, 3, 3)
+            for slots, S in zip(state.cache, sizes):
+                assert slots.clean == 5
+                assert slots.means.shape[:2] == (S, 5)
+                assert slots.covs.shape[:2] == (S, 0)
+            state = forward_step(state, rows[15], model, np.array([True, False, True]))
+            assert [slots.clean for slots in state.cache] == [0] * stacks
+            state = forward_step(state, rows[16], model)
+            assert [slots.clean for slots in state.cache] == [1] * stacks
+            assert [slots.covs.shape[:2] for slots in state.cache] == [(S, 4) for S in sizes]
+
+    def test_every_row_costs_one_statespace_call_per_state_dimension(self, monkeypatch):
+        # statespace sorts each stack's slots into clean and joint itself,
+        # so slot sets that hold both still take one call per stage
         calls = []
-        update = statespace.update
+        for name in ("predict", "observation_conditionals", "update"):
+            def counted(*args, _name=name, _fn=getattr(statespace, name)):
+                calls.append(_name)
+                return _fn(*args)
+
+            monkeypatch.setattr(statespace, name, counted)
+        partial = np.array([True, False, True])
+        masks = [None] * 6 + [partial, None, None, partial, partial]
+        for model, stacks in self.stacked_models():
+            rows = generate_synthetic(model, 12, seed=2).observations
+            calls.clear()
+            state = forward_init(model, rows[0])
+            assert calls == ["update"] * stacks
+            for t, mask in enumerate(masks, 1):
+                calls.clear()
+                state = forward_step(state, rows[t], model, mask)
+                for name in ("predict", "observation_conditionals", "update"):
+                    assert calls.count(name) == stacks, f"row {t}, {name}"
+
+    @pytest.mark.parametrize("shared_task, factors", [(False, 3), (True, 1)])
+    def test_one_channel_basis_per_task_factor(self, monkeypatch, shared_task, factors):
+        model = helpers.random_model(A=3, P=3, cap=5, seed=1)
+        if shared_task:
+            task = model.emissions[0].task
+            emissions = tuple(replace(e, task=task) for e in model.emissions)
+            model = replace(model, emissions=emissions, shared_task=True)
+        calls = []
+        basis = kernels.channel_basis
 
         def counted(*args):
             calls.append(args)
-            return update(*args)
+            return basis(*args)
 
-        monkeypatch.setattr(statespace, "update", counted)
-        partial = np.array([True, False, True])
-        masks = [None] * 6 + [partial, None, None, partial, partial]
-        state = forward_init(model, rows[0])
-        for t, mask in enumerate(masks, 1):
-            calls.clear()
-            state = forward_step(state, rows[t], model, mask)
-            assert len(calls) == 3, f"row {t}"
+        monkeypatch.setattr(kernels, "channel_basis", counted)
+        KalmanBackend(model)
+        assert len(calls) == factors
 
 
 class TestRowDensity:

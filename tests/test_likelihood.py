@@ -8,7 +8,7 @@ import pytest
 
 import helpers
 import oracles
-from switchgp import likelihood
+from switchgp import kernels, likelihood
 from switchgp.data import generate_synthetic
 from switchgp.errors import InsufficientDataError, NonPositiveDefiniteError
 from switchgp.fit import FitConfig, _Packing
@@ -291,13 +291,13 @@ class TestPrefixFactors:
         model = prefix_model(1.5, shared_task)
         data = [prefix_series(model.num_features, seed=3)]
         calls = []
-        basis = likelihood.channel_basis
+        basis = kernels.channel_basis
 
         def counted(*args):
             calls.append(args)
             return basis(*args)
 
-        monkeypatch.setattr(likelihood, "channel_basis", counted)
+        monkeypatch.setattr(kernels, "channel_basis", counted)
         nll_and_gradients(model, data)
         negative_loglik(model, data)
         assert len(calls) == 2 * factors

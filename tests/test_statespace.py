@@ -25,18 +25,17 @@ def kalman_segment_logdensity(model, state, rows, mask=None):
     table while the rows are fully observed), and by a joint slot that
     enters with the stationary prior and always sits one slot behind it.
     """
-    e = model.emissions[state]
-    ss = statespace.build_statespace(e, model.noise)
+    ss = statespace.build_statespace(model, [state])
     table = statespace.CovarianceTable(ss)
     T = rows.shape[0]
-    slots = statespace.Slots(np.zeros((1, ss.A.shape[0])), 0, ss.P0[None])
+    slots = statespace.Slots(np.zeros((1, 1, ss.A.shape[1])), 0, ss.P0[:, None])
     total = np.zeros(2)
     for t in range(T):
         m = np.ones(rows.shape[1], dtype=bool) if mask is None else mask[t]
         if t > 0:
-            slots = statespace.predict(ss, slots)
+            slots = statespace.predict(ss, table, slots)
         slots, ld = statespace.update(ss, table, slots, rows[t], m, T + 1)
-        total += ld[t : t + 2]
+        total += ld[0, t : t + 2]
     return total
 
 
@@ -87,20 +86,20 @@ class TestJointStateSpace:
     def test_transition_is_channel_block_diagonal(self):
         model = helpers.random_model(A=1, P=3, seed=5)
         e = model.emissions[0]
-        ss = statespace.build_statespace(e, model.noise)
+        ss = statespace.build_statespace(model, [0])
         unit = MaternKernel(1.0, e.temporal.lengthscale, e.temporal.smoothness)
         a1, _, _ = statespace.discretize(unit)
-        np.testing.assert_allclose(ss.A, np.kron(np.eye(3), a1), atol=1e-12)
+        np.testing.assert_allclose(ss.A[0], np.kron(np.eye(3), a1), atol=1e-12)
 
     def test_stationary_observation_is_prior_marginal(self):
         # a fresh segment's law: the emission mean and table entry 0
         model = helpers.random_model(A=1, P=3, seed=7)
         e = model.emissions[0]
-        ss = statespace.build_statespace(e, model.noise)
-        cov = statespace.CovarianceTable(ss).rows("ycov", 0, 1)[0]
+        ss = statespace.build_statespace(model, [0])
+        cov = statespace.CovarianceTable(ss).rows("ycov", 0, 1)[0, 0]
         expected = e.temporal.variance * task_cov_assemble(e.task)
         expected = expected + np.diag(model.noise.per_feature_variance)
-        np.testing.assert_allclose(ss.mean, e.mean)
+        np.testing.assert_allclose(ss.mean[0], e.mean)
         np.testing.assert_allclose(cov, expected, atol=1e-9)
 
     def test_first_row_update_matches_stationary_density(self):
@@ -150,20 +149,24 @@ class TestKalmanMatchesDense:
 
     def test_update_with_empty_mask_returns_zero_evidence(self):
         model = helpers.random_model(A=1, P=2, seed=4)
-        e = model.emissions[0]
-        ss = statespace.build_statespace(e, model.noise)
+        ss = statespace.build_statespace(model, [0])
         table = statespace.CovarianceTable(ss)
-        pm = np.random.default_rng(4).normal(size=(3, ss.A.shape[0]))
-        pc = np.broadcast_to(ss.P0, (3,) + ss.P0.shape).copy()
+        n = ss.A.shape[1]
+        pm = np.random.default_rng(4).normal(size=(1, 3, n))
+        pc = np.broadcast_to(ss.P0[:, None], (1, 3, n, n)).copy()
         row = np.array([1.0, 2.0])
         out, ld = statespace.update(
             ss, table, statespace.Slots(pm, 0, pc), row, np.zeros(2, dtype=bool), 4
         )
         # the fresh slot joins in front with the stationary prior
         assert out.clean == 0
-        np.testing.assert_array_equal(out.means, np.vstack([np.zeros((1, pm.shape[1])), pm]))
-        np.testing.assert_array_equal(out.covs, np.concatenate([table.dense(0, 1), pc]))
-        np.testing.assert_array_equal(ld, np.zeros(4))
+        np.testing.assert_array_equal(
+            out.means, np.concatenate([np.zeros((1, 1, n)), pm], axis=1)
+        )
+        np.testing.assert_array_equal(
+            out.covs, np.concatenate([table.dense(0, 1), pc], axis=1)
+        )
+        np.testing.assert_array_equal(ld, np.zeros((1, 4)))
 
     def test_smoothness_variants_agree_with_dense(self):
         # state dimension differs per smoothness; the densities must not
@@ -192,49 +195,94 @@ class TestKalmanMatchesDense:
 class TestCovarianceTable:
     @pytest.mark.parametrize("nu", SMOOTHNESS)
     def test_clean_path_matches_joint_path(self, nu):
-        model = helpers.random_model(A=1, P=3, cap=8, seed=41)
-        e = model.emissions[0]
-        e = replace(e, temporal=replace(e.temporal, smoothness=nu))
-        ss = statespace.build_statespace(e, model.noise)
+        # a stack of two states with one smoothness
+        model = helpers.random_model(A=2, P=3, cap=8, seed=41)
+        emissions = tuple(
+            replace(e, temporal=replace(e.temporal, smoothness=nu)) for e in model.emissions
+        )
+        model = replace(model, emissions=emissions)
+        ss = statespace.build_statespace(model, [0, 1])
         table = statespace.CovarianceTable(ss)
         rows = np.random.default_rng(42).normal(size=(8, 3))
         full = np.ones(3, dtype=bool)
         # A joint slot with the stationary prior enters behind the fresh slot
         # of row 0, so after each row slot t (clean) and slot t + 1 (joint)
         # hold the same hypothesis. `clean` runs the same rows from nothing.
-        mixed = statespace.Slots(np.zeros((1, ss.A.shape[0])), 0, ss.P0[None])
+        n = ss.A.shape[1]
+        mixed = statespace.Slots(np.zeros((2, 1, n)), 0, ss.P0[:, None])
         clean = None
         for t in range(7):
             if t > 0:
-                mixed = statespace.predict(ss, mixed)
-                clean = statespace.predict(ss, clean)
+                mixed = statespace.predict(ss, table, mixed)
+                clean = statespace.predict(ss, table, clean)
                 np.testing.assert_allclose(
-                    table.dense(t, t + 1)[0], mixed.covs[0], rtol=0, atol=1e-12
+                    table.dense(t, t + 1)[:, 0], mixed.covs[:, 0], rtol=0, atol=1e-12
                 )
                 om, oc = statespace.observation_conditionals(ss, table, mixed)
-                np.testing.assert_allclose(om[t - 1], om[t], rtol=0, atol=1e-12)
-                np.testing.assert_allclose(oc[t - 1], oc[t], rtol=0, atol=1e-12)
+                np.testing.assert_allclose(om[:, t - 1], om[:, t], rtol=0, atol=1e-12)
+                np.testing.assert_allclose(oc[:, t - 1], oc[:, t], rtol=0, atol=1e-12)
                 # with no joint slot the covariances are read-only table views
                 co = statespace.observation_conditionals(ss, table, clean)
-                np.testing.assert_allclose(co[0], om[:t], rtol=0, atol=1e-12)
-                np.testing.assert_array_equal(co[1], oc[:t])
+                np.testing.assert_allclose(co[0], om[:, :t], rtol=0, atol=1e-12)
+                np.testing.assert_array_equal(co[1], oc[:, :t])
                 assert not co[1].flags.writeable
             mixed, ml = statespace.update(ss, table, mixed, rows[t], full, 9)
             clean, cl = statespace.update(ss, table, clean, rows[t], full, 9)
-            assert (mixed.clean, clean.clean, len(mixed.covs)) == (t + 1, t + 1, 1)
-            np.testing.assert_allclose(mixed.means[t], mixed.means[t + 1], rtol=0, atol=1e-12)
-            assert ml[t] == pytest.approx(ml[t + 1], abs=1e-12)
-            np.testing.assert_allclose(cl, ml[: t + 1], rtol=0, atol=1e-12)
+            assert (mixed.clean, clean.clean, mixed.covs.shape[1]) == (t + 1, t + 1, 1)
+            np.testing.assert_allclose(
+                mixed.means[:, t], mixed.means[:, t + 1], rtol=0, atol=1e-12
+            )
+            np.testing.assert_allclose(ml[:, t], ml[:, t + 1], rtol=0, atol=1e-12)
+            np.testing.assert_allclose(cl, ml[:, : t + 1], rtol=0, atol=1e-12)
             assert table.size <= t + 3
 
         # a row with a missing feature turns every slot joint
-        mixed = statespace.predict(ss, mixed)
-        clean = statespace.predict(ss, clean)
+        mixed = statespace.predict(ss, table, mixed)
+        clean = statespace.predict(ss, table, clean)
         partial = np.array([True, False, True])
         mixed, ml = statespace.update(ss, table, mixed, rows[7], partial, 9)
         clean, cl = statespace.update(ss, table, clean, rows[7], partial, 9)
         assert (mixed.clean, clean.clean) == (0, 0)
-        np.testing.assert_allclose(mixed.covs[7], mixed.covs[8], rtol=0, atol=1e-12)
-        np.testing.assert_allclose(ml[7], ml[8], rtol=0, atol=1e-12)
-        np.testing.assert_allclose(clean.covs, mixed.covs[:8], rtol=0, atol=1e-12)
-        np.testing.assert_allclose(cl, ml[:8], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(mixed.covs[:, 7], mixed.covs[:, 8], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(ml[:, 7], ml[:, 8], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(clean.covs, mixed.covs[:, :8], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(cl, ml[:, :8], rtol=0, atol=1e-12)
+
+    def test_stack_matches_one_state_at_a_time(self):
+        # every state of a stack gets bitwise the moments and densities it
+        # gets alone, on clean, joint and empty rows
+        model = helpers.random_model(A=3, P=3, cap=6, seed=43)
+        rows = np.random.default_rng(44).normal(size=(10, 3))
+        masks = np.ones((10, 3), dtype=bool)
+        masks[4, 1] = False
+        masks[7] = False
+        runs = [[0, 1, 2]] + [[j] for j in range(3)]
+        out = []
+        for states in runs:
+            ss = statespace.build_statespace(model, states)
+            table = statespace.CovarianceTable(ss)
+            slots, lds = None, []
+            for t in range(10):
+                if t > 0:
+                    slots = statespace.predict(ss, table, slots)
+                    lds.append(statespace.observation_conditionals(ss, table, slots))
+                slots, ld = statespace.update(ss, table, slots, rows[t], masks[t], 6)
+                lds.append((ld,))
+            out.append((slots, lds))
+        (stacked, stacked_lds), singles = out[0], out[1:]
+        for j, (slots, lds) in enumerate(singles):
+            np.testing.assert_array_equal(stacked.means[j], slots.means[0])
+            np.testing.assert_array_equal(stacked.covs[j], slots.covs[0])
+            for got, want in zip(stacked_lds, lds):
+                for a, b in zip(got, want):
+                    np.testing.assert_array_equal(a[j], b[0])
+
+    def test_mixed_smoothness_cannot_stack(self):
+        model = helpers.random_model(A=2, P=2, seed=45)
+        e = model.emissions[1]
+        model = replace(
+            model,
+            emissions=(model.emissions[0], replace(e, temporal=replace(e.temporal, smoothness=0.5))),
+        )
+        with pytest.raises(ValueError, match="smoothness"):
+            statespace.build_statespace(model, [0, 1])
