@@ -20,9 +20,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import FormatError, InsufficientRankError
+from .errors import FormatError, InsufficientRankError, NonPositiveDefiniteError
 from .filtering import build_duration_table
-from .kernels import add_jitter, chol_or_raise, gram_matrix
+from .kernels import matern_eval
 from .model import SegmentedSeries, SwitchingGPModel
 
 NUM_ACTIVITY_LABELS = 6
@@ -228,10 +228,15 @@ def generate_synthetic(model: SwitchingGPModel, num_steps: int, seed=0) -> Segme
         dur = int(rng.choice(D, p=row / row.sum())) + 1
         take = min(dur, num_steps - t)
         e = model.emissions[state]
-        K_T = gram_matrix(e.temporal, dur - 1)
-        Lt = chol_or_raise(
-            add_jitter(K_T, e.temporal.variance), "generate_synthetic", state=state
-        )
+        lags = np.arange(dur, dtype=float)
+        K_T = matern_eval(e.temporal, lags)[np.abs(np.subtract.outer(lags, lags)).astype(int)]
+        K_T[np.diag_indices(dur)] += 1e-8 * e.temporal.variance  # relative jitter
+        try:
+            Lt = np.linalg.cholesky(K_T)
+        except np.linalg.LinAlgError as exc:
+            raise NonPositiveDefiniteError(
+                "covariance not positive definite in generate_synthetic", state=state
+            ) from exc
         Z = rng.standard_normal((dur, P))
         F = Lt @ Z @ e.task.cholesky_factor.T
         Y = F + e.mean[None, :] + rng.standard_normal((dur, P)) * np.sqrt(Dn)[None, :]

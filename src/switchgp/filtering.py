@@ -15,11 +15,11 @@ backends compute them: the exact Kalman recursion of `statespace` (constant
 per step, the default) and dense Gaussian conditioning on the window
 (grid-agnostic, cubic in window length, kept as the test oracle). They agree
 to floating-point accuracy on the uniform grid. The Kalman backend hands
-the hypotheses of all states that share a state dimension to `statespace`
-as one stacked slot set, so a row costs one `statespace` call per stack and
-stage, and a trained model is one stack; `statespace` decides, from the
-rows' masks alone, which of them read their covariances off the stack's
-table indexed by state and elapsed duration.
+the hypotheses of all states to `statespace` as one stacked slot set,
+lower-order states padded to the highest state dimension, so a row costs
+one `statespace` call per stage; `statespace` decides, from the rows' masks
+alone, which of them read their covariances off the stack's table indexed
+by state and elapsed duration.
 
 A backend owns an opaque cache and offers two methods. ``predict(cache,
 cont_logw)`` returns the continuing one-step conditionals plus the cache
@@ -181,62 +181,51 @@ class Predictives:
 class KalmanBackend:
     """Constant-cost-per-row emission backend (exact on the uniform grid).
 
-    States that share a smoothness share a state dimension and form one
-    stack (every trained model is one stack). The cache holds one
-    `statespace.Slots` set per stack, and each row costs one `statespace`
-    call per stack and stage; `statespace.update` decides which slots read
-    their covariances from the stack's `statespace.CovarianceTable`, which
+    All states form one `statespace` stack, the lower orders padded to the
+    highest, so the cache is one `statespace.Slots` set and each row costs
+    one `statespace` call per stage; `statespace.update` decides which slots
+    read their covariances from the `statespace.CovarianceTable`, which
     grows one entry per step the first time a stream reaches each duration.
     Slots the stream has not reached yet hold no moments, and their
-    predictives are placeholders and their log-densities 0. A fresh
-    segment's law is the emission mean and entry 0 of the table. The tables
-    grow, and lend the joint path their scratch buffer, in place, so a
-    backend serves one thread at a time.
+    predictives are the fresh law and their log-densities 0; once every
+    slot is reached and clean, the continuing covariances are a read-only
+    view of the table. A fresh segment's law is the emission mean and entry
+    0 of the table. The table grows, and lends the joint path its scratch
+    buffer, in place, so a backend serves one thread at a time.
     """
 
     def __init__(self, model: SwitchingGPModel):
         self.model = model
         self.table = build_duration_table(model)
-        by_smoothness = {}
-        for j, e in enumerate(model.emissions):
-            by_smoothness.setdefault(e.temporal.smoothness, []).append(j)
-        self.spaces = [
-            statespace.build_statespace(model, states) for states in by_smoothness.values()
+        self.space = statespace.build_statespace(model, range(model.num_states))
+        self.covariances = statespace.CovarianceTable(self.space)
+        self.fresh_mean = self.space.mean
+        self.fresh_cov = self.covariances.rows("ycov", 0, 1)[:, 0].copy()
+        # the fresh law in every slot, to fill the slots a stream has not reached
+        self._unreached = [
+            np.repeat(x[:, None], model.duration_cap, axis=1)
+            for x in (self.fresh_mean, self.fresh_cov)
         ]
-        self.covariances = [statespace.CovarianceTable(ss) for ss in self.spaces]
-        self.fresh_mean = np.stack([e.mean for e in model.emissions])
-        P = model.num_features
-        self.fresh_cov = np.empty((model.num_states, P, P))
-        for ss, tab in zip(self.spaces, self.covariances):
-            self.fresh_cov[ss.states] = tab.rows("ycov", 0, 1)[:, 0]
 
     def predict(self, cache, cont_logw):
-        model = self.model
-        A, D, P = model.num_states, model.duration_cap, model.num_features
-        cont_mean = np.empty((A, D, P))
-        cont_cov = np.empty((A, D, P, P))
-        pred_cache = []
-        for ss, tab, slots in zip(self.spaces, self.covariances, cache):
-            slots = statespace.predict(ss, tab, slots)
-            r = slots.means.shape[1]
-            om, oc = statespace.observation_conditionals(ss, tab, slots)
-            cont_mean[ss.states, :r], cont_cov[ss.states, :r] = om, oc
-            cont_mean[ss.states, r:] = self.fresh_mean[ss.states, None]
-            cont_cov[ss.states, r:] = self.fresh_cov[ss.states, None]
-            pred_cache.append(slots)
-        return cont_mean, cont_cov, tuple(pred_cache)
+        slots = statespace.predict(self.space, self.covariances, cache)
+        om, oc = statespace.observation_conditionals(self.space, self.covariances, slots)
+        r = om.shape[1]
+        if r < self.model.duration_cap:
+            mean, cov = self._unreached
+            om = np.concatenate([om, mean[:, r:]], axis=1)
+            oc = np.concatenate([oc, cov[:, r:]], axis=1)
+        return om, oc, slots
 
     def update(self, pred, row, mask):
         model = self.model
-        D = model.duration_cap
-        logdens = np.zeros((model.num_states, D))
-        cache = []
-        slot_sets = [None] * len(self.spaces) if pred is None else pred.cache
-        for ss, tab, slots in zip(self.spaces, self.covariances, slot_sets):
-            slots, ld = statespace.update(ss, tab, slots, row, mask, D)
-            logdens[ss.states, : ld.shape[1]] = ld
-            cache.append(slots)
-        return tuple(cache), logdens
+        slots = None if pred is None else pred.cache
+        slots, ld = statespace.update(
+            self.space, self.covariances, slots, row, mask, model.duration_cap
+        )
+        logdens = np.zeros((model.num_states, model.duration_cap))
+        logdens[:, : ld.shape[1]] = ld
+        return slots, logdens
 
 
 class ReferenceBackend:
@@ -417,8 +406,7 @@ def map_state(state: ForwardState) -> int:
 
 def state_posterior(state: ForwardState) -> np.ndarray:
     """Filtered distribution over states: p(j) proportional to sum_d alpha(j, d)."""
-    logp = logsumexp(state.log_alpha, axis=1)
-    p = np.exp(logp - logsumexp(logp))
+    p = np.exp(state.log_alpha).sum(axis=1)  # log_alpha is normalized
     return p / p.sum()
 
 

@@ -4,7 +4,8 @@ These are the grid-agnostic reference computations: everything here builds
 covariances entry by entry and factorizes them densely. The fast FFT path in
 `circulant` and the state-space filter both defer to this module as their
 oracle, and partial observation masks are handled here by plain Gaussian
-marginalization (dropping unobserved rows/columns).
+marginalization (dropping unobserved rows/columns). `window_nll` also gives
+the gradients that training needs on segments with missing entries.
 
 An emission object provides ``temporal`` (MaternKernel), ``task``
 (TaskCovariance) and ``mean`` (P-vector); noise is a NoiseModel.
@@ -16,7 +17,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import NonPositiveDefiniteError, UndefinedMetricError
-from .kernels import LOG_2PI, NoiseModel, matern_eval, task_cov_assemble
+from .kernels import LOG_2PI, NoiseModel, matern_eval, matern_grad, task_cov_assemble
 
 
 def _entry_cov(emission, times_a, feats_a, times_b, feats_b) -> np.ndarray:
@@ -88,38 +89,65 @@ def segment_emission_loglik(
     values = np.asarray(values, dtype=float)
     if values.ndim != 2:
         raise ValueError("window must be a d x P matrix")
-    d, P = values.shape
     if mask is None:
-        mask = np.ones((d, P), dtype=bool)
+        mask = np.ones(values.shape, dtype=bool)
     else:
         mask = np.asarray(mask, dtype=bool)
         if mask.shape != values.shape:
             raise ValueError("mask shape must match window shape")
+    return -window_nll(emission, noise, values, mask, means)[0]
+
+
+def window_nll(
+    emission, noise: NoiseModel, values, mask, means=None, gradients=False, state=None
+):
+    """Negative log-density of the observed entries of a d x P window, and
+    with ``gradients`` its gradient blocks; O((observed entries)^3).
+
+    ``means`` is a P-vector or a d x P matrix (the emission mean when None).
+    Returns ``(value, grads)``: ``grads`` is None without ``gradients``, and
+    else holds the ``temporal`` (d/dlog variance, d/dlog lengthscale),
+    ``task`` (dNLL/dL in raw lower-triangular coordinates) and ``noise``
+    (dNLL/dlog sigma_p^2) blocks. ``state`` (0-based) only labels the error.
+    """
     t_idx, p_idx = np.nonzero(mask)
-    if t_idx.size == 0:
-        return 0.0
-
-    if means is None:
-        mean_entries = np.asarray(emission.mean, dtype=float)[p_idx]
-    else:
-        means = np.asarray(means, dtype=float)
-        if means.shape == (P,):
-            mean_entries = means[p_idx]
-        else:
-            mean_entries = means[t_idx, p_idx]
-    resid = values[t_idx, p_idx] - mean_entries
-
-    cov = _entry_cov(emission, t_idx.astype(float), p_idx, t_idx.astype(float), p_idx)
-    cov[np.diag_indices_from(cov)] += noise.per_feature_variance[p_idx]
+    means = np.asarray(emission.mean if means is None else means, dtype=float)
+    r = values[t_idx, p_idx] - (means[p_idx] if means.ndim == 1 else means[t_idx, p_idx])
+    lags = np.abs(np.subtract.outer(t_idx.astype(float), t_idx.astype(float)))
+    K_pairs = task_cov_assemble(emission.task)[np.ix_(p_idx, p_idx)]
+    kvals = matern_eval(emission.temporal, lags)
+    cov = kvals * K_pairs
+    Dn = noise.per_feature_variance
+    cov[np.diag_indices_from(cov)] += Dn[p_idx]
     try:
         L = np.linalg.cholesky(cov)
     except np.linalg.LinAlgError as exc:
+        where = "" if state is None else f" for state {state + 1}"
         raise NonPositiveDefiniteError(
-            "window covariance not positive definite in segment_emission_loglik"
+            f"window covariance not positive definite{where}", state=state
         ) from exc
-    w = scipy.linalg.solve_triangular(L, resid, lower=True)
+    w = scipy.linalg.solve_triangular(L, r, lower=True)
     logdet = 2.0 * float(np.sum(np.log(np.diag(L))))
-    return float(-0.5 * (w @ w + logdet + t_idx.size * LOG_2PI))
+    value = float(0.5 * (w @ w + logdet + r.size * LOG_2PI))
+    if not gradients:
+        return value, None
+
+    Sinv = scipy.linalg.cho_solve((L, True), np.eye(cov.shape[0]))
+    alpha = Sinv @ r
+    H = Sinv - np.outer(alpha, alpha)
+    dk_var, dk_len = matern_grad(emission.temporal, lags)
+    grad_t = np.array(
+        [0.5 * np.sum(H * (dk_var * K_pairs)), 0.5 * np.sum(H * (dk_len * K_pairs))]
+    )
+    # dNLL/dKY[a,b] summed over entry pairs, then mapped through KY = L L^T.
+    P = Dn.shape[0]
+    Gky = np.zeros((P, P))
+    np.add.at(Gky, (p_idx[:, None], p_idx[None, :]), 0.5 * H * kvals)
+    grad_task = (Gky + Gky.T) @ emission.task.cholesky_factor
+    grad_noise = np.zeros(P)
+    np.add.at(grad_noise, p_idx, 0.5 * np.diag(H))
+    grad_noise *= Dn
+    return value, {"temporal": grad_t, "task": grad_task, "noise": grad_noise}
 
 
 def exact_segment_loglik(

@@ -20,9 +20,6 @@ from .errors import NonPositiveDefiniteError
 # Supported half-integer smoothness orders (closed-form Matern kernels).
 SMOOTHNESS_ORDERS = (0.5, 1.5, 2.5)
 
-# Relative diagonal jitter applied to bare Gram matrices before factorization.
-JITTER = 1e-8
-
 LOG_2PI = math.log(2.0 * math.pi)
 
 
@@ -147,41 +144,6 @@ def task_cov_assemble(tc: TaskCovariance) -> np.ndarray:
     """Assemble the inter-feature covariance L L^T."""
     L = tc.cholesky_factor
     return L @ L.T
-
-
-def gram_matrix(kernel: MaternKernel, num_steps: int) -> np.ndarray:
-    """Kernel Gram matrix on the uniform grid 0..num_steps.
-
-    Returns the (num_steps+1) x (num_steps+1) symmetric Toeplitz matrix with
-    entry (i, j) = k(|i - j|). No jitter is added here; see `add_jitter`.
-    """
-    if num_steps < 0:
-        raise ValueError("num_steps must be >= 0")
-    lags = np.arange(num_steps + 1, dtype=float)
-    row = matern_eval(kernel, lags)
-    idx = np.abs(np.subtract.outer(lags, lags)).astype(int)
-    return row[idx]
-
-
-def add_jitter(mat: np.ndarray, variance: float) -> np.ndarray:
-    """Copy of ``mat`` with JITTER * variance added to the diagonal.
-
-    Applied to bare Gram matrices before Cholesky; covariances that already
-    include observation noise are factorized as-is.
-    """
-    out = np.array(mat, dtype=float, copy=True)
-    out[np.diag_indices_from(out)] += JITTER * variance
-    return out
-
-
-def chol_or_raise(mat: np.ndarray, context: str, state: int | None = None) -> np.ndarray:
-    """Cholesky factor of ``mat``, raising NonPositiveDefiniteError on failure."""
-    try:
-        return np.linalg.cholesky(mat)
-    except np.linalg.LinAlgError as exc:
-        raise NonPositiveDefiniteError(
-            f"covariance not positive definite in {context}", state=state
-        ) from exc
 
 
 def channel_basis(task: TaskCovariance, noise: NoiseModel, state: int | None = None):

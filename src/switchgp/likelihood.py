@@ -34,14 +34,8 @@ from scipy.linalg.lapack import dlauum, dpotrf, dtrtri
 
 from .circulant import fast_segment_loglik
 from .errors import InsufficientDataError, NonPositiveDefiniteError, SingularEmbeddingError
-from .gp_predict import segment_emission_loglik
-from .kernels import (
-    LOG_2PI,
-    channel_bases,
-    matern_eval,
-    matern_grad,
-    task_cov_assemble,
-)
+from .gp_predict import segment_emission_loglik, window_nll
+from .kernels import LOG_2PI, channel_bases, matern_grad
 from .model import SwitchingGPModel, segment_series
 
 # Entries of one chunk's (c, Tmax, Tmax) stack of prefix factors, c channels
@@ -94,7 +88,7 @@ def _state_nll(model: SwitchingGPModel, j: int, resids, basis, gradients: bool =
 
     Returns ``(value, grads)``. ``grads`` is None unless ``gradients`` is
     set; then it holds the ``temporal``, ``task`` and ``noise`` blocks of
-    `_masked_nll_and_grads`, summed over the segments.
+    `gp_predict.window_nll`, summed over the segments.
     """
     e = model.emissions[j]
     P = model.num_features
@@ -222,7 +216,10 @@ def nll_and_gradients(model: SwitchingGPModel, data):
     full, masked = collect_segments(model, data)
     bases = channel_bases(model.emissions, model.noise, full)
     terms = [(j, *_state_nll(model, j, r, bases[j], gradients=True)) for j, r in full.items()]
-    terms += [(seg.state, *_masked_nll_and_grads(model, seg)) for seg in masked]
+    for seg in masked:
+        e = model.emissions[seg.state]
+        nll = window_nll(e, model.noise, seg.values, seg.mask, gradients=True, state=seg.state)
+        terms.append((seg.state, *nll))
 
     total = 0.0
     d_temporal = np.zeros((A, 2))
@@ -234,50 +231,3 @@ def nll_and_gradients(model: SwitchingGPModel, data):
         task_acc[0 if model.shared_task else j] += grads["task"]
         noise_grad += grads["noise"]
     return total, GradientAccumulator(temporal=d_temporal, task=task_acc, noise=noise_grad)
-
-
-def _masked_nll_and_grads(model: SwitchingGPModel, seg: _MaskedSegment):
-    """Entry-level NLL and gradients for a partially observed segment.
-
-    O((observed entries)^3); only exercised by data with mask holes.
-    """
-    j = seg.state
-    e = model.emissions[j]
-    Dn = model.noise.per_feature_variance
-    t_idx, p_idx = np.nonzero(seg.mask)
-    r = seg.values[t_idx, p_idx] - e.mean[p_idx]
-    lags = np.abs(np.subtract.outer(t_idx.astype(float), t_idx.astype(float)))
-    KY = task_cov_assemble(e.task)
-    K_pairs = KY[np.ix_(p_idx, p_idx)]
-    kvals = matern_eval(e.temporal, lags)
-    cov = kvals * K_pairs
-    cov[np.diag_indices_from(cov)] += Dn[p_idx]
-    try:
-        L = np.linalg.cholesky(cov)
-    except np.linalg.LinAlgError as exc:
-        raise NonPositiveDefiniteError(
-            f"window covariance not positive definite for state {j + 1}", state=j
-        ) from exc
-    Sinv = scipy.linalg.cho_solve((L, True), np.eye(cov.shape[0]))
-    alpha = Sinv @ r
-    H = Sinv - np.outer(alpha, alpha)
-    logdet = 2.0 * float(np.sum(np.log(np.diag(L))))
-    val = 0.5 * (r @ alpha + logdet + r.shape[0] * LOG_2PI)
-
-    dk_var, dk_len = matern_grad(e.temporal, lags)
-    grad_t = np.array(
-        [0.5 * np.sum(H * (dk_var * K_pairs)), 0.5 * np.sum(H * (dk_len * K_pairs))]
-    )
-
-    # dNLL/dKY[a,b] summed over entry pairs, then mapped through KY = L L^T.
-    P = model.num_features
-    Gky = np.zeros((P, P))
-    M = 0.5 * H * kvals
-    np.add.at(Gky, (p_idx[:, None], p_idx[None, :]), M)
-    grad_task = (Gky + Gky.T) @ e.task.cholesky_factor
-
-    grad_noise = np.zeros(P)
-    diag_H = np.diag(H)
-    np.add.at(grad_noise, p_idx, 0.5 * diag_H)
-    grad_noise *= Dn
-    return val, {"temporal": grad_t, "task": grad_task, "noise": grad_noise}

@@ -13,13 +13,18 @@ processes with variances mu_p. One joint state vector stacks the P channel
 states (channel-major); all channels share the transition matrix because
 they share the temporal kernel within a state.
 
-A `StateSpace` stacks the emission states that share one state dimension
-(one smoothness), and `predict`, `observation_conditionals` and `update`
-work on the stack's one `Slots` set: the Kalman moments of every stacked
-state's hypotheses, one slot per state and elapsed duration. Which slots a
-row reaches, and which are clean, follow from the rows' masks alone, so all
-states of a stack share them, and each call is one batched pass over the
-states. Slots come in two kinds, and `update` alone decides which:
+A `StateSpace` stacks emission states of any smoothness. Each channel's
+block has the state dimension s of the stack's highest order; a
+lower-order state keeps its SDE in the leading components of the block,
+and the rest of its transition, process noise and prior are exactly 0, so
+those components stay 0 through every Kalman step and leave the state's
+moments and densities as they are alone. `predict`,
+`observation_conditionals` and `update` work on the stack's one `Slots`
+set: the Kalman moments of every stacked state's hypotheses, one slot per
+state and elapsed duration. Which slots a row reaches, and which are clean,
+follow from the rows' masks alone, so all states of a stack share them, and
+each call is one batched pass over the states. Slots come in two kinds, and
+`update` alone decides which:
 
 - clean slots, whose segment so far saw only fully observed rows. Their
   covariances depend on the number of rows absorbed alone, so the stack's
@@ -34,7 +39,7 @@ states. Slots come in two kinds, and `update` alone decides which:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -81,16 +86,15 @@ def discretize(kernel: MaternKernel, dt: float = 1.0):
 
 @dataclass
 class StateSpace:
-    """Joint state-space models of a stack of S emission states that share
-    one state dimension, across all channels; state k of the stack is the
-    model's state ``states[k]``."""
+    """Joint state-space models of a stack of S emission states across all
+    channels; state k of the stack is the model's state ``states[k]``."""
 
     states: np.ndarray  # (S,) 0-based state indices
     A: np.ndarray  # (S, n, n) joint transitions
     Q: np.ndarray  # (S, n, n) joint process noise
     P0: np.ndarray  # (S, n, n) joint stationary priors
     H: np.ndarray  # (S, P, n) observation matrices (position components through W^{-T})
-    dim: int  # per-channel state dimension
+    dim: int  # per-channel state dimension, that of the highest stacked order
     W: np.ndarray  # (S, P, P) channel bases: z = W^T (y - mean) has unit noise
     mean: np.ndarray  # (S, P) emission means
     noise: np.ndarray  # (P, P) diagonal observation noise covariance
@@ -98,20 +102,20 @@ class StateSpace:
 
 def build_statespace(model, states) -> StateSpace:
     """Assemble the joint channel-stacked state spaces of ``states`` (0-based
-    indices into ``model.emissions``), which must share one smoothness; states
-    that share a task factor share one channel basis."""
+    indices into ``model.emissions``), each padded to the highest order among
+    them; states that share a task factor share one channel basis."""
     states = np.asarray(states, dtype=int)
     emissions = [model.emissions[j] for j in states]
-    if len({e.temporal.smoothness for e in emissions}) != 1:
-        raise ValueError("stacked states must share one smoothness")
     bases = channel_bases(model.emissions, model.noise, states.tolist())
     P = model.num_features
+    s = max(_STATE_DIM[e.temporal.smoothness] for e in emissions)
     blocks = []
     for j, e in zip(states, emissions):
         mu, W = bases[j]
-        unit = MaternKernel(1.0, e.temporal.lengthscale, e.temporal.smoothness)
-        A1, Q1, P1 = discretize(unit)
-        s = A1.shape[0]
+        k = _STATE_DIM[e.temporal.smoothness]
+        unit = np.zeros((3, s, s))  # transition, noise and prior, 0 past order k
+        unit[:, :k, :k] = discretize(replace(e.temporal, variance=1.0))
+        A1, Q1, P1 = unit
         scale = e.temporal.variance * np.maximum(mu, 0.0)  # per-channel signal variance
         Q, P0 = np.zeros((P * s, P * s)), np.zeros((P * s, P * s))
         for p, c in enumerate(scale):
@@ -122,7 +126,7 @@ def build_statespace(model, states) -> StateSpace:
         blocks.append((np.kron(np.eye(P), A1), Q, P0, H, W))
     A, Q, P0, H, W = (np.stack(x) for x in zip(*blocks))
     return StateSpace(
-        states=states, A=A, Q=Q, P0=P0, H=H, dim=A.shape[1] // P, W=W,
+        states=states, A=A, Q=Q, P0=P0, H=H, dim=s, W=W,
         mean=np.stack([e.mean for e in emissions]),
         noise=np.diag(model.noise.per_feature_variance),
     )

@@ -4,6 +4,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import helpers
 import oracles
@@ -15,9 +17,9 @@ from switchgp.data import (
     load_har,
     save_har,
 )
-from switchgp.errors import FormatError, InsufficientRankError
+from switchgp.errors import FormatError, InsufficientRankError, NonPositiveDefiniteError
 from switchgp.kernels import MaternKernel, NoiseModel
-from switchgp.model import segment_series
+from switchgp.model import GammaDuration, segment_series
 
 
 def write_split(root, split, X, y, subjects):
@@ -204,8 +206,6 @@ class TestGenerateSynthetic:
     def test_duration_means_converge(self):
         # ~1000 segments; the discretized mean sits ~+0.5 above k*beta, so
         # k*beta = 32 keeps offset plus MC noise inside the 5% band
-        from switchgp.model import GammaDuration
-
         model = helpers.random_model(A=2, P=1, cap=77, seed=1)
         model = replace(
             model, durations=(GammaDuration(8.0, 4.0), GammaDuration(8.0, 4.0))
@@ -259,3 +259,31 @@ class TestGenerateSynthetic:
         assert series.labels.shape == (300,)
         assert set(np.unique(series.labels)) <= {1, 2}
         assert series.observations.shape == (300, 2)
+
+    @given(
+        cap=st.integers(min_value=1, max_value=13),
+        lengthscale=st.floats(min_value=0.2, max_value=50.0),
+        smoothness=st.sampled_from([0.5, 1.5, 2.5]),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_jitter_factors_smooth_long_windows(self, cap, lengthscale, smoothness):
+        # Gamma(20, 1) puts most segments at the cap: the longest, and with
+        # a smooth kernel and a long lengthscale the worst-conditioned, Gram
+        # matrices the generator factors
+        model = helpers.random_model(A=1, P=1, cap=cap, seed=13)
+        e = replace(model.emissions[0], temporal=MaternKernel(1.0, lengthscale, smoothness))
+        model = replace(model, durations=(GammaDuration(20.0, 1.0),), emissions=(e,))
+        series = generate_synthetic(model, 2 * cap, seed=14)
+        assert np.all(np.isfinite(series.observations))
+
+    def test_failed_factorization_names_the_state(self, monkeypatch):
+        model = helpers.random_model(A=3, P=2, cap=4, seed=15)
+        first = int(generate_synthetic(model, 6, seed=16).labels[0]) - 1
+
+        def failing(a):
+            raise np.linalg.LinAlgError("not positive definite")
+
+        monkeypatch.setattr(np.linalg, "cholesky", failing)
+        with pytest.raises(NonPositiveDefiniteError) as err:
+            generate_synthetic(model, 6, seed=16)
+        assert err.value.state == first

@@ -635,48 +635,43 @@ class TestCleanPath:
         )
 
     @staticmethod
-    def stacked_models():
-        """A model whose three states each have their own smoothness, so
-        three one-state stacks, and one whose states share a smoothness, so
-        one stack of three states."""
-        yield mixed_smoothness_model(A=3, P=3, cap=5, seed=1), 3
-        yield helpers.random_model(A=3, P=3, cap=5, seed=1), 1
+    def models():
+        """A model whose three states each have their own smoothness, padded
+        into one stack, and one whose states share a smoothness."""
+        yield mixed_smoothness_model(A=3, P=3, cap=5, seed=1)
+        yield helpers.random_model(A=3, P=3, cap=5, seed=1)
 
     def test_full_rows_keep_every_slot_clean_and_a_masked_row_resets(self):
-        for model, stacks in self.stacked_models():
+        for model in self.models():
             rows = generate_synthetic(model, 20, seed=2).observations
             backend = KalmanBackend(model)
-            sizes = [len(ss.states) for ss in backend.spaces]
-            states = np.concatenate([ss.states for ss in backend.spaces])
-            assert sorted(states.tolist()) == [0, 1, 2]
+            table = backend.covariances
             # entry 0 holds the fresh-segment law, and the first row reads
             # nothing past it
-            assert [tab.size for tab in backend.covariances] == [1] * stacks
+            assert table.size == 1
             state = forward_init(model, rows[0], backend=backend)
-            assert [tab.size for tab in backend.covariances] == [1] * stacks
+            assert table.size == 1
             for t in range(1, 3):
                 state = forward_step(state, rows[t], model)
-            # the tables grow one entry per row for all their states at
-            # once, up to the cap plus one
-            assert [tab.size for tab in backend.covariances] == [3] * stacks
+            # the table grows one entry per row for all states at once, up
+            # to the cap plus one
+            assert table.size == 3
             for t in range(3, 15):
                 state = forward_step(state, rows[t], model)
-            assert [tab.size for tab in backend.covariances] == [6] * stacks
-            for tab, S in zip(backend.covariances, sizes):
-                assert tab.rows("ycov", 0, 6).shape == (S, 6, 3, 3)
-            for slots, S in zip(state.cache, sizes):
-                assert slots.clean == 5
-                assert slots.means.shape[:2] == (S, 5)
-                assert slots.covs.shape[:2] == (S, 0)
+            assert table.size == 6
+            assert table.rows("ycov", 0, 6).shape == (3, 6, 3, 3)
+            assert state.cache.clean == 5
+            assert state.cache.means.shape[:2] == (3, 5)
+            assert state.cache.covs.shape[:2] == (3, 0)
             state = forward_step(state, rows[15], model, np.array([True, False, True]))
-            assert [slots.clean for slots in state.cache] == [0] * stacks
+            assert state.cache.clean == 0
             state = forward_step(state, rows[16], model)
-            assert [slots.clean for slots in state.cache] == [1] * stacks
-            assert [slots.covs.shape[:2] for slots in state.cache] == [(S, 4) for S in sizes]
+            assert state.cache.clean == 1
+            assert state.cache.covs.shape[:2] == (3, 4)
 
     def test_every_row_costs_one_statespace_call_per_state_dimension(self, monkeypatch):
-        # statespace sorts each stack's slots into clean and joint itself,
-        # so slot sets that hold both still take one call per stage
+        # statespace sorts the slots into clean and joint itself, and pads
+        # lower orders, so every model takes one call per stage and row
         calls = []
         for name in ("predict", "observation_conditionals", "update"):
             def counted(*args, _name=name, _fn=getattr(statespace, name)):
@@ -686,16 +681,29 @@ class TestCleanPath:
             monkeypatch.setattr(statespace, name, counted)
         partial = np.array([True, False, True])
         masks = [None] * 6 + [partial, None, None, partial, partial]
-        for model, stacks in self.stacked_models():
+        for model in self.models():
             rows = generate_synthetic(model, 12, seed=2).observations
             calls.clear()
             state = forward_init(model, rows[0])
-            assert calls == ["update"] * stacks
+            assert calls == ["update"]
             for t, mask in enumerate(masks, 1):
                 calls.clear()
                 state = forward_step(state, rows[t], model, mask)
-                for name in ("predict", "observation_conditionals", "update"):
-                    assert calls.count(name) == stacks, f"row {t}, {name}"
+                assert calls == ["predict", "observation_conditionals", "update"], f"row {t}"
+
+    def test_clean_stream_at_the_cap_predicts_table_views(self):
+        # past the duration cap every slot is reached and clean, and the
+        # continuing covariances are the table's own entries, not a copy
+        for model in self.models():
+            rows = generate_synthetic(model, 9, seed=3).observations
+            backend = KalmanBackend(model)
+            state = forward_init(model, rows[0], backend=backend)
+            for t in range(1, 9):
+                cov = step_predictives(state, model).cont_cov
+                at_cap = t >= model.duration_cap
+                assert np.shares_memory(cov, backend.covariances.ycov) == at_cap
+                assert cov.flags.writeable != at_cap
+                state = forward_step(state, rows[t], model)
 
     @pytest.mark.parametrize("shared_task, factors", [(False, 3), (True, 1)])
     def test_one_channel_basis_per_task_factor(self, monkeypatch, shared_task, factors):

@@ -1,4 +1,4 @@
-"""Matern kernel, task covariance, Gram matrix, jitter and factorization tests.
+"""Matern kernel, task covariance and logsumexp tests.
 
 Closed-form oracle values live in oracles.matern_value; everything here is
 checked against that or against hand-expanded matrices.
@@ -9,18 +9,11 @@ import math
 import numpy as np
 import pytest
 import scipy.special
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import oracles
-from switchgp.errors import NonPositiveDefiniteError
 from switchgp.kernels import (
-    JITTER,
     MaternKernel,
     TaskCovariance,
-    add_jitter,
-    chol_or_raise,
-    gram_matrix,
     logsumexp,
     matern_eval,
     matern_grad,
@@ -121,59 +114,6 @@ class TestTaskCovariance:
     def test_upper_triangle_rejected(self):
         with pytest.raises(ValueError):
             TaskCovariance(np.array([[1.0, 0.5], [0.0, 1.0]]))
-
-
-class TestGramMatrix:
-    def test_single_step_grid(self):
-        k = MaternKernel(variance=1.3, lengthscale=2.0, smoothness=1.5)
-        np.testing.assert_allclose(gram_matrix(k, 0), [[1.3]])
-
-    def test_exponential_row(self):
-        k = MaternKernel(variance=1.0, lengthscale=1.0, smoothness=0.5)
-        G = gram_matrix(k, 2)
-        np.testing.assert_allclose(
-            G[0], [1.0, math.exp(-1.0), math.exp(-2.0)], rtol=1e-12
-        )
-
-    def test_exact_symmetry(self):
-        k = MaternKernel(variance=0.8, lengthscale=3.0, smoothness=2.5)
-        G = gram_matrix(k, 7)
-        assert np.array_equal(G, G.T)
-
-    def test_matches_entrywise_oracle(self):
-        k = MaternKernel(variance=1.1, lengthscale=1.7, smoothness=1.5)
-        np.testing.assert_allclose(gram_matrix(k, 5), oracles.dense_gram(k, 5), rtol=1e-13)
-
-
-class TestJitterAndFactorization:
-    @given(
-        num_steps=st.integers(min_value=0, max_value=12),
-        lengthscale=st.floats(min_value=0.2, max_value=50.0),
-        smoothness=st.sampled_from([0.5, 1.5, 2.5]),
-    )
-    @settings(max_examples=40, deadline=None)
-    def test_jittered_gram_is_positive_definite(self, num_steps, lengthscale, smoothness):
-        k = MaternKernel(variance=1.0, lengthscale=lengthscale, smoothness=smoothness)
-        G = add_jitter(gram_matrix(k, num_steps), k.variance)
-        np.linalg.cholesky(G)
-
-    def test_jitter_magnitude(self):
-        mat = np.eye(3)
-        out = add_jitter(mat, 2.0)
-        np.testing.assert_allclose(out, np.eye(3) * (1.0 + 2.0 * JITTER))
-
-    def test_cholesky_round_trip(self):
-        rng = np.random.default_rng(4)
-        L = np.tril(rng.normal(size=(5, 5)))
-        np.fill_diagonal(L, np.abs(np.diag(L)) + 1.0)
-        back = chol_or_raise(L @ L.T, "test")
-        np.testing.assert_allclose(back, L, atol=1e-10)
-
-    def test_indefinite_matrix_raises_with_state(self):
-        bad = np.array([[1.0, 2.0], [2.0, 1.0]])
-        with pytest.raises(NonPositiveDefiniteError) as info:
-            chol_or_raise(bad, "test", state=3)
-        assert info.value.state == 3
 
 
 class TestLogsumexp:

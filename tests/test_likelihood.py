@@ -12,6 +12,7 @@ from switchgp import kernels, likelihood
 from switchgp.data import generate_synthetic
 from switchgp.errors import InsufficientDataError, NonPositiveDefiniteError
 from switchgp.fit import FitConfig, _Packing
+from switchgp.gp_predict import window_nll
 from switchgp.kernels import MaternKernel, NoiseModel, TaskCovariance
 from switchgp.likelihood import negative_loglik, nll_and_gradients
 from switchgp.model import (
@@ -245,10 +246,13 @@ def entry_level_nll_and_gradients(model, data):
     for series in data:
         for state, start, dur in oracles.run_lengths(series.labels):
             j = state - 1
-            seg = likelihood._MaskedSegment(
-                j, series.observations[start : start + dur], series.mask[start : start + dur]
+            val, grads = window_nll(
+                model.emissions[j],
+                model.noise,
+                series.observations[start : start + dur],
+                series.mask[start : start + dur],
+                gradients=True,
             )
-            val, grads = likelihood._masked_nll_and_grads(model, seg)
             total += val
             temporal[j] += grads["temporal"]
             task[0 if model.shared_task else j] += grads["task"]

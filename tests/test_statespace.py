@@ -12,7 +12,7 @@ import pytest
 import helpers
 import oracles
 from switchgp import statespace
-from switchgp.kernels import MaternKernel, gram_matrix, task_cov_assemble
+from switchgp.kernels import MaternKernel, task_cov_assemble
 
 SMOOTHNESS = [0.5, 1.5, 2.5]
 
@@ -78,7 +78,7 @@ class TestDiscretize:
         kernel = MaternKernel(1.3, ell, nu)
         A, _, P_inf = statespace.discretize(kernel)
         via_sde = oracles.grid_covariance(A, P_inf, 16)
-        via_kernel = gram_matrix(kernel, 16)
+        via_kernel = oracles.dense_gram(kernel, 16)
         np.testing.assert_allclose(via_sde, via_kernel, rtol=0, atol=1e-10)
 
 
@@ -248,17 +248,16 @@ class TestCovarianceTable:
         np.testing.assert_allclose(clean.covs, mixed.covs[:, :8], rtol=0, atol=1e-12)
         np.testing.assert_allclose(cl, ml[:, :8], rtol=0, atol=1e-12)
 
-    def test_stack_matches_one_state_at_a_time(self):
-        # every state of a stack gets bitwise the moments and densities it
-        # gets alone, on clean, joint and empty rows
-        model = helpers.random_model(A=3, P=3, cap=6, seed=43)
+    @staticmethod
+    def run_stacks(model):
+        """Space, final slots and every call's outputs of the stack of states
+        0-2, then of each state alone, on clean, joint and empty rows."""
         rows = np.random.default_rng(44).normal(size=(10, 3))
         masks = np.ones((10, 3), dtype=bool)
         masks[4, 1] = False
         masks[7] = False
-        runs = [[0, 1, 2]] + [[j] for j in range(3)]
         out = []
-        for states in runs:
+        for states in ([0, 1, 2], [0], [1], [2]):
             ss = statespace.build_statespace(model, states)
             table = statespace.CovarianceTable(ss)
             slots, lds = None, []
@@ -268,21 +267,44 @@ class TestCovarianceTable:
                     lds.append(statespace.observation_conditionals(ss, table, slots))
                 slots, ld = statespace.update(ss, table, slots, rows[t], masks[t], 6)
                 lds.append((ld,))
-            out.append((slots, lds))
-        (stacked, stacked_lds), singles = out[0], out[1:]
-        for j, (slots, lds) in enumerate(singles):
+            out.append((ss, slots, lds))
+        return out
+
+    def test_stack_matches_one_state_at_a_time(self):
+        # every state of a stack gets bitwise the moments and densities it
+        # gets alone
+        model = helpers.random_model(A=3, P=3, cap=6, seed=43)
+        (_, stacked, stacked_lds), *singles = self.run_stacks(model)
+        for j, (_, slots, lds) in enumerate(singles):
             np.testing.assert_array_equal(stacked.means[j], slots.means[0])
             np.testing.assert_array_equal(stacked.covs[j], slots.covs[0])
             for got, want in zip(stacked_lds, lds):
                 for a, b in zip(got, want):
                     np.testing.assert_array_equal(a[j], b[0])
 
-    def test_mixed_smoothness_cannot_stack(self):
-        model = helpers.random_model(A=2, P=2, seed=45)
-        e = model.emissions[1]
-        model = replace(
-            model,
-            emissions=(model.emissions[0], replace(e, temporal=replace(e.temporal, smoothness=0.5))),
+    def test_padded_stack_matches_one_state_at_a_time(self):
+        # nu = 1/2 and 3/2 fill the leading components of each channel's
+        # three; the padding stays exactly 0
+        model = helpers.random_model(A=3, P=3, cap=6, seed=43)
+        emissions = tuple(
+            replace(e, temporal=replace(e.temporal, smoothness=nu))
+            for e, nu in zip(model.emissions, SMOOTHNESS)
         )
-        with pytest.raises(ValueError, match="smoothness"):
-            statespace.build_statespace(model, [0, 1])
+        model = replace(model, emissions=emissions)
+        (ss, stacked, stacked_lds), *singles = self.run_stacks(model)
+        assert ss.dim == 3
+        for j, (one, slots, lds) in enumerate(singles):
+            s = one.dim
+            means = stacked.means[j].reshape(-1, 3, 3)
+            covs = stacked.covs[j].reshape(-1, 3, 3, 3, 3)
+            assert not np.any(means[..., s:])
+            assert not np.any(covs[..., s:, :, :]) and not np.any(covs[..., s:])
+            np.testing.assert_allclose(
+                means[..., :s].reshape(slots.means[0].shape), slots.means[0], rtol=0, atol=1e-12
+            )
+            np.testing.assert_allclose(
+                covs[..., :s, :, :s].reshape(slots.covs[0].shape), slots.covs[0], rtol=0, atol=1e-12
+            )
+            for got, want in zip(stacked_lds, lds):
+                for a, b in zip(got, want):
+                    np.testing.assert_allclose(a[j], b[0], rtol=0, atol=1e-12)
