@@ -14,12 +14,12 @@ buffered in-segment window under each hypothesis. Two interchangeable
 backends compute them: the exact Kalman recursion of `statespace` (constant
 per step, the default) and dense Gaussian conditioning on the window
 (grid-agnostic, cubic in window length, kept as the test oracle). They agree
-to floating-point accuracy on the uniform grid. The Kalman backend hands
-the hypotheses of all states to `statespace` as one stacked slot set,
-lower-order states padded to the highest state dimension, so a row costs
-one `statespace` call per stage; `statespace` decides, from the rows' masks
-alone, which of them read their covariances off the stack's table indexed
-by state and elapsed duration.
+to floating-point accuracy on the uniform grid. The Kalman backend filters
+all states in one `statespace.StateSpace` stack, lower-order states padded
+to the highest state dimension, so a row costs one `statespace` call per
+stage; `statespace` decides, from the rows' masks alone, which hypotheses
+read their covariances off the stack's table indexed by state and elapsed
+duration.
 
 A backend owns an opaque cache and offers two methods. ``predict(cache,
 cont_logw)`` returns the continuing one-step conditionals plus the cache
@@ -142,7 +142,6 @@ class PredictiveMixture:
     states: np.ndarray  # (C,) state index of each entry
     means: np.ndarray  # (C, |m|)
     covariances: np.ndarray  # (C, |m|, |m|)
-    group: tuple
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         w = np.exp(self.log_weights)
@@ -181,26 +180,26 @@ class Predictives:
 class KalmanBackend:
     """Constant-cost-per-row emission backend (exact on the uniform grid).
 
-    All states form one `statespace` stack, the lower orders padded to the
-    highest, so the cache is one `statespace.Slots` set and each row costs
-    one `statespace` call per stage; `statespace.update` decides which slots
-    read their covariances from the `statespace.CovarianceTable`, which
-    grows one entry per step the first time a stream reaches each duration.
-    Slots the stream has not reached yet hold no moments, and their
-    predictives are the fresh law and their log-densities 0; once every
-    slot is reached and clean, the continuing covariances are a read-only
-    view of the table. A fresh segment's law is the emission mean and entry
-    0 of the table. The table grows, and lends the joint path its scratch
-    buffer, in place, so a backend serves one thread at a time.
+    All states form one `statespace.StateSpace` stack, the lower orders
+    padded to the highest, so the cache is one `statespace.Slots` set and
+    each row costs one `statespace` call per stage; `statespace.update`
+    decides which slots read their covariances from the stack's table,
+    which grows one entry per step the first time a stream reaches each
+    duration. Slots the stream has not reached yet hold no moments, and
+    their predictives are the fresh law and their log-densities 0; once
+    every slot is reached and clean, the continuing covariances are a
+    read-only view of the table. A fresh segment's law is the emission mean
+    and entry 0 of the table. The stack grows its table, and lends the
+    joint path its scratch buffer, in place, so a backend serves one thread
+    at a time.
     """
 
     def __init__(self, model: SwitchingGPModel):
         self.model = model
         self.table = build_duration_table(model)
-        self.space = statespace.build_statespace(model, range(model.num_states))
-        self.covariances = statespace.CovarianceTable(self.space)
+        self.space = statespace.StateSpace(model, range(model.num_states))
         self.fresh_mean = self.space.mean
-        self.fresh_cov = self.covariances.rows("ycov", 0, 1)[:, 0].copy()
+        self.fresh_cov = self.space.rows("ycov", 0, 1)[:, 0].copy()
         # the fresh law in every slot, to fill the slots a stream has not reached
         self._unreached = [
             np.repeat(x[:, None], model.duration_cap, axis=1)
@@ -208,8 +207,8 @@ class KalmanBackend:
         ]
 
     def predict(self, cache, cont_logw):
-        slots = statespace.predict(self.space, self.covariances, cache)
-        om, oc = statespace.observation_conditionals(self.space, self.covariances, slots)
+        slots = statespace.predict(self.space, cache)
+        om, oc = statespace.observation_conditionals(self.space, slots)
         r = om.shape[1]
         if r < self.model.duration_cap:
             mean, cov = self._unreached
@@ -220,9 +219,7 @@ class KalmanBackend:
     def update(self, pred, row, mask):
         model = self.model
         slots = None if pred is None else pred.cache
-        slots, ld = statespace.update(
-            self.space, self.covariances, slots, row, mask, model.duration_cap
-        )
+        slots, ld = statespace.update(self.space, slots, row, mask, model.duration_cap)
         logdens = np.zeros((model.num_states, model.duration_cap))
         logdens[:, : ld.shape[1]] = ld
         return slots, logdens
@@ -312,14 +309,12 @@ def _row_and_mask(row, mask, time_index):
 
 
 def _entry_logpdf(y, idx, means, covs):
-    """Log-densities of values ``y`` (..., m) on features ``idx`` under every
-    law of a stack ``means`` (*H, P), ``covs`` (*H, P, P); shape (..., *H).
-    An empty ``idx`` carries no evidence."""
-    lead, hyp = y.shape[:-1], means.shape[:-1]
+    """Log-densities (*H) of values ``y`` on features ``idx`` under every
+    law of a stack ``means`` (*H, P), ``covs`` (*H, P, P). An empty ``idx``
+    carries no evidence."""
     if idx.size == 0:
-        return np.zeros(lead + hyp)
+        return np.zeros(means.shape[:-1])
     L = np.linalg.cholesky(covs[..., idx[:, None], idx[None, :]])
-    y = y.reshape(lead + (1,) * len(hyp) + idx.shape)
     return gaussian_logpdf(y - means[..., idx], L)
 
 
@@ -419,10 +414,9 @@ def mixture_from_predictives(pred: Predictives, group) -> PredictiveMixture:
     """The entries within PRUNE_LOG_WEIGHT of the heaviest, restricted to a
     feature group: fresh entries by state, then continuing entries (j, d) in
     row-major order."""
-    group = tuple(int(g) for g in group)
-    if len(group) == 0:
+    idx = np.array([int(g) for g in group], dtype=int)
+    if idx.size == 0:
         raise ValueError("feature group must be non-empty")
-    idx = np.array(group, dtype=int)
     A, D, P = pred.cont_mean.shape
     logw = np.concatenate([pred.fresh_logw, pred.cont_logw.ravel()])
     keep = logw >= logw[np.isfinite(logw)].max() - PRUNE_LOG_WEIGHT
@@ -431,6 +425,4 @@ def mixture_from_predictives(pred: Predictives, group) -> PredictiveMixture:
     covs = np.concatenate([pred.fresh_cov, pred.cont_cov.reshape(-1, P, P)])[keep]
     logw = logw[keep]
     logw = logw - logsumexp(logw)
-    return PredictiveMixture(
-        logw, states, means[:, idx], covs[:, idx[:, None], idx], group
-    )
+    return PredictiveMixture(logw, states, means[:, idx], covs[:, idx[:, None], idx])

@@ -178,22 +178,12 @@ def channel_bases(emissions, noise: NoiseModel, states) -> dict:
 
 
 def gaussian_logpdf(diff: np.ndarray, chol: np.ndarray) -> np.ndarray:
-    """Zero-mean Gaussian log-density of residuals, given covariance factors.
-
-    ``chol`` holds lower Cholesky factors (..., m, m); ``diff`` holds
-    residuals (*S, ..., m) whose trailing batch dimensions broadcast against
-    those of ``chol``. Leading dimensions S that ``chol`` lacks (samples
-    scored under the same laws) become right-hand sides of one solve per
-    factor. Returns log-densities shaped (*S, ...).
-    """
-    k = max(diff.ndim - chol.ndim + 1, 0)
-    lead = diff.shape[:k]
-    rhs = np.moveaxis(diff.reshape((-1,) + diff.shape[k:]), 0, -1)  # (..., m, S)
-    w = np.linalg.solve(chol, rhs)
-    quad = np.moveaxis(np.sum(w**2, axis=-2), -1, 0)  # (S, ...)
+    """Zero-mean Gaussian log-densities (...) of residuals ``diff`` (..., m)
+    under lower Cholesky factors ``chol`` (..., m, m) of the same batch
+    shape."""
+    w = np.linalg.solve(chol, diff[..., None])[..., 0]
     logdet = 2.0 * np.sum(np.log(np.diagonal(chol, axis1=-2, axis2=-1)), axis=-1)
-    out = -0.5 * (quad + logdet + diff.shape[-1] * LOG_2PI)
-    return out.reshape(lead + out.shape[1:])
+    return -0.5 * (np.sum(w**2, axis=-1) + logdet + diff.shape[-1] * LOG_2PI)
 
 
 def logsumexp(a: np.ndarray, axis: int | None = None) -> np.ndarray:

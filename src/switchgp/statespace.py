@@ -13,13 +13,14 @@ processes with variances mu_p. One joint state vector stacks the P channel
 states (channel-major); all channels share the transition matrix because
 they share the temporal kernel within a state.
 
-A `StateSpace` stacks emission states of any smoothness. Each channel's
-block has the state dimension s of the stack's highest order; a
-lower-order state keeps its SDE in the leading components of the block,
-and the rest of its transition, process noise and prior are exactly 0, so
-those components stay 0 through every Kalman step and leave the state's
-moments and densities as they are alone. `predict`,
-`observation_conditionals` and `update` work on the stack's one `Slots`
+A `StateSpace` is one Kalman stack: emission states of any smoothness,
+their per-channel models and the covariance table of their fully observed
+segments. Each channel's block has the state dimension s of the stack's
+highest order; a lower-order state keeps its SDE in the leading components
+of the block, and the rest of its transition, process noise and prior are
+exactly 0, so those components stay 0 through every Kalman step and leave
+the state's moments and densities as they are alone. `predict`,
+`observation_conditionals` and `update` take the stack and its one `Slots`
 set: the Kalman moments of every stacked state's hypotheses, one slot per
 state and elapsed duration. Which slots a row reaches, and which are clean,
 follow from the rows' masks alone, so all states of a stack share them, and
@@ -28,9 +29,8 @@ each call is one batched pass over the states. Slots come in two kinds, and
 
 - clean slots, whose segment so far saw only fully observed rows. Their
   covariances depend on the number of rows absorbed alone, so the stack's
-  `CovarianceTable` holds them once, and a fully observed row moves only
-  their means, channel by channel, in the rotated residual
-  ``W^T (y - mean_j)``;
+  table holds them once, and a fully observed row moves only their means,
+  channel by channel, in the rotated residual ``W^T (y - mean_j)``;
 - joint slots, with (n, n) covariances of their own. A row with missing
   features couples the channels, so after one the covariances depend on
   which features each row observed, and every slot turns joint.
@@ -39,7 +39,7 @@ each call is one batched pass over the states. Slots come in two kinds, and
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from typing import NamedTuple
 
 import numpy as np
@@ -75,70 +75,13 @@ def matern_sde(kernel: MaternKernel):
     return F, L, q, P_inf
 
 
-def discretize(kernel: MaternKernel, dt: float = 1.0):
+def discretize(kernel: MaternKernel):
     """Exact unit-step discretization: transition A, process noise Q, prior P_inf."""
     F, _, _, P_inf = matern_sde(kernel)
-    A = scipy.linalg.expm(F * dt)
+    A = scipy.linalg.expm(F)
     Q = P_inf - A @ P_inf @ A.T
     Q = 0.5 * (Q + Q.T)
     return A, Q, P_inf
-
-
-@dataclass
-class StateSpace:
-    """Joint state-space models of a stack of S emission states across all
-    channels; state k of the stack is the model's state ``states[k]``."""
-
-    states: np.ndarray  # (S,) 0-based state indices
-    A: np.ndarray  # (S, n, n) joint transitions
-    Q: np.ndarray  # (S, n, n) joint process noise
-    P0: np.ndarray  # (S, n, n) joint stationary priors
-    H: np.ndarray  # (S, P, n) observation matrices (position components through W^{-T})
-    dim: int  # per-channel state dimension, that of the highest stacked order
-    W: np.ndarray  # (S, P, P) channel bases: z = W^T (y - mean) has unit noise
-    mean: np.ndarray  # (S, P) emission means
-    noise: np.ndarray  # (P, P) diagonal observation noise covariance
-
-
-def build_statespace(model, states) -> StateSpace:
-    """Assemble the joint channel-stacked state spaces of ``states`` (0-based
-    indices into ``model.emissions``), each padded to the highest order among
-    them; states that share a task factor share one channel basis."""
-    states = np.asarray(states, dtype=int)
-    emissions = [model.emissions[j] for j in states]
-    bases = channel_bases(model.emissions, model.noise, states.tolist())
-    P = model.num_features
-    s = max(_STATE_DIM[e.temporal.smoothness] for e in emissions)
-    blocks = []
-    for j, e in zip(states, emissions):
-        mu, W = bases[j]
-        k = _STATE_DIM[e.temporal.smoothness]
-        unit = np.zeros((3, s, s))  # transition, noise and prior, 0 past order k
-        unit[:, :k, :k] = discretize(replace(e.temporal, variance=1.0))
-        A1, Q1, P1 = unit
-        scale = e.temporal.variance * np.maximum(mu, 0.0)  # per-channel signal variance
-        Q, P0 = np.zeros((P * s, P * s)), np.zeros((P * s, P * s))
-        for p, c in enumerate(scale):
-            blk = slice(p * s, (p + 1) * s)
-            Q[blk, blk], P0[blk, blk] = c * Q1, c * P1
-        H = np.zeros((P, P * s))
-        H[:, ::s] = np.linalg.inv(W).T
-        blocks.append((np.kron(np.eye(P), A1), Q, P0, H, W))
-    A, Q, P0, H, W = (np.stack(x) for x in zip(*blocks))
-    return StateSpace(
-        states=states, A=A, Q=Q, P0=P0, H=H, dim=s, W=W,
-        mean=np.stack([e.mean for e in emissions]),
-        noise=np.diag(model.noise.per_feature_variance),
-    )
-
-
-def _channel_blocks(ss: StateSpace, mat: np.ndarray) -> np.ndarray:
-    """Diagonal (s, s) blocks (S, P, s, s) of channel-block-diagonal (S, n, n)
-    matrices."""
-    S, P, _ = ss.H.shape
-    s = ss.dim
-    ch = np.arange(P)
-    return np.moveaxis(mat.reshape(S, P, s, P, s)[:, ch, :, ch, :], 0, 1)
 
 
 def _mT(a: np.ndarray) -> np.ndarray:
@@ -155,31 +98,63 @@ def _symmetrize(a: np.ndarray, work: np.ndarray) -> np.ndarray:
     return a
 
 
-class CovarianceTable:
-    """Kalman covariances of a stack's fully observed segments, indexed by
-    state and d.
+def _block_diag(blocks: np.ndarray) -> np.ndarray:
+    """Channel-block-diagonal (..., P s, P s) matrices from their diagonal
+    blocks (..., P, s, s)."""
+    *lead, P, s, _ = blocks.shape
+    return np.einsum("...pab,pq->...paqb", blocks, np.eye(P)).reshape(*lead, P * s, P * s)
+
+
+class StateSpace:
+    """Kalman model of a stack of S emission states across all channels,
+    with the covariances of its fully observed segments.
+
+    ``states`` are 0-based indices into ``model.emissions``; state k of the
+    stack is the model's ``states[k]``. Each state's per-channel model is
+    built once: the unit transition ``A1``, process noise ``Q1`` and
+    stationary prior ``P0`` (S, P, s, s), each padded to the highest order
+    among the states, and the observation of the position components
+    ``Hpos = W^{-T}``. States that share a task factor share one channel
+    basis. ``A``, ``Q`` (S, n, n) and ``H`` (S, P, n) are the joint forms,
+    channel-major, that joint slots read.
 
     On fully observed rows the Riccati recursion does not depend on the
     data, and in the channel basis it splits into P independent
-    s-dimensional filters with unit noise. Entry m describes a segment that
-    has absorbed m rows (m = 0 is a fresh segment) before its next one: the
-    per-channel prior covariance of that row's state, the innovation
-    variances (and their logs) and gains of the rotated channels, and the
-    row's predictive covariance in y-space, each with a leading state axis.
-    Entries are a pure function of the states' models; each is computed for
-    every state the first time a stream asks for it, so a table reaches
-    index m only after a stream has run m rows without a masked one.
+    s-dimensional filters with unit noise. Entry m of the table describes a
+    segment that has absorbed m rows (m = 0 is a fresh segment) before its
+    next one: the per-channel prior covariance of that row's state, the
+    innovation variances (and their logs) and gains of the rotated
+    channels, and the row's predictive covariance in y-space, each with a
+    leading state axis. Entries are a pure function of the states' models;
+    each is computed for every state the first time a stream asks for it,
+    so the table reaches index m only after a stream has run m rows without
+    a masked one.
     """
 
-    def __init__(self, ss: StateSpace):
-        S, P, _ = ss.H.shape
-        s = ss.dim
-        self.A1 = ss.A[:, None, :s, :s]
-        self.Q = _channel_blocks(ss, ss.Q)
-        self.P0 = _channel_blocks(ss, ss.P0)
-        self.Hpos = ss.H[:, :, ::s]
-        self.noise = ss.noise
-        self.logdet_W = np.linalg.slogdet(ss.W)[1]
+    def __init__(self, model, states):
+        emissions = [model.emissions[j] for j in states]
+        bases = channel_bases(model.emissions, model.noise, states)
+        s = max(_STATE_DIM[e.temporal.smoothness] for e in emissions)
+        unit = np.zeros((len(states), 3, s, s))  # transition, noise and prior, 0 past each order
+        for u, e in zip(unit, emissions):
+            k = _STATE_DIM[e.temporal.smoothness]
+            u[:, :k, :k] = discretize(replace(e.temporal, variance=1.0))
+        mu, W = (np.stack(x) for x in zip(*(bases[j] for j in states)))
+        variance = np.array([[e.temporal.variance] for e in emissions])
+        scale = (variance * np.maximum(mu, 0.0))[..., None, None]  # per-channel signal variance
+        S, P = mu.shape
+        self.dim = s  # per-channel state dimension, that of the highest stacked order
+        self.Q1, self.P0 = scale * unit[:, None, 1], scale * unit[:, None, 2]
+        self.A1 = np.broadcast_to(unit[:, None, 0], self.Q1.shape)
+        self.Hpos = _mT(np.linalg.inv(W))
+        self.W = W  # channel bases: z = W^T (y - mean) has unit noise
+        self.logdet_W = np.linalg.slogdet(W)[1]
+        self.mean = np.stack([e.mean for e in emissions])  # (S, P)
+        self.noise = np.diag(model.noise.per_feature_variance)  # (P, P)
+        self.A, self.Q = _block_diag(self.A1), _block_diag(self.Q1)
+        self.H = np.zeros((S, P, P * s))
+        self.H[..., ::s] = self.Hpos
+
         self.size = 0
         self.prior = np.empty((S, 0, P, s, s))
         self.var = np.empty((S, 0, P))
@@ -190,7 +165,7 @@ class CovarianceTable:
         self._scratch = np.empty(0)
 
     def extend(self, size: int) -> None:
-        """Compute the entries below ``size`` that are not there yet."""
+        """Compute the table entries below ``size`` that are not there yet."""
         if size > self.var.shape[1]:
             capacity = max(size, 2 * self.var.shape[1])
             for name in ("prior", "var", "logvar", "gain", "ycov"):
@@ -202,7 +177,7 @@ class CovarianceTable:
             if self.size == 0:
                 prior = self.P0
             else:
-                prior = self.A1 @ self._post @ _mT(self.A1) + self.Q
+                prior = self.A1 @ self._post @ _mT(self.A1) + self.Q1
                 prior = 0.5 * (prior + _mT(prior))
             var = prior[..., 0, 0] + 1.0
             gain = prior[..., :, 0] / var[..., None]
@@ -224,7 +199,7 @@ class CovarianceTable:
         return view
 
     def scratch(self, shape) -> np.ndarray:
-        """A work array of ``shape``, a view of one buffer the table keeps
+        """A work array of ``shape``, a view of one buffer the stack keeps
         for the joint path, whose contents die with the call that asked for
         it. The joint path's (S, d, n, n) temporaries run to megabytes, and a
         fresh one on every row costs page faults."""
@@ -236,9 +211,7 @@ class CovarianceTable:
     def dense(self, lo: int, hi: int) -> np.ndarray:
         """Joint (S, h, n, n) prior covariances of entries lo..hi-1: block
         diagonal over channels."""
-        prior = self.rows("prior", lo, hi)  # (S, h, P, s, s)
-        S, h, P, s, _ = prior.shape
-        return np.einsum("khpab,pq->khpaqb", prior, np.eye(P)).reshape(S, h, P * s, P * s)
+        return _block_diag(self.rows("prior", lo, hi))
 
 
 class Slots(NamedTuple):
@@ -257,7 +230,7 @@ class Slots(NamedTuple):
     covs: np.ndarray  # (S, r - clean, n, n)
 
 
-def predict(ss: StateSpace, table: CovarianceTable, slots: Slots) -> Slots:
+def predict(ss: StateSpace, slots: Slots) -> Slots:
     """One-step-ahead prior of every slot: x -> A x, P -> A P A^T + Q.
 
     Clean slots keep their table entry, which holds the prior already.
@@ -265,21 +238,21 @@ def predict(ss: StateSpace, table: CovarianceTable, slots: Slots) -> Slots:
     covs = slots.covs
     if covs.shape[1]:
         A = ss.A[:, None]
-        work = np.matmul(A, covs, out=table.scratch(covs.shape))
+        work = np.matmul(A, covs, out=ss.scratch(covs.shape))
         covs = work @ _mT(A)
         covs += ss.Q[:, None]
         _symmetrize(covs, work)
     return Slots(slots.means @ _mT(ss.A), slots.clean, covs)
 
 
-def observation_conditionals(ss: StateSpace, table: CovarianceTable, slots: Slots):
+def observation_conditionals(ss: StateSpace, slots: Slots):
     """Predicted observation mean (S, r, P) and covariance (S, r, P, P) per
     slot.
 
     Without joint slots the covariances are a read-only view of the table.
     """
     om = slots.means @ _mT(ss.H) + ss.mean[:, None, :]
-    oc = table.rows("ycov", 1, slots.clean + 1)
+    oc = ss.rows("ycov", 1, slots.clean + 1)
     if slots.covs.shape[1]:
         H = ss.H[:, None]
         joint = H @ slots.covs @ _mT(H)
@@ -288,7 +261,7 @@ def observation_conditionals(ss: StateSpace, table: CovarianceTable, slots: Slot
     return om, oc
 
 
-def update(ss: StateSpace, table: CovarianceTable, slots: Slots | None, row, mask, cap: int):
+def update(ss: StateSpace, slots: Slots | None, row, mask, cap: int):
     """Absorb a row into a stack's predicted slots; returns the new slots and
     the row's log-density (S, r) under each.
 
@@ -309,18 +282,18 @@ def update(ss: StateSpace, table: CovarianceTable, slots: Slots | None, row, mas
     clean = min(clean + 1, cap)
     covs = covs[:, : cap - clean]
     if not np.all(mask):
-        covs = np.concatenate([table.dense(0, clean), covs], axis=1)
-        means, covs, logdens = _update_joint(ss, table, means, covs, row, mask)
+        covs = np.concatenate([ss.dense(0, clean), covs], axis=1)
+        means, covs, logdens = _update_joint(ss, means, covs, row, mask)
         return Slots(means, 0, covs), logdens
-    new_means, logdens = _update_clean(ss, table, means[:, :clean], row)
+    new_means, logdens = _update_clean(ss, means[:, :clean], row)
     if covs.shape[1]:
-        jm, covs, jl = _update_joint(ss, table, means[:, clean:], covs.copy(), row, mask)
+        jm, covs, jl = _update_joint(ss, means[:, clean:], covs.copy(), row, mask)
         new_means = np.concatenate([new_means, jm], axis=1)
         logdens = np.concatenate([logdens, jl], axis=1)
     return Slots(new_means, clean, covs), logdens
 
 
-def _update_joint(ss: StateSpace, table: CovarianceTable, pm, pc, row, mask):
+def _update_joint(ss: StateSpace, pm, pc, row, mask):
     """Kalman measurement update of joint slots (S, d, ...) on the observed
     features; the posterior covariances overwrite ``pc``."""
     if not np.any(mask):
@@ -334,12 +307,12 @@ def _update_joint(ss: StateSpace, table: CovarianceTable, pm, pc, row, mask):
 
     gain_t = np.linalg.solve(S, _mT(PH))  # K^T = S^{-1} H P, (S, d, m, n)
     new_m = pm + (innov[..., None, :] @ gain_t)[..., 0, :]
-    work = np.matmul(PH, gain_t, out=table.scratch(pc.shape))
+    work = np.matmul(PH, gain_t, out=ss.scratch(pc.shape))
     np.subtract(pc, work, out=pc)
     return new_m, _symmetrize(pc, work), logdens
 
 
-def _update_clean(ss: StateSpace, table: CovarianceTable, pm, row):
+def _update_clean(ss: StateSpace, pm, row):
     """Fully observed update of the first ``pm.shape[1]`` clean slots of
     every state, channel by channel.
 
@@ -348,9 +321,9 @@ def _update_clean(ss: StateSpace, table: CovarianceTable, pm, row):
     |det W| of the rotation.
     """
     S, d, n = pm.shape
-    var = table.rows("var", 0, d)  # (S, d, P)
+    var = ss.rows("var", 0, d)  # (S, d, P)
     resid = (row - ss.mean)[:, None, :] @ ss.W - pm[..., :: ss.dim]  # (S, d, P)
     # each channel's residual repeated over its s state components
-    new_m = pm + np.repeat(resid, ss.dim, axis=-1) * table.rows("gain", 0, d).reshape(S, d, n)
-    quad = np.sum(resid**2 / var + table.rows("logvar", 0, d), axis=-1)
-    return new_m, -0.5 * (quad + var.shape[-1] * LOG_2PI) + table.logdet_W[:, None]
+    new_m = pm + np.repeat(resid, ss.dim, axis=-1) * ss.rows("gain", 0, d).reshape(S, d, n)
+    quad = np.sum(resid**2 / var + ss.rows("logvar", 0, d), axis=-1)
+    return new_m, -0.5 * (quad + var.shape[-1] * LOG_2PI) + ss.logdet_W[:, None]

@@ -18,7 +18,7 @@ from switchgp.data import (
     save_har,
 )
 from switchgp.errors import FormatError, InsufficientRankError, NonPositiveDefiniteError
-from switchgp.kernels import MaternKernel, NoiseModel
+from switchgp.kernels import MaternKernel, NoiseModel, matern_eval
 from switchgp.model import GammaDuration, segment_series
 
 
@@ -274,6 +274,21 @@ class TestGenerateSynthetic:
         e = replace(model.emissions[0], temporal=MaternKernel(1.0, lengthscale, smoothness))
         model = replace(model, durations=(GammaDuration(20.0, 1.0),), emissions=(e,))
         series = generate_synthetic(model, 2 * cap, seed=14)
+        assert np.all(np.isfinite(series.observations))
+
+    def test_jitter_factors_a_gram_that_fails_bare(self):
+        # nu = 5/2 at lengthscale 1000: the bare Gram of a 40-row window is
+        # numerically singular, and Gamma(20, 3) durations (mean 60) reach
+        # such windows within 200 rows
+        kernel = MaternKernel(1.0, 1000.0, 2.5)
+        lags = np.arange(40.0)
+        gram = matern_eval(kernel, lags)[np.abs(np.subtract.outer(lags, lags)).astype(int)]
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(gram)
+        model = helpers.random_model(A=1, P=1, cap=80, seed=13)
+        e = replace(model.emissions[0], temporal=kernel)
+        model = replace(model, durations=(GammaDuration(20.0, 3.0),), emissions=(e,))
+        series = generate_synthetic(model, 200, seed=0)
         assert np.all(np.isfinite(series.observations))
 
     def test_failed_factorization_names_the_state(self, monkeypatch):

@@ -645,21 +645,21 @@ class TestCleanPath:
         for model in self.models():
             rows = generate_synthetic(model, 20, seed=2).observations
             backend = KalmanBackend(model)
-            table = backend.covariances
+            space = backend.space
             # entry 0 holds the fresh-segment law, and the first row reads
             # nothing past it
-            assert table.size == 1
+            assert space.size == 1
             state = forward_init(model, rows[0], backend=backend)
-            assert table.size == 1
+            assert space.size == 1
             for t in range(1, 3):
                 state = forward_step(state, rows[t], model)
             # the table grows one entry per row for all states at once, up
             # to the cap plus one
-            assert table.size == 3
+            assert space.size == 3
             for t in range(3, 15):
                 state = forward_step(state, rows[t], model)
-            assert table.size == 6
-            assert table.rows("ycov", 0, 6).shape == (3, 6, 3, 3)
+            assert space.size == 6
+            assert space.rows("ycov", 0, 6).shape == (3, 6, 3, 3)
             assert state.cache.clean == 5
             assert state.cache.means.shape[:2] == (3, 5)
             assert state.cache.covs.shape[:2] == (3, 0)
@@ -701,7 +701,7 @@ class TestCleanPath:
             for t in range(1, 9):
                 cov = step_predictives(state, model).cont_cov
                 at_cap = t >= model.duration_cap
-                assert np.shares_memory(cov, backend.covariances.ycov) == at_cap
+                assert np.shares_memory(cov, backend.space.ycov) == at_cap
                 assert cov.flags.writeable != at_cap
                 state = forward_step(state, rows[t], model)
 

@@ -1,4 +1,4 @@
-"""Matern kernel, task covariance and logsumexp tests.
+"""Matern kernel, task covariance, Gaussian density and logsumexp tests.
 
 Closed-form oracle values live in oracles.matern_value; everything here is
 checked against that or against hand-expanded matrices.
@@ -9,11 +9,13 @@ import math
 import numpy as np
 import pytest
 import scipy.special
+import scipy.stats
 
 import oracles
 from switchgp.kernels import (
     MaternKernel,
     TaskCovariance,
+    gaussian_logpdf,
     logsumexp,
     matern_eval,
     matern_grad,
@@ -114,6 +116,31 @@ class TestTaskCovariance:
     def test_upper_triangle_rejected(self):
         with pytest.raises(ValueError):
             TaskCovariance(np.array([[1.0, 0.5], [0.0, 1.0]]))
+
+
+class TestGaussianLogpdf:
+    @staticmethod
+    def laws(rng, batch, m):
+        """Residuals and SPD covariances of shape batch + (m,) and batch + (m, m)."""
+        B = rng.normal(size=batch + (m, m))
+        cov = B @ np.swapaxes(B, -1, -2) + 0.5 * np.eye(m)
+        return rng.normal(size=batch + (m,)), cov
+
+    def test_batch_matches_scipy(self):
+        rng = np.random.default_rng(0)
+        diff, cov = self.laws(rng, (3, 4), 5)
+        got = gaussian_logpdf(diff, np.linalg.cholesky(cov))
+        assert got.shape == (3, 4)
+        for k in np.ndindex(3, 4):
+            want = scipy.stats.multivariate_normal.logpdf(diff[k], cov=cov[k])
+            assert got[k] == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+    def test_single_vector_matches_scipy(self):
+        diff, cov = self.laws(np.random.default_rng(1), (), 4)
+        got = gaussian_logpdf(diff, np.linalg.cholesky(cov))
+        assert np.shape(got) == ()
+        want = scipy.stats.multivariate_normal.logpdf(diff, cov=cov)
+        assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
 
 
 class TestLogsumexp:

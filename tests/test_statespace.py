@@ -8,6 +8,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import helpers
 import oracles
@@ -25,16 +26,15 @@ def kalman_segment_logdensity(model, state, rows, mask=None):
     table while the rows are fully observed), and by a joint slot that
     enters with the stationary prior and always sits one slot behind it.
     """
-    ss = statespace.build_statespace(model, [state])
-    table = statespace.CovarianceTable(ss)
+    ss = statespace.StateSpace(model, [state])
     T = rows.shape[0]
-    slots = statespace.Slots(np.zeros((1, 1, ss.A.shape[1])), 0, ss.P0[:, None])
+    slots = statespace.Slots(np.zeros((1, 1, ss.A.shape[1])), 0, ss.dense(0, 1))
     total = np.zeros(2)
     for t in range(T):
         m = np.ones(rows.shape[1], dtype=bool) if mask is None else mask[t]
         if t > 0:
-            slots = statespace.predict(ss, table, slots)
-        slots, ld = statespace.update(ss, table, slots, rows[t], m, T + 1)
+            slots = statespace.predict(ss, slots)
+        slots, ld = statespace.update(ss, slots, rows[t], m, T + 1)
         total += ld[0, t : t + 2]
     return total
 
@@ -86,17 +86,21 @@ class TestJointStateSpace:
     def test_transition_is_channel_block_diagonal(self):
         model = helpers.random_model(A=1, P=3, seed=5)
         e = model.emissions[0]
-        ss = statespace.build_statespace(model, [0])
+        ss = statespace.StateSpace(model, [0])
         unit = MaternKernel(1.0, e.temporal.lengthscale, e.temporal.smoothness)
         a1, _, _ = statespace.discretize(unit)
         np.testing.assert_allclose(ss.A[0], np.kron(np.eye(3), a1), atol=1e-12)
+        # process noise and prior are the block diagonals of their channel blocks
+        for joint, blocks in ((ss.Q[0], ss.Q1[0]), (ss.dense(0, 1)[0, 0], ss.P0[0])):
+            want = scipy.linalg.block_diag(*blocks)
+            np.testing.assert_array_equal(joint, want)
 
     def test_stationary_observation_is_prior_marginal(self):
         # a fresh segment's law: the emission mean and table entry 0
         model = helpers.random_model(A=1, P=3, seed=7)
         e = model.emissions[0]
-        ss = statespace.build_statespace(model, [0])
-        cov = statespace.CovarianceTable(ss).rows("ycov", 0, 1)[0, 0]
+        ss = statespace.StateSpace(model, [0])
+        cov = ss.rows("ycov", 0, 1)[0, 0]
         expected = e.temporal.variance * task_cov_assemble(e.task)
         expected = expected + np.diag(model.noise.per_feature_variance)
         np.testing.assert_allclose(ss.mean[0], e.mean)
@@ -149,14 +153,13 @@ class TestKalmanMatchesDense:
 
     def test_update_with_empty_mask_returns_zero_evidence(self):
         model = helpers.random_model(A=1, P=2, seed=4)
-        ss = statespace.build_statespace(model, [0])
-        table = statespace.CovarianceTable(ss)
+        ss = statespace.StateSpace(model, [0])
         n = ss.A.shape[1]
         pm = np.random.default_rng(4).normal(size=(1, 3, n))
-        pc = np.broadcast_to(ss.P0[:, None], (1, 3, n, n)).copy()
+        pc = np.broadcast_to(ss.dense(0, 1), (1, 3, n, n)).copy()
         row = np.array([1.0, 2.0])
         out, ld = statespace.update(
-            ss, table, statespace.Slots(pm, 0, pc), row, np.zeros(2, dtype=bool), 4
+            ss, statespace.Slots(pm, 0, pc), row, np.zeros(2, dtype=bool), 4
         )
         # the fresh slot joins in front with the stationary prior
         assert out.clean == 0
@@ -164,7 +167,7 @@ class TestKalmanMatchesDense:
             out.means, np.concatenate([np.zeros((1, 1, n)), pm], axis=1)
         )
         np.testing.assert_array_equal(
-            out.covs, np.concatenate([table.dense(0, 1), pc], axis=1)
+            out.covs, np.concatenate([ss.dense(0, 1), pc], axis=1)
         )
         np.testing.assert_array_equal(ld, np.zeros((1, 4)))
 
@@ -201,47 +204,46 @@ class TestCovarianceTable:
             replace(e, temporal=replace(e.temporal, smoothness=nu)) for e in model.emissions
         )
         model = replace(model, emissions=emissions)
-        ss = statespace.build_statespace(model, [0, 1])
-        table = statespace.CovarianceTable(ss)
+        ss = statespace.StateSpace(model, [0, 1])
         rows = np.random.default_rng(42).normal(size=(8, 3))
         full = np.ones(3, dtype=bool)
         # A joint slot with the stationary prior enters behind the fresh slot
         # of row 0, so after each row slot t (clean) and slot t + 1 (joint)
         # hold the same hypothesis. `clean` runs the same rows from nothing.
         n = ss.A.shape[1]
-        mixed = statespace.Slots(np.zeros((2, 1, n)), 0, ss.P0[:, None])
+        mixed = statespace.Slots(np.zeros((2, 1, n)), 0, ss.dense(0, 1))
         clean = None
         for t in range(7):
             if t > 0:
-                mixed = statespace.predict(ss, table, mixed)
-                clean = statespace.predict(ss, table, clean)
+                mixed = statespace.predict(ss, mixed)
+                clean = statespace.predict(ss, clean)
                 np.testing.assert_allclose(
-                    table.dense(t, t + 1)[:, 0], mixed.covs[:, 0], rtol=0, atol=1e-12
+                    ss.dense(t, t + 1)[:, 0], mixed.covs[:, 0], rtol=0, atol=1e-12
                 )
-                om, oc = statespace.observation_conditionals(ss, table, mixed)
+                om, oc = statespace.observation_conditionals(ss, mixed)
                 np.testing.assert_allclose(om[:, t - 1], om[:, t], rtol=0, atol=1e-12)
                 np.testing.assert_allclose(oc[:, t - 1], oc[:, t], rtol=0, atol=1e-12)
                 # with no joint slot the covariances are read-only table views
-                co = statespace.observation_conditionals(ss, table, clean)
+                co = statespace.observation_conditionals(ss, clean)
                 np.testing.assert_allclose(co[0], om[:, :t], rtol=0, atol=1e-12)
                 np.testing.assert_array_equal(co[1], oc[:, :t])
                 assert not co[1].flags.writeable
-            mixed, ml = statespace.update(ss, table, mixed, rows[t], full, 9)
-            clean, cl = statespace.update(ss, table, clean, rows[t], full, 9)
+            mixed, ml = statespace.update(ss, mixed, rows[t], full, 9)
+            clean, cl = statespace.update(ss, clean, rows[t], full, 9)
             assert (mixed.clean, clean.clean, mixed.covs.shape[1]) == (t + 1, t + 1, 1)
             np.testing.assert_allclose(
                 mixed.means[:, t], mixed.means[:, t + 1], rtol=0, atol=1e-12
             )
             np.testing.assert_allclose(ml[:, t], ml[:, t + 1], rtol=0, atol=1e-12)
             np.testing.assert_allclose(cl, ml[:, : t + 1], rtol=0, atol=1e-12)
-            assert table.size <= t + 3
+            assert ss.size <= t + 3
 
         # a row with a missing feature turns every slot joint
-        mixed = statespace.predict(ss, table, mixed)
-        clean = statespace.predict(ss, table, clean)
+        mixed = statespace.predict(ss, mixed)
+        clean = statespace.predict(ss, clean)
         partial = np.array([True, False, True])
-        mixed, ml = statespace.update(ss, table, mixed, rows[7], partial, 9)
-        clean, cl = statespace.update(ss, table, clean, rows[7], partial, 9)
+        mixed, ml = statespace.update(ss, mixed, rows[7], partial, 9)
+        clean, cl = statespace.update(ss, clean, rows[7], partial, 9)
         assert (mixed.clean, clean.clean) == (0, 0)
         np.testing.assert_allclose(mixed.covs[:, 7], mixed.covs[:, 8], rtol=0, atol=1e-12)
         np.testing.assert_allclose(ml[:, 7], ml[:, 8], rtol=0, atol=1e-12)
@@ -258,14 +260,13 @@ class TestCovarianceTable:
         masks[7] = False
         out = []
         for states in ([0, 1, 2], [0], [1], [2]):
-            ss = statespace.build_statespace(model, states)
-            table = statespace.CovarianceTable(ss)
+            ss = statespace.StateSpace(model, states)
             slots, lds = None, []
             for t in range(10):
                 if t > 0:
-                    slots = statespace.predict(ss, table, slots)
-                    lds.append(statespace.observation_conditionals(ss, table, slots))
-                slots, ld = statespace.update(ss, table, slots, rows[t], masks[t], 6)
+                    slots = statespace.predict(ss, slots)
+                    lds.append(statespace.observation_conditionals(ss, slots))
+                slots, ld = statespace.update(ss, slots, rows[t], masks[t], 6)
                 lds.append((ld,))
             out.append((ss, slots, lds))
         return out
