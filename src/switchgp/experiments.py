@@ -8,8 +8,10 @@ are projected and whitened by the training explained variances, so errors
 are reported in PCA-normalized units (unit prior variance per component on
 the training split).
 
-Sweep seeding is hierarchical: each (lambda index, series index) cell gets
-an independent child of the root seed, so results do not depend on
+Adaptive runs are summarized by `monitor.AdaptiveSummary` alone: it folds
+the one series of `monitor_steps`, and pools all the series of a sweep
+row. Sweep seeding is hierarchical: each (lambda index, series index) cell
+gets an independent child of the root seed, so results do not depend on
 evaluation order and are reproducible cell by cell.
 """
 
@@ -85,23 +87,19 @@ def prepare_series(model: SwitchingGPModel, series_list) -> list:
 
 
 def _limit(config: ExperimentConfig, series_list) -> list:
-    out = list(series_list)
-    if config.max_series is not None:
-        out = out[: config.max_series]
-    if config.max_steps is not None:
-        clipped = []
-        for s in out:
-            n = min(config.max_steps, s.num_steps)
-            clipped.append(
-                replace(
-                    s,
-                    observations=s.observations[:n],
-                    labels=None if s.labels is None else s.labels[:n],
-                    mask=None if s.mask is None else s.mask[:n],
-                )
-            )
-        out = clipped
-    return out
+    out = list(series_list)[: config.max_series]
+    n = config.max_steps
+    if n is None:
+        return out
+    return [
+        replace(
+            s,
+            observations=s.observations[:n],
+            labels=None if s.labels is None else s.labels[:n],
+            mask=s.mask[:n],
+        )
+        for s in out
+    ]
 
 
 def experiment_trajectory(config: ExperimentConfig, model: SwitchingGPModel, data) -> dict:
@@ -180,6 +178,13 @@ def filter_steps(model: SwitchingGPModel, series):
         prev = state.log_evidence
 
 
+def _adaptive_steps(config: ExperimentConfig, model, catalog, series, energy_weight, rng):
+    """`monitor.adaptive_steps` on one series with the config's sample count."""
+    return monitor.adaptive_steps(
+        model, series.observations, catalog, energy_weight, config.num_samples, rng, series.mask
+    )
+
+
 def monitor_steps(
     config: ExperimentConfig, model: SwitchingGPModel, series, energy_weight: float
 ):
@@ -189,23 +194,16 @@ def monitor_steps(
     absorbed: 1-based time, the chosen group with its cost, expected entropy
     and Monte Carlo standard error, then the MAP state, filtered state
     posterior, realized entropy and the row's increment of the log evidence.
-    The last record is ``{"summary": ...}`` as `monitor.run_adaptive` reports
-    it; its ``runtime_s`` includes the time the consumer held each record.
+    The last record is ``{"summary": ...}``, the series folded through
+    `monitor.AdaptiveSummary` as `monitor.run_adaptive` folds it; its
+    ``runtime_s`` includes the time the consumer held each record.
     """
     (series,) = _limit(config, [series])
     catalog = monitor.default_catalog(model.num_features, sizes=config.group_sizes)
     t0 = time.perf_counter()
-    steps = []
-    for rec in monitor.adaptive_steps(
-        model,
-        series.observations,
-        catalog,
-        energy_scale=energy_weight,
-        num_samples=config.num_samples,
-        rng=config.seed,
-        mask=series.mask,
-    ):
-        steps.append(rec)
+    fold = monitor.AdaptiveSummary(model.num_features)
+    steps = _adaptive_steps(config, model, catalog, series, energy_weight, config.seed)
+    for rec in fold.feed(steps, series.labels):
         sel = rec.selection
         if sel is None:
             continue
@@ -220,10 +218,7 @@ def monitor_steps(
             "realized_entropy": rec.realized_entropy,
             "log_evidence_delta": rec.log_evidence_delta,
         }
-    result = monitor.AdaptiveResult.from_steps(
-        steps, model.num_features, series.labels, time.perf_counter() - t0
-    )
-    yield {"summary": result.summary}
+    yield {"summary": fold.summary(time.perf_counter() - t0)}
 
 
 def experiment_recognition(config: ExperimentConfig, model: SwitchingGPModel, data) -> dict:
@@ -275,47 +270,26 @@ def experiment_recognition(config: ExperimentConfig, model: SwitchingGPModel, da
 
 
 def experiment_sweep(config: ExperimentConfig, model: SwitchingGPModel, data) -> list:
-    """Energy/accuracy trade-off rows, one per lambda in the grid."""
+    """Energy/accuracy trade-off rows, one per lambda in the grid, each
+    pooling the lambda's series: sensor usage over the selected rows,
+    entropy over all rows, accuracy over the labeled rows (NaN when none
+    is labeled) and the row's wall seconds."""
     data = _limit(config, data)
     catalog = monitor.default_catalog(model.num_features, sizes=config.group_sizes)
     rows = []
     for li, lam in enumerate(config.lambda_grid):
         t0 = time.perf_counter()
-        correct_w = 0.0
-        steps_w = 0
-        usage_w = 0.0
-        usage_n = 0
-        ent_w = 0.0
+        fold = monitor.AdaptiveSummary(model.num_features)
         for si, series in enumerate(data):
             child = np.random.default_rng(
                 np.random.SeedSequence(config.seed, spawn_key=(li, si))
             )
-            res = monitor.run_adaptive(
-                model,
-                series.observations,
-                catalog,
-                labels=series.labels,
-                energy_scale=float(lam),
-                num_samples=config.num_samples,
-                rng=child,
-                mask=series.mask,
-            )
-            T = res.summary["num_steps"]
-            steps_w += T
-            ent_w += res.summary["avg_entropy"] * T
-            usage_w += res.summary["avg_sensor_usage"] * (T - 1)
-            usage_n += T - 1
-            if "accuracy" in res.summary:
-                correct_w += res.summary["accuracy"] * T
-        rows.append(
-            {
-                "lambda": float(lam),
-                "accuracy": correct_w / steps_w if steps_w else float("nan"),
-                "avg_sensor_usage": usage_w / usage_n if usage_n else 0.0,
-                "avg_entropy": ent_w / steps_w if steps_w else float("nan"),
-                "runtime_s": time.perf_counter() - t0,
-            }
-        )
+            steps = _adaptive_steps(config, model, catalog, series, lam, child)
+            for _ in fold.feed(steps, series.labels):
+                pass
+        row = {"lambda": float(lam), "accuracy": float("nan")}  # kept if no row is labeled
+        row.update(fold.summary(time.perf_counter() - t0))
+        rows.append({c: row[c] for c in SWEEP_COLUMNS})
     return rows
 
 

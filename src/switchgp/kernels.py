@@ -42,10 +42,10 @@ class MaternKernel:
     smoothness: float = 1.5
 
     def __post_init__(self):
-        if not self.variance > 0:
-            raise ValueError(f"variance must be positive, got {self.variance}")
-        if not self.lengthscale > 0:
-            raise ValueError(f"lengthscale must be positive, got {self.lengthscale}")
+        for name in ("variance", "lengthscale"):
+            value = getattr(self, name)
+            if not (value > 0 and math.isfinite(value)):
+                raise ValueError(f"{name} must be positive and finite, got {value}")
         if self.smoothness not in SMOOTHNESS_ORDERS:
             raise ValueError(
                 f"smoothness must be one of {SMOOTHNESS_ORDERS}, got {self.smoothness}"
@@ -67,6 +67,8 @@ class TaskCovariance:
         L = np.asarray(self.cholesky_factor, dtype=float)
         if L.ndim != 2 or L.shape[0] != L.shape[1]:
             raise ValueError(f"cholesky_factor must be square, got shape {L.shape}")
+        if not np.isfinite(L).all():
+            raise ValueError("cholesky_factor entries must be finite")
         if not np.allclose(L, np.tril(L)):
             raise ValueError("cholesky_factor must be lower triangular")
         if not np.all(np.diag(L) > 0):
@@ -88,8 +90,8 @@ class NoiseModel:
         v = np.atleast_1d(np.asarray(self.per_feature_variance, dtype=float))
         if v.ndim != 1:
             raise ValueError("per_feature_variance must be a vector")
-        if not np.all(v > 0):
-            raise ValueError("noise variances must all be positive")
+        if not ((v > 0) & np.isfinite(v)).all():
+            raise ValueError("noise variances must all be positive and finite")
         object.__setattr__(self, "per_feature_variance", v)
 
     @property

@@ -50,8 +50,8 @@ class TransitionMatrix:
         p = np.asarray(self.probs, dtype=float)
         if p.ndim != 2 or p.shape[0] != p.shape[1]:
             raise ValueError("transition matrix must be square")
-        if np.any(p < 0):
-            raise ValueError("transition probabilities must be non-negative")
+        if not (np.isfinite(p) & (p >= 0)).all():
+            raise ValueError("transition probabilities must be finite and non-negative")
         if np.any(np.diag(p) != 0.0):
             raise ValueError("transition matrix diagonal must be exactly zero")
         if p.shape[0] > 1:
@@ -77,6 +77,8 @@ class StateEmission:
         m = np.atleast_1d(np.asarray(self.mean, dtype=float))
         if m.ndim != 1:
             raise ValueError("mean must be a vector")
+        if not np.isfinite(m).all():
+            raise ValueError("mean entries must be finite")
         if m.shape[0] != self.task.num_features:
             raise ValueError("mean length must match task covariance size")
         object.__setattr__(self, "mean", m)
@@ -126,7 +128,8 @@ class SwitchingGPModel:
             init = np.full(A, 1.0 / A)
         else:
             init = np.asarray(self.initial, dtype=float)
-            if init.shape != (A,) or np.any(init < 0) or abs(init.sum() - 1.0) > 1e-9:
+            valid = init.shape == (A,) and (np.isfinite(init) & (init >= 0)).all()
+            if not valid or abs(init.sum() - 1.0) > 1e-9:
                 raise ValueError("initial distribution must be a probability vector over states")
         object.__setattr__(self, "initial", init)
         object.__setattr__(self, "durations", tuple(self.durations))

@@ -37,7 +37,8 @@ Hypothetical updates touch only the filter's log-weight table; the live
 ForwardState is never mutated. The per-hypothesis one-step conditionals are
 computed once per step and shared between the scoring pass and the real
 measurement update. `adaptive_steps` streams the closed loop one row at a
-time, and `run_adaptive` folds that stream into one result.
+time, `AdaptiveSummary` folds such streams into one summary, and
+`run_adaptive` runs one series through both.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from __future__ import annotations
 import functools
 import itertools
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -460,33 +461,59 @@ def adaptive_steps(
         yield _step_record(sel, state, prev_evidence)
 
 
+class AdaptiveSummary:
+    """Streaming fold of `adaptive_steps` records into a run summary.
+
+    `feed` takes the records of one run or of several runs one after
+    another; a record without a selection starts a new run. `summary`
+    reports the rows, the mean sensor usage (observed features over P) over
+    the selected rows, the mean realized entropy over all rows, the sum of
+    the runs' final log evidence totals and, when any row was labeled, the
+    accuracy over the labeled rows.
+    """
+
+    def __init__(self, num_features: int):
+        self.num_features = num_features
+        self.num_steps = self.selected = self.observed = self.labeled = self.correct = 0
+        self.entropy = self.closed_evidence = self.last_evidence = 0.0
+
+    def feed(self, steps, labels=None):
+        """Fold one run's records, each with its row's label (1-based; None
+        for an unlabeled run), yielding each record once it is folded."""
+        for rec, label in zip(steps, itertools.repeat(None) if labels is None else labels):
+            if rec.selection is None:
+                self.closed_evidence += self.last_evidence
+            else:
+                self.selected += 1
+                self.observed += len(rec.selection.group)
+            self.num_steps += 1
+            self.entropy += rec.realized_entropy
+            self.last_evidence = rec.log_evidence
+            if label is not None:
+                self.labeled += 1
+                self.correct += int(rec.map_state == label)
+            yield rec
+
+    def summary(self, runtime_s: float) -> dict:
+        selected, steps = self.selected, self.num_steps
+        out = {
+            "num_steps": steps,
+            "avg_sensor_usage": self.observed / (selected * self.num_features) if selected else 0.0,
+            "avg_entropy": self.entropy / steps if steps else float("nan"),
+            "log_evidence": self.closed_evidence + self.last_evidence,
+            "runtime_s": runtime_s,
+        }
+        if self.labeled:
+            out["accuracy"] = self.correct / self.labeled
+        return out
+
+
 @dataclass
 class AdaptiveResult:
     """The records of rows 2..T (the selected ones) and the run summary."""
 
     records: list
-    summary: dict = field(default_factory=dict)
-
-    @classmethod
-    def from_steps(cls, steps, num_features: int, labels=None, runtime_s: float = 0.0):
-        """Fold the full list of `adaptive_steps` records, first row
-        included. ``labels`` (1-based, optional) enable the accuracy."""
-        T = len(steps)
-        usage = [len(rec.selection.group) / num_features for rec in steps[1:]]
-        ent_sum = steps[0].realized_entropy
-        for rec in steps[1:]:
-            ent_sum += rec.realized_entropy
-        summary = {
-            "num_steps": T,
-            "avg_sensor_usage": float(np.mean(usage)) if usage else 0.0,
-            "avg_entropy": ent_sum / T,
-            "log_evidence": steps[-1].log_evidence,
-            "runtime_s": runtime_s,
-        }
-        if labels is not None:
-            correct = sum(int(rec.map_state == lab) for rec, lab in zip(steps, labels))
-            summary["accuracy"] = correct / T
-        return cls(records=steps[1:], summary=summary)
+    summary: dict
 
 
 def run_adaptive(
@@ -499,19 +526,14 @@ def run_adaptive(
     rng=0,
     mask=None,
 ) -> AdaptiveResult:
-    """Run `adaptive_steps` to the end and fold it into an AdaptiveResult.
+    """Run `adaptive_steps` to the end and fold it through `AdaptiveSummary`.
 
     ``labels`` (1-based, optional) enable the accuracy summary.
     """
-    observations = np.asarray(observations, dtype=float)
-    if labels is not None:
-        labels = np.asarray(labels, dtype=int)
-        if labels.shape[0] != observations.shape[0]:
-            raise ValueError("labels must align with observations")
+    if labels is not None and len(labels) != len(observations):
+        raise ValueError("labels must align with observations")
     t0 = time.perf_counter()
-    steps = list(
-        adaptive_steps(model, observations, catalog, energy_scale, num_samples, rng, mask)
-    )
-    return AdaptiveResult.from_steps(
-        steps, model.num_features, labels, time.perf_counter() - t0
-    )
+    fold = AdaptiveSummary(model.num_features)
+    steps = adaptive_steps(model, observations, catalog, energy_scale, num_samples, rng, mask)
+    records = list(fold.feed(steps, labels))
+    return AdaptiveResult(records[1:], fold.summary(time.perf_counter() - t0))

@@ -464,6 +464,24 @@ class TestErrorRecords:
         assert record["error"] == "FormatError"
         assert record["line"] == 5
 
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    def test_non_finite_lengthscale_is_an_error_record(self, workspace, tmp_path, value):
+        out = tmp_path / "model.json"
+        rc, _, err = run_cli(
+            [
+                "train",
+                "--data-dir", str(workspace.data_dir),
+                "--out", str(out),
+                "--pca", "0",
+                "--lengthscale", value,
+            ]
+        )
+        assert rc == 1
+        record = json.loads(err)
+        assert record["error"] == "ValueError"
+        assert "lengthscale" in record["message"]
+        assert not out.exists()
+
     def test_missing_required_argument_exits_nonzero(self):
         with pytest.raises(SystemExit) as exc:
             main(["train"])

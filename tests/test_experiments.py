@@ -333,6 +333,58 @@ class TestSweep:
         assert rows[0]["lambda"] == 0.0
         assert rows[0]["avg_sensor_usage"] == 1.0
 
+    def free_sweep(self, *labeled):
+        """Lambda 0 over one 40-row series per entry of ``labeled``, each
+        with or without its labels; alone and labeled it scores 0.7."""
+        model = helpers.separated_model(P=2, gap=1.5, cap=15)
+        series = generate_synthetic(model, 40, seed=15)
+        cfg = ExperimentConfig(lambda_grid=(0.0,), num_samples=16, seed=3, group_sizes=(2,))
+        data = [series if keep else replace(series, labels=None) for keep in labeled]
+        (row,) = experiment_sweep(cfg, model=model, data=data)
+        return row
+
+    def test_accuracy_counts_labeled_rows_only(self):
+        assert self.free_sweep(True)["accuracy"] == 0.7
+        assert self.free_sweep(True, False)["accuracy"] == 0.7
+        assert self.free_sweep(False, True)["accuracy"] == 0.7
+
+    def test_accuracy_is_nan_without_labels(self):
+        row = self.free_sweep(False)
+        assert np.isnan(row["accuracy"])
+        assert row["avg_sensor_usage"] == 1.0
+        assert np.isfinite(row["avg_entropy"])
+
+    def test_empty_series_list_row(self):
+        row = self.free_sweep()
+        assert np.isnan(row["accuracy"]) and np.isnan(row["avg_entropy"])
+        assert row["avg_sensor_usage"] == 0.0
+
+    @pytest.mark.parametrize("labeled", [True, False])
+    def test_one_series_row_is_the_run_summary(self, labeled):
+        model = helpers.random_model(A=2, P=3, cap=5, seed=17)
+        series = generate_synthetic(model, 30, seed=17)
+        if not labeled:
+            series = replace(series, labels=None)
+        cfg = ExperimentConfig(lambda_grid=(0.0, 0.4), num_samples=12, seed=6, group_sizes=(1, 2))
+        rows = experiment_sweep(cfg, model=model, data=[series])
+        catalog = monitor.default_catalog(3, sizes=(1, 2))
+        for li, (lam, row) in enumerate(zip(cfg.lambda_grid, rows)):
+            child = np.random.default_rng(np.random.SeedSequence(6, spawn_key=(li, 0)))
+            summary = monitor.run_adaptive(
+                model,
+                series.observations,
+                catalog,
+                labels=series.labels,
+                energy_scale=lam,
+                num_samples=12,
+                rng=child,
+            ).summary
+            assert row["lambda"] == lam
+            assert ("accuracy" in summary) == labeled
+            np.testing.assert_equal(row["accuracy"], summary.get("accuracy", np.nan))
+            for col in SWEEP_COLUMNS[2:-1]:
+                assert row[col] == summary[col], col
+
     def test_usage_non_increasing_with_slack(self, sweep_rows):
         usage = [r["avg_sensor_usage"] for r in sweep_rows]
         for a, b in zip(usage, usage[1:]):

@@ -1,5 +1,7 @@
 """Model containers, estimators, and the save/load round trip."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -69,6 +71,84 @@ class TestContainers:
             duration_cap=2,
         )
         np.testing.assert_allclose(m2.initial, np.full(3, 1.0 / 3.0))
+
+
+NON_FINITE = [np.inf, -np.inf, np.nan]
+
+
+def _with_initial(initial):
+    m = helpers.random_model(A=2, P=2)
+    return SwitchingGPModel(
+        durations=m.durations,
+        transitions=m.transitions,
+        emissions=m.emissions,
+        noise=m.noise,
+        duration_cap=2,
+        initial=initial,
+    )
+
+
+class TestNonFiniteParameters:
+    """Every model parameter rejects inf and nan where it enters, naming
+    the field."""
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    @pytest.mark.parametrize(
+        "build, field",
+        [
+            pytest.param(lambda v: MaternKernel(v, 1.0), "variance", id="kernel-variance"),
+            pytest.param(lambda v: MaternKernel(1.0, v), "lengthscale", id="lengthscale"),
+            pytest.param(
+                lambda v: NoiseModel(np.array([0.1, v])), "noise variances", id="noise"
+            ),
+            pytest.param(
+                lambda v: TaskCovariance(np.array([[1.0, 0.0], [v, 1.0]])),
+                "cholesky_factor",
+                id="task-off-diagonal",
+            ),
+            pytest.param(
+                lambda v: TaskCovariance(np.array([[v, 0.0], [0.0, 1.0]])),
+                "cholesky_factor",
+                id="task-diagonal",
+            ),
+            pytest.param(
+                lambda v: StateEmission(
+                    np.array([0.0, v]), MaternKernel(1.0, 1.0), TaskCovariance(np.eye(2))
+                ),
+                "mean",
+                id="mean",
+            ),
+            pytest.param(
+                lambda v: TransitionMatrix(
+                    np.array([[0.0, v, v], [0.5, 0.0, 0.5], [0.5, 0.5, 0.0]])
+                ),
+                "transition probabilities",
+                id="transition-row",
+            ),
+            pytest.param(
+                lambda v: TransitionMatrix(np.array([[0.0, 1.0], [v, 0.0]])),
+                "transition probabilities",
+                id="transition-entry",
+            ),
+            pytest.param(lambda v: _with_initial(np.array([v, v])), "initial", id="initial"),
+            pytest.param(
+                lambda v: _with_initial(np.array([1.0, v])), "initial", id="initial-entry"
+            ),
+        ],
+    )
+    def test_rejected_at_construction(self, build, field, bad):
+        with pytest.raises(ValueError, match=field):
+            build(bad)
+
+    @pytest.mark.parametrize("key", ["variance", "lengthscale"])
+    def test_model_file_with_infinity_rejected(self, tmp_path, key):
+        doc = model_to_dict(helpers.random_model(A=2, P=2, seed=3))
+        doc["emissions"][1][key] = float("inf")
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        assert "Infinity" in path.read_text()
+        with pytest.raises(ValueError, match=key):
+            load_model(path)
 
 
 class TestSegmentSeries:
@@ -293,8 +373,6 @@ class TestRoundTrip:
         for e in back.emissions:
             assert np.array_equal(e.task.cholesky_factor, shared.cholesky_factor)
         # shared factor is stored once, not per state
-        import json
-
         doc = json.loads(path.read_text())
         assert "task_cholesky" in doc
         assert all("task_cholesky" not in s for s in doc["emissions"])

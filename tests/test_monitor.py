@@ -523,3 +523,60 @@ class TestRunAdaptive:
                 labels=np.ones(7, dtype=int),
                 num_samples=8,
             )
+
+
+class TestAdaptiveSummary:
+    def runs(self):
+        model = helpers.random_model(A=2, P=3, cap=4, seed=26)
+        catalog = GroupCatalog(((0,), (1, 2), (0, 1, 2)), np.array([0.1, 0.2, 0.3]))
+        out = []
+        for seed, T in ((26, 9), (27, 6)):
+            series = generate_synthetic(model, T, seed=seed)
+            steps = list(
+                adaptive_steps(model, series.observations, catalog, num_samples=8, rng=seed)
+            )
+            out.append((steps, series.labels))
+        return out
+
+    def test_pools_runs_fed_one_after_another(self):
+        (a, labels_a), (b, _) = self.runs()
+        fold = monitor.AdaptiveSummary(3)
+        assert list(fold.feed(a, labels_a)) == a
+        assert list(fold.feed(b)) == b
+        summary = fold.summary(runtime_s=1.5)
+        assert list(summary) == [
+            "num_steps",
+            "avg_sensor_usage",
+            "avg_entropy",
+            "log_evidence",
+            "runtime_s",
+            "accuracy",
+        ]
+        selected = [len(r.selection.group) / 3 for r in a[1:] + b[1:]]
+        assert summary["num_steps"] == 15
+        assert summary["avg_sensor_usage"] == pytest.approx(np.mean(selected), rel=1e-15)
+        assert summary["avg_entropy"] == pytest.approx(
+            np.mean([r.realized_entropy for r in a + b]), rel=1e-15
+        )
+        assert summary["log_evidence"] == a[-1].log_evidence + b[-1].log_evidence
+        assert summary["runtime_s"] == 1.5
+        # the unlabeled run adds no row to the accuracy
+        hits = sum(int(r.map_state == lab) for r, lab in zip(a, labels_a))
+        assert summary["accuracy"] == hits / 9
+
+    def test_one_run_keeps_its_own_totals(self):
+        (a, _), _ = self.runs()
+        fold = monitor.AdaptiveSummary(3)
+        for _ in fold.feed(a):
+            pass
+        summary = fold.summary(0.0)
+        assert summary["log_evidence"] == a[-1].log_evidence
+        assert "accuracy" not in summary
+
+    def test_empty(self):
+        summary = monitor.AdaptiveSummary(3).summary(0.0)
+        assert summary["num_steps"] == 0
+        assert summary["avg_sensor_usage"] == 0.0
+        assert math.isnan(summary["avg_entropy"])
+        assert summary["log_evidence"] == 0.0
+        assert "accuracy" not in summary
