@@ -1,4 +1,5 @@
-"""Command-line interface, a thin shell over `experiments` and `model`.
+"""Command-line interface: it parses flags, makes one `experiments` call per
+subcommand (after loading its inputs) and writes what that call returns.
 
 Subcommands: train, predict, filter, monitor, sweep, simulate, pca. Tables
 go to CSV, run outputs to JSON (one document per run; the streaming modes
@@ -15,26 +16,14 @@ import dataclasses
 import itertools
 import json
 import sys
-import time
 from pathlib import Path
 
 import numpy as np
 
 from . import experiments, monitor
-from .data import DEFAULT_NUM_COMPONENTS, fit_pca, generate_synthetic, load_har, save_har
+from .data import DEFAULT_NUM_COMPONENTS, load_har, save_har
 from .errors import SwitchGPError
-from .fit import FitConfig
-from .kernels import MaternKernel, NoiseModel, TaskCovariance
-from .likelihood import negative_loglik
-from .model import (
-    GammaDuration,
-    StateEmission,
-    SwitchingGPModel,
-    TransitionMatrix,
-    fit,
-    load_model,
-    save_model,
-)
+from .model import load_model, save_model
 
 
 def _finite_float(text: str) -> float:
@@ -47,12 +36,15 @@ def _finite_float(text: str) -> float:
 def _parse_float_list(text: str) -> tuple:
     vals = tuple(_finite_float(v) for v in text.split(",") if v.strip() != "")
     if not vals:
-        raise ValueError("empty numeric list")
+        raise argparse.ArgumentTypeError(f"must list finite numbers, got {text!r}")
     return vals
 
 
 def _parse_int_list(text: str) -> tuple:
-    return tuple(int(v) for v in text.split(",") if v.strip() != "")
+    vals = tuple(_positive_int(v) for v in text.split(",") if v.strip() != "")
+    if not vals:
+        raise argparse.ArgumentTypeError(f"must list positive integers, got {text!r}")
+    return vals
 
 
 def _positive_int(text: str) -> int:
@@ -89,6 +81,12 @@ def _pick_series(series_list, subject):
     raise ValueError(f"subject {subject} not found")
 
 
+def _experiment_config(args) -> experiments.ExperimentConfig:
+    """The config from the command's flags whose dest names a config field."""
+    names = [f.name for f in dataclasses.fields(experiments.ExperimentConfig)]
+    return experiments.ExperimentConfig(**{n: getattr(args, n) for n in names if n in args})
+
+
 def _load_units(args, model):
     raw = load_har(args.data_dir, args.split)
     return experiments.prepare_series(model, raw)
@@ -122,62 +120,18 @@ def _write_lines(docs, path) -> None:
 
 def cmd_train(args) -> int:
     raw = load_har(args.data_dir, "train")
-    pca_doc = None
-    if args.pca > 0 and raw[0].num_features > args.pca:
-        pca_doc = fit_pca(np.vstack([s.observations for s in raw]), args.pca).to_dict()
-
-    A = int(max(int(s.labels.max()) for s in raw))
-    P = raw[0].num_features if pca_doc is None else args.pca
-    shared = TaskCovariance(np.eye(P))
-    emissions = tuple(
-        StateEmission(
-            mean=np.zeros(P),
-            temporal=MaternKernel(1.0, args.lengthscale, args.smoothness),
-            task=shared,
-        )
-        for _ in range(A)
-    )
-    skeleton = SwitchingGPModel(
-        durations=tuple(GammaDuration(2.0, 2.0) for _ in range(A)),
-        transitions=TransitionMatrix(
-            np.full((A, A), 1.0 / (A - 1)) * (1 - np.eye(A)) if A > 1 else np.zeros((1, 1))
-        ),
-        emissions=emissions,
-        noise=NoiseModel(np.full(P, 0.1)),
-        duration_cap=args.dmax or 1,
-        shared_task=True,
-        pca=pca_doc,
-    )
-    data = experiments.prepare_series(skeleton, raw)
-    config = FitConfig(duration_cap=args.dmax, max_iterations=args.max_iterations)
-    t0 = time.perf_counter()
-    model = fit(skeleton, data, config)
+    model, summary = experiments.train(raw, args.pca, args.lengthscale, args.smoothness,
+                                       args.dmax, args.max_iterations, args.use_fft)
     save_model(model, args.out)
-    report = model.fit_report
-    summary = {
-        "model": args.out,
-        "num_states": model.num_states,
-        "num_features": model.num_features,
-        "duration_cap": model.duration_cap,
-        "untrained_states": list(model.untrained_states),
-        "pca": pca_doc is not None,
-        "fit": None if report is None else dataclasses.asdict(report),
-        "train_nll": negative_loglik(model, data, use_fft=args.use_fft),
-        "runtime_s": time.perf_counter() - t0,
-    }
-    _emit(summary, sys.stdout)
+    _emit({"model": args.out, **summary}, sys.stdout)
     return 0
 
 
 def cmd_predict(args) -> int:
     model = load_model(args.model)
     data = _load_units(args, model)
-    cfg = experiments.ExperimentConfig(
-        observed_fraction=args.ratio,
-        max_steps=args.max_steps,
-        max_series=args.max_series,
-    )
-    _write_lines([experiments.experiment_trajectory(cfg, model=model, data=data)], args.out)
+    doc = experiments.experiment_trajectory(_experiment_config(args), model=model, data=data)
+    _write_lines([doc], args.out)
     return 0
 
 
@@ -192,12 +146,7 @@ def cmd_filter(args) -> int:
 def cmd_monitor(args) -> int:
     model = load_model(args.model)
     series = _pick_series(_load_units(args, model), args.subject)
-    cfg = experiments.ExperimentConfig(
-        num_samples=args.mc_samples,
-        seed=args.seed,
-        group_sizes=args.groups,
-        max_steps=args.max_steps,
-    )
+    cfg = _experiment_config(args)
     _write_lines(experiments.monitor_steps(cfg, model, series, args.energy_weight), args.out)
     return 0
 
@@ -205,15 +154,7 @@ def cmd_monitor(args) -> int:
 def cmd_sweep(args) -> int:
     model = load_model(args.model)
     data = _load_units(args, model)
-    cfg = experiments.ExperimentConfig(
-        lambda_grid=args.energy_weights,
-        num_samples=args.mc_samples,
-        seed=args.seed,
-        group_sizes=args.groups,
-        max_steps=args.max_steps,
-        max_series=args.max_series,
-    )
-    rows = experiments.experiment_sweep(cfg, model=model, data=data)
+    rows = experiments.experiment_sweep(_experiment_config(args), model=model, data=data)
     with _open_out(args.out) as fh:
         experiments.write_sweep_csv(rows, fh)
     return 0
@@ -221,25 +162,17 @@ def cmd_sweep(args) -> int:
 
 def cmd_simulate(args) -> int:
     model = load_model(args.model)
-    subject = itertools.count(1)
-    for si, (split, n) in enumerate((("train", args.num_train), ("test", args.num_test))):
-        if n == 0:
-            continue
-        series = []
-        for k in range(n):
-            seed = np.random.SeedSequence(args.seed, spawn_key=(si, k))
-            s = generate_synthetic(model, args.steps, seed=seed)
-            series.append(dataclasses.replace(s, subject_id=next(subject)))
-        save_har(args.out, split, series)
+    splits = experiments.simulate(model, args.steps, args.num_train, args.num_test, args.seed)
+    for split, series in splits.items():
+        if series:
+            save_har(args.out, split, series)
     _emit({"out": str(Path(args.out)), "steps": args.steps, "train_series": args.num_train,
            "test_series": args.num_test}, sys.stdout)
     return 0
 
 
 def cmd_pca(args) -> int:
-    raw = load_har(args.data_dir, "train")
-    stacked = np.vstack([s.observations for s in raw])
-    proj = fit_pca(stacked, args.components)
+    proj = experiments.split_pca(load_har(args.data_dir, "train"), args.components)
     _write_lines([proj.to_dict()], args.out)
     _emit({"explained_variance": proj.explained_variance}, sys.stdout)
     return 0
@@ -256,6 +189,15 @@ def _add_common_eval(p):
     p.add_argument("--split", default="test", choices=("train", "test", "both"))
     p.add_argument("--max-steps", type=_positive_int, default=None)
     p.add_argument("--out", default=None)
+
+
+def _add_sampling(p):
+    """The Monte Carlo, seed and sensor-group flags of monitor and sweep."""
+    p.add_argument("--mc-samples", dest="num_samples", type=_positive_int,
+                   default=monitor.DEFAULT_NUM_SAMPLES)
+    p.add_argument("--seed", type=_non_negative_int, default=0)
+    p.add_argument("--groups", dest="group_sizes", type=_parse_int_list,
+                   default=monitor.DEFAULT_GROUP_SIZES, help="comma-separated group sizes")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -277,7 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("predict", help="known-state trajectory prediction")
     _add_common_eval(p)
-    p.add_argument("--ratio", type=float, default=0.2,
+    p.add_argument("--ratio", dest="observed_fraction", type=float, default=0.2,
                    help="observed fraction (0.2 = 1 observed : 4 held out)")
     p.add_argument("--max-series", type=_positive_int, default=None)
     p.set_defaults(func=cmd_predict)
@@ -291,19 +233,14 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common_eval(p)
     p.add_argument("--subject", type=int, default=None)
     p.add_argument("--lambda", dest="energy_weight", type=_finite_float, default=0.1)
-    p.add_argument("--mc-samples", type=_positive_int, default=monitor.DEFAULT_NUM_SAMPLES)
-    p.add_argument("--seed", type=_non_negative_int, default=0)
-    p.add_argument("--groups", type=_parse_int_list, default=monitor.DEFAULT_GROUP_SIZES,
-                   help="comma-separated group sizes")
+    _add_sampling(p)
     p.set_defaults(func=cmd_monitor)
 
     p = sub.add_parser("sweep", help="energy/accuracy trade-off over lambda grid")
     _add_common_eval(p)
-    p.add_argument("--lambda", dest="energy_weights", type=_parse_float_list,
+    p.add_argument("--lambda", dest="lambda_grid", type=_parse_float_list,
                    default=(0.0, 0.1, 0.25, 0.5, 1.0), help="comma-separated grid")
-    p.add_argument("--mc-samples", type=_positive_int, default=monitor.DEFAULT_NUM_SAMPLES)
-    p.add_argument("--seed", type=_non_negative_int, default=0)
-    p.add_argument("--groups", type=_parse_int_list, default=monitor.DEFAULT_GROUP_SIZES)
+    _add_sampling(p)
     p.add_argument("--max-series", type=_positive_int, default=None)
     p.set_defaults(func=cmd_sweep)
 

@@ -15,6 +15,7 @@ streams double as oracles for parameter-recovery and consistency tests.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -35,8 +36,11 @@ _SPLIT_FILES = {
 
 
 def _read_matrix(path: Path) -> np.ndarray:
+    """The file's rows; a file without any is a FormatError naming it."""
     try:
-        return np.loadtxt(path, dtype=float, ndmin=2)
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")  # see below
+            mat = np.loadtxt(path, dtype=float, ndmin=2)
     except OSError as exc:
         raise FormatError(f"cannot read {path}: {exc}", path=str(path)) from exc
     except ValueError as exc:
@@ -47,6 +51,9 @@ def _read_matrix(path: Path) -> np.ndarray:
         if m:
             line = int(m.group(1))
         raise FormatError(f"malformed matrix in {path}: {exc}", path=str(path), line=line) from exc
+    if mat.shape[0] == 0:
+        raise FormatError(f"no rows in {path}", path=str(path))
+    return mat
 
 
 def _read_int_vector(path: Path, name: str) -> np.ndarray:
@@ -69,9 +76,10 @@ def _read_int_vector(path: Path, name: str) -> np.ndarray:
 def load_har(data_dir, split: str = "both") -> list:
     """Load the activity corpus into per-subject series.
 
-    ``split`` is "train", "test", or "both" (train first). Labels must lie
-    in 1..6 and the three files of a split must agree on row count. Series
-    come in the order each subject first appears.
+    ``split`` is "train", "test", or "both" (train first). Each file must
+    hold at least one row, labels must lie in 1..6 and the three files of a
+    split must agree on row count. Series come in the order each subject
+    first appears.
     """
     data_dir = Path(data_dir)
     if split == "both":

@@ -1,5 +1,10 @@
-"""Experiment harness: trajectory prediction, activity recognition, and the
-energy/accuracy sweep.
+"""Experiment harness: training and simulation, trajectory prediction,
+activity recognition, and the energy/accuracy sweep.
+
+`train` fits a model on a train split from the start `initial_model` builds,
+with the split's PCA (`split_pca`) when the rows are wider than the
+projection. `simulate` samples a train/test corpus from a model. The CLI
+parses flags, calls one function here and writes what it returns.
 
 All three experiments run on lists of SegmentedSeries in model units.
 `prepare_series` is the one path from raw rows to those units, for training
@@ -18,16 +23,27 @@ evaluation order and are reproducible cell by cell.
 from __future__ import annotations
 
 import csv
+import itertools
 import time
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
 from . import filtering, monitor
-from .data import PcaProjection, apply_pca
+from .data import PcaProjection, apply_pca, fit_pca, generate_synthetic
 from .errors import UndefinedMetricError
+from .fit import FitConfig
 from .gp_predict import joint_conditional, trajectory_metrics
-from .model import SwitchingGPModel, segment_series
+from .kernels import MaternKernel, NoiseModel, TaskCovariance
+from .likelihood import negative_loglik
+from .model import (
+    GammaDuration,
+    StateEmission,
+    SwitchingGPModel,
+    TransitionMatrix,
+    fit,
+    segment_series,
+)
 
 SWEEP_COLUMNS = ("lambda", "accuracy", "avg_sensor_usage", "avg_entropy", "runtime_s")
 
@@ -84,6 +100,80 @@ def prepare_series(model: SwitchingGPModel, series_list) -> list:
         mask = np.repeat(np.all(s.mask, axis=1, keepdims=True), scores.shape[1], axis=1)
         out.append(replace(s, observations=scores, mask=mask))
     return out
+
+
+def split_pca(raw, num_components: int) -> PcaProjection:
+    """The PCA projection fitted on all rows of a split's raw series."""
+    return fit_pca(np.vstack([s.observations for s in raw]), num_components)
+
+
+def initial_model(num_states, num_features, lengthscale, smoothness, pca=None):
+    """The start `train` fits from: Gamma(2, 2) dwell laws, uniform transitions
+    to the other states (``[[0]]`` for one), zero means, unit-variance Matern
+    kernels sharing one identity task factor and noise variances 0.1. Its cap
+    of 1 is never read: `fit` takes the cap from its config or the dwell laws."""
+    A, P = num_states, num_features
+    task = TaskCovariance(np.eye(P))
+    return SwitchingGPModel(
+        durations=[GammaDuration(2.0, 2.0)] * A,
+        transitions=TransitionMatrix(np.full((A, A), 1.0 / max(A - 1, 1)) * (1 - np.eye(A))),
+        emissions=[
+            StateEmission(np.zeros(P), MaternKernel(1.0, lengthscale, smoothness), task)
+            for _ in range(A)
+        ],
+        noise=NoiseModel(np.full(P, 0.1)),
+        duration_cap=1,
+        shared_task=True,
+        pca=pca,
+    )
+
+
+def train(raw, num_components, lengthscale, smoothness, duration_cap=None, max_iterations=500,
+          use_fft=False):
+    """Fit a model on a train split's raw series from `initial_model`.
+
+    Rows wider than ``num_components`` (0 disables it) train on the
+    `prepare_series` scores of the split's `split_pca`, which the model
+    keeps. Returns the model and its summary; the train NLL takes the FFT
+    path with ``use_fft``, and ``runtime_s`` covers the fit and the NLL.
+    """
+    pca = None
+    if 0 < num_components < raw[0].num_features:
+        pca = split_pca(raw, num_components).to_dict()
+    A = max(int(s.labels.max()) for s in raw)
+    P = raw[0].num_features if pca is None else num_components
+    start = initial_model(A, P, lengthscale, smoothness, pca)
+    data = prepare_series(start, raw)
+    config = FitConfig(duration_cap=duration_cap, max_iterations=max_iterations)
+    t0 = time.perf_counter()
+    model = fit(start, data, config)
+    return model, {
+        "num_states": model.num_states,
+        "num_features": model.num_features,
+        "duration_cap": model.duration_cap,
+        "untrained_states": list(model.untrained_states),
+        "pca": pca is not None,
+        "fit": asdict(model.fit_report),
+        "train_nll": negative_loglik(model, data, use_fft=use_fft),
+        "runtime_s": time.perf_counter() - t0,
+    }
+
+
+def simulate(model: SwitchingGPModel, steps: int, num_train: int, num_test: int, seed: int):
+    """Sample a corpus from the model: ``{"train": [...], "test": [...]}``.
+
+    Series k of split i (train 0, test 1) is drawn from
+    ``SeedSequence(seed, spawn_key=(i, k))``; subjects are numbered from 1
+    across both splits, train first.
+    """
+    subject = itertools.count(1)
+    splits = {}
+    for i, (split, n) in enumerate((("train", num_train), ("test", num_test))):
+        seeds = [np.random.SeedSequence(seed, spawn_key=(i, k)) for k in range(n)]
+        splits[split] = [
+            replace(generate_synthetic(model, steps, s), subject_id=next(subject)) for s in seeds
+        ]
+    return splits
 
 
 def _limit(config: ExperimentConfig, series_list) -> list:

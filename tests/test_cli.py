@@ -482,6 +482,27 @@ class TestErrorRecords:
         assert "lengthscale" in record["message"]
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["train", "pca", "filter", "monitor", "sweep"])
+    def test_empty_split_is_an_error_record(self, workspace, tmp_path, command):
+        data = tmp_path / "data"
+        for split in ("train", "test"):
+            (data / split).mkdir(parents=True)
+            for name in ("X", "y", "subject"):
+                (data / split / f"{name}_{split}.txt").write_text("")
+        argv = [command, "--data-dir", str(data)]
+        if command == "train":
+            argv += ["--out", str(tmp_path / "model.json")]
+        elif command != "pca":
+            argv += ["--model", str(workspace.model_path)]
+        rc, out, err = run_cli(argv)
+        assert rc == 1
+        assert out == ""
+        (record,) = json_lines(err)
+        split = "train" if command in ("train", "pca") else "test"
+        assert record["error"] == "FormatError"
+        assert record["path"] == str(data / split / f"X_{split}.txt")
+        assert not (tmp_path / "model.json").exists()
+
     def test_missing_required_argument_exits_nonzero(self):
         with pytest.raises(SystemExit) as exc:
             main(["train"])
@@ -511,6 +532,12 @@ class TestErrorRecords:
             ("sweep", "--max-series", "0"),
             ("filter", "--max-steps", "-1"),
             ("predict", "--max-series", "0"),
+            ("monitor", "--groups", "0"),
+            ("monitor", "--groups", "1,-2"),
+            ("monitor", "--groups", ","),
+            ("sweep", "--groups", "0"),
+            ("sweep", "--groups", "2,0"),
+            ("sweep", "--groups", ","),
         ],
     )
     def test_counts_below_one_are_usage_errors(self, workspace, command, flag, value, capsys):
@@ -545,6 +572,8 @@ class TestErrorRecords:
              "zero or a positive integer"),
             (["monitor", "--model", "m.json", "--seed", "-1"], "zero or a positive integer"),
             (["sweep", "--model", "m.json", "--seed", "-1"], "zero or a positive integer"),
+            (["monitor", "--model", "m.json", "--groups=-1,2"], "positive integer"),
+            (["sweep", "--model", "m.json", "--groups=-1,2"], "positive integer"),
         ],
     )
     def test_train_and_pca_counts_are_usage_errors(self, workspace, argv, message, capsys):
@@ -557,7 +586,8 @@ class TestErrorRecords:
 
     @pytest.mark.parametrize(
         "command, value",
-        [("monitor", "nan"), ("monitor", "inf"), ("sweep", "0,nan"), ("sweep", "inf,0.5")],
+        [("monitor", "nan"), ("monitor", "inf"), ("sweep", "0,nan"), ("sweep", "inf,0.5"),
+         ("sweep", ",")],
     )
     def test_non_finite_lambda_is_a_usage_error(self, workspace, command, value, capsys):
         argv = [

@@ -105,6 +105,22 @@ class TestLoadHar:
         with pytest.raises(FormatError, match="one column"):
             load_har(tmp_path, split="train")
 
+    def test_empty_split_names_the_file(self, tmp_path):
+        d = tmp_path / "test"
+        d.mkdir()
+        for name in ("X", "y", "subject"):
+            (d / f"{name}_test.txt").write_text("\n")
+        with pytest.raises(FormatError, match="no rows") as err:
+            load_har(tmp_path, split="test")
+        assert err.value.path == str(d / "X_test.txt")
+
+    def test_empty_label_file_names_the_file(self, tmp_path):
+        write_split(tmp_path, "train", np.zeros((2, 2)), [1, 1], [1, 1])
+        (tmp_path / "train" / "y_train.txt").write_text("")
+        with pytest.raises(FormatError, match="no rows") as err:
+            load_har(tmp_path, split="train")
+        assert err.value.path == str(tmp_path / "train" / "y_train.txt")
+
     def test_missing_file_reports_path(self, tmp_path):
         (tmp_path / "train").mkdir()
         with pytest.raises(FormatError) as err:

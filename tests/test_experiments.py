@@ -1,13 +1,15 @@
 """Experiment harness: trajectory prediction, recognition, the adaptive
 monitor stream, energy sweep."""
 
+import json
 from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 import helpers
-from switchgp.data import fit_pca, apply_pca, generate_synthetic
+from golden import regenerate
+from switchgp.data import fit_pca, apply_pca, generate_synthetic, load_har, save_har
 from switchgp.errors import UndefinedMetricError
 from switchgp.experiments import (
     SWEEP_COLUMNS,
@@ -15,14 +17,18 @@ from switchgp.experiments import (
     experiment_recognition,
     experiment_sweep,
     experiment_trajectory,
+    initial_model,
     monitor_steps,
     prepare_series,
+    simulate,
+    train,
     write_sweep_csv,
 )
 from switchgp.filtering import forward_init, forward_step, state_posterior
 from switchgp.kernels import MaternKernel, NoiseModel
-from switchgp.model import SegmentedSeries, TransitionMatrix, segment_series
+from switchgp.model import SegmentedSeries, TransitionMatrix, model_to_dict, segment_series
 from switchgp import monitor
+from test_golden import mismatches
 
 
 def degenerate_model_and_series(T=60, seed=0):
@@ -432,3 +438,61 @@ class TestSweep:
         assert float(first[0]) == 0.0
         # repr round trip: parsing the cell reproduces the float bit for bit
         assert float(first[1]) == sweep_rows[0]["accuracy"]
+
+
+class TestInitialModel:
+    def test_start(self):
+        model = initial_model(3, 4, 2.5, 0.5)
+        assert [(g.shape, g.scale) for g in model.durations] == [(2.0, 2.0)] * 3
+        np.testing.assert_array_equal(model.transitions.probs, (1 - np.eye(3)) / 2)
+        for e in model.emissions:
+            np.testing.assert_array_equal(e.mean, np.zeros(4))
+            assert (e.temporal.variance, e.temporal.lengthscale) == (1.0, 2.5)
+            assert e.temporal.smoothness == 0.5
+            np.testing.assert_array_equal(e.task.cholesky_factor, np.eye(4))
+        np.testing.assert_array_equal(model.noise.per_feature_variance, np.full(4, 0.1))
+        assert model.shared_task and model.pca is None
+
+    def test_one_state_never_transitions(self):
+        model = initial_model(1, 2, 5.0, 1.5)
+        assert model.num_states == 1
+        np.testing.assert_array_equal(model.transitions.probs, [[0.0]])
+
+
+def json_round_trip(doc):
+    return json.loads(json.dumps(doc))
+
+
+class TestTrainAndSimulate:
+    """`train` and `simulate` called directly reproduce the golden CLI
+    outputs of `tests/golden/regenerate.py`."""
+
+    @pytest.mark.parametrize(
+        "use_fft, model_file, summary_file",
+        [(False, "model.json", "train.json"), (True, "model_fft.json", "train_fft.json")],
+    )
+    def test_train_matches_golden(self, use_fft, model_file, summary_file):
+        raw = load_har(regenerate.HERE / "synth", "train")
+        model, summary = train(raw, 0, 5.0, 1.5, duration_cap=12, max_iterations=15,
+                               use_fft=use_fft)
+        want_model = json.loads((regenerate.HERE / model_file).read_text())
+        diffs = mismatches(want_model, json_round_trip(model_to_dict(model)), model_file)
+        want = json.loads((regenerate.HERE / summary_file).read_text())
+        del want["model"]
+        diffs += mismatches(want, json_round_trip(summary), summary_file)
+        assert not diffs, "\n".join(diffs[:20])
+
+    def test_simulate_matches_golden_files(self, tmp_path):
+        seed_model = helpers.random_model(A=3, P=4, cap=12, seed=2)
+        splits = simulate(seed_model, 150, 2, 2, 4)
+        assert [len(splits["train"]), len(splits["test"])] == [2, 2]
+        for split, series in splits.items():
+            save_har(tmp_path / "synth", split, series)
+        for name in regenerate.DATA_FILES:
+            assert (tmp_path / name).read_bytes() == (regenerate.HERE / name).read_bytes()
+
+    def test_simulate_numbers_subjects_across_splits(self):
+        model = helpers.random_model(A=2, P=2, cap=4, seed=0)
+        splits = simulate(model, 10, 0, 2, 1)
+        assert splits["train"] == []
+        assert [s.subject_id for s in splits["test"]] == [1, 2]
