@@ -7,10 +7,11 @@ gauge-fixed at 1 after rescaling the initial model (the overall scale of
 L L^T trades off exactly against the kernel variances, and pinning it
 removes the flat direction without restricting the model class).
 
-The optimizer contract is enforced around scipy's L-BFGS-B: accepted steps
-must not increase the objective, convergence is declared when the relative
-objective change stays below ``REL_TOL`` for ``PATIENCE`` iterations, and
-non-finite objectives abort with a parameter snapshot.
+The optimizer contract is kept in the callback of scipy's L-BFGS-B, which
+reads each accepted iterate's objective: no accepted step may increase it, and
+the run stops, converged, once its relative change stays below ``REL_TOL`` for
+``PATIENCE`` iterations. Degenerate line-search probes get a finite barrier
+value; a non-finite objective at the start aborts with a parameter snapshot.
 """
 
 from __future__ import annotations
@@ -143,8 +144,7 @@ def fit_emissions(data, init: SwitchingGPModel, config: FitConfig | None = None)
     packing = _Packing(init)
     model0 = packing.rescaled_init(init)
     x0 = packing.pack(model0)
-    eval_cache: dict[bytes, float] = {}
-    barrier = [None]
+    barrier = None
 
     def objective(x):
         m = packing.unpack(x, model0)
@@ -153,73 +153,58 @@ def fit_emissions(data, init: SwitchingGPModel, config: FitConfig | None = None)
             val, acc = nll_and_gradients(m, data)
         except (NonPositiveDefiniteError, np.linalg.LinAlgError):
             # Line searches may probe parameters whose covariance is
-            # numerically degenerate. A finite penalty (never cached, zero
-            # gradient) makes the sufficient-decrease test fail so the step
-            # is rejected and backtracked; the initial point must evaluate.
-            if barrier[0] is None:
+            # numerically degenerate. A finite penalty (zero gradient) makes
+            # the sufficient-decrease test fail so the step is rejected and
+            # backtracked; the initial point must evaluate.
+            if barrier is None:
                 raise
-            return barrier[0], np.zeros(packing.size)
+            return barrier, np.zeros(packing.size)
         grad = packing.pack_gradient(acc)
         if not np.isfinite(val) or not np.all(np.isfinite(grad)):
-            if barrier[0] is not None:
-                return barrier[0], np.zeros(packing.size)
+            if barrier is not None:
+                return barrier, np.zeros(packing.size)
             raise NonFiniteObjectiveError(
                 "objective or gradient evaluated non-finite", params=x.copy()
             )
-        eval_cache[x.tobytes()] = val
         return val, grad
 
     f0, _ = objective(x0)
-    barrier[0] = 1e6 * (1.0 + abs(f0))
+    barrier = 1e6 * (1.0 + abs(f0))
+    # objective at the start and at each accepted iterate
     history = [f0]
-    best_x = [x0.copy()]
 
-    class _EarlyStop(Exception):
-        pass
+    def stalled():
+        prev = history[-1 - PATIENCE] if len(history) > PATIENCE else np.inf
+        return abs(prev - history[-1]) < REL_TOL * max(1.0, abs(history[-1]))
 
-    # L-BFGS-B reports only points it has evaluated (accepted iterates, or
-    # the last one restored after a failed line search), so every reported
-    # point's objective is read from the cache rather than recomputed.
-    def callback(xk):
-        fk = eval_cache[xk.tobytes()]
+    def callback(intermediate_result):
+        fk = intermediate_result.fun
         if fk > history[-1] + 1e-9 * (1.0 + abs(history[-1])):
             raise OptimizerContractError(
                 f"objective increased across an accepted step: {history[-1]} -> {fk}"
             )
         history.append(fk)
-        best_x[0] = np.array(xk, copy=True)
-        if len(history) > PATIENCE:
-            prev = history[-1 - PATIENCE]
-            if abs(prev - history[-1]) < REL_TOL * max(1.0, abs(history[-1])):
-                raise _EarlyStop
+        if stalled():
+            raise StopIteration
 
-    bounds = [(-PARAM_BOUND, PARAM_BOUND)] * packing.size
-    converged = False
-    message = ""
-    try:
-        res = scipy.optimize.minimize(
-            objective,
-            x0,
-            jac=True,
-            method="L-BFGS-B",
-            bounds=bounds,
-            callback=callback,
-            options={"maxiter": config.max_iterations, "ftol": 1e-14, "gtol": 1e-9},
-        )
-        xf = res.x
-        converged = bool(res.success)
-        message = str(res.message)
-    except _EarlyStop:
-        xf = best_x[0]
-        converged = True
-        message = f"relative change < {REL_TOL} over {PATIENCE} iterations"
-
-    final_model = packing.unpack(xf, model0)
+    res = scipy.optimize.minimize(
+        objective,
+        x0,
+        jac=True,
+        method="L-BFGS-B",
+        bounds=[(-PARAM_BOUND, PARAM_BOUND)] * packing.size,
+        callback=callback,
+        options={"maxiter": config.max_iterations, "ftol": 1e-14, "gtol": 1e-9},
+    )
+    early = stalled()
+    message = f"relative change < {REL_TOL} over {PATIENCE} iterations" if early else res.message
+    # res.x is the last accepted iterate; res.fun is the last evaluation,
+    # which after a failed line search is a rejected probe.
     report = FitReport(
         initial_objective=float(f0),
-        final_objective=float(eval_cache[xf.tobytes()]),
+        final_objective=float(history[-1]),
         iterations=len(history) - 1,
-        converged=converged,
-        message=message,
+        converged=early or bool(res.success),
+        message=str(message),
     )
-    return replace(final_model, fit_report=report)
+    return replace(packing.unpack(res.x, model0), fit_report=report)

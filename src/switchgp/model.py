@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 import scipy.stats
 
-from .errors import DegenerateDurationError, InsufficientDataError
+from .errors import DegenerateDurationError, FormatError, InsufficientDataError
 from .kernels import MaternKernel, NoiseModel, TaskCovariance
 
 TRANSITION_ROW_TOL = 1e-12
@@ -122,6 +122,19 @@ class SwitchingGPModel:
         for e in self.emissions:
             if e.num_features != P:
                 raise ValueError("inconsistent feature counts across model components")
+        factors = [e.task.cholesky_factor for e in self.emissions]
+        if self.shared_task and not all(np.array_equal(L, factors[0]) for L in factors):
+            raise ValueError("shared_task needs every state's task cholesky_factor to be equal")
+        untrained = tuple(self.untrained_states)
+        if not all(
+            isinstance(u, (int, np.integer)) and not isinstance(u, bool) and 0 <= u < A
+            for u in untrained
+        ) or len(set(untrained)) != len(untrained):
+            raise ValueError(
+                f"untrained_states must be distinct states in 0..{A - 1}, got {list(untrained)}"
+            )
+        if len(untrained) == A:
+            raise ValueError("untrained_states must leave at least one state trained")
         if self.duration_cap < 1:
             raise ValueError("duration_cap must be >= 1")
         if self.initial is None:
@@ -134,7 +147,7 @@ class SwitchingGPModel:
         object.__setattr__(self, "initial", init)
         object.__setattr__(self, "durations", tuple(self.durations))
         object.__setattr__(self, "emissions", tuple(self.emissions))
-        object.__setattr__(self, "untrained_states", tuple(self.untrained_states))
+        object.__setattr__(self, "untrained_states", tuple(int(u) for u in untrained))
 
     @property
     def num_states(self) -> int:
@@ -401,4 +414,8 @@ def save_model(model: SwitchingGPModel, path) -> None:
 
 def load_model(path) -> SwitchingGPModel:
     with open(path) as fh:
-        return model_from_dict(json.load(fh))
+        doc = json.load(fh)
+    try:
+        return model_from_dict(doc)
+    except KeyError as exc:
+        raise FormatError(f"no {exc.args[0]!r} entry in {path}", path=str(path)) from None

@@ -503,6 +503,36 @@ class TestErrorRecords:
         assert record["path"] == str(data / split / f"X_{split}.txt")
         assert not (tmp_path / "model.json").exists()
 
+    @pytest.mark.parametrize(
+        "edit, error, field",
+        [
+            pytest.param(lambda doc: doc.update(untrained_states=[7]), "ValueError",
+                         "untrained_states", id="untrained-out-of-range"),
+            pytest.param(lambda doc: doc.update(untrained_states=[-1]), "ValueError",
+                         "untrained_states", id="untrained-negative"),
+            pytest.param(lambda doc: doc.update(untrained_states=[0, 1]), "ValueError",
+                         "untrained_states", id="every-state-untrained"),
+            pytest.param(lambda doc: doc.pop("durations"), "FormatError", "durations",
+                         id="no-durations"),
+        ],
+    )
+    def test_malformed_model_file_is_an_error_record(self, workspace, tmp_path, edit, error,
+                                                     field):
+        doc = json.loads(workspace.model_path.read_text())
+        edit(doc)
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        rc, out, err = run_cli(
+            ["filter", "--model", str(path), "--data-dir", str(workspace.data_dir)]
+        )
+        assert rc == 1
+        assert out == ""
+        (record,) = json_lines(err)
+        assert record["error"] == error
+        assert field in record["message"]
+        if error == "FormatError":
+            assert record["path"] == str(path)
+
     def test_missing_required_argument_exits_nonzero(self):
         with pytest.raises(SystemExit) as exc:
             main(["train"])

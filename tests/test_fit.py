@@ -1,11 +1,19 @@
 """Emission-parameter optimizer contract tests."""
 
+import functools
+import json
+import sys
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+import scipy.optimize
 
 import helpers
 from switchgp.data import generate_synthetic
-from switchgp.fit import FitConfig, fit_emissions
+from switchgp.errors import NonFiniteObjectiveError, NonPositiveDefiniteError
+from switchgp.experiments import initial_model
+from switchgp.fit import PATIENCE, REL_TOL, FitConfig, fit_emissions
 from switchgp.kernels import MaternKernel, NoiseModel, TaskCovariance
 from switchgp.likelihood import negative_loglik
 from switchgp.model import (
@@ -14,6 +22,8 @@ from switchgp.model import (
     StateEmission,
     SwitchingGPModel,
     TransitionMatrix,
+    fit,
+    model_to_dict,
 )
 
 
@@ -123,3 +133,87 @@ class TestFitEmissions:
             K1 = e1.temporal.variance * (e1.task.cholesky_factor @ e1.task.cholesky_factor.T)
             np.testing.assert_allclose(K0, K1, rtol=1e-12)
             assert e1.task.cholesky_factor[0, 0] == pytest.approx(1.0)
+
+
+@pytest.fixture
+def minimize_spy(monkeypatch):
+    """Counts the accepted steps (callback calls) of each L-BFGS-B run and
+    keeps scipy's result of the last run that returned one."""
+    seen = SimpleNamespace(accepted=0, result=None)
+    real = scipy.optimize.minimize
+
+    def spy(fun, x0, *args, callback, **kwargs):
+        @functools.wraps(callback)
+        def counted(*cb_args, **cb_kwargs):
+            seen.accepted += 1
+            return callback(*cb_args, **cb_kwargs)
+
+        seen.result = real(fun, x0, *args, callback=counted, **kwargs)
+        return seen.result
+
+    monkeypatch.setattr(scipy.optimize, "minimize", spy)
+    return seen
+
+
+def stop_path_data(seed=0):
+    truth = helpers.random_model(A=3, P=2, cap=10, seed=seed)
+    return [generate_synthetic(truth, 240, seed=1000 + seed)]
+
+
+class TestStopPaths:
+    """How a fit ends: the relative-change rule, the iteration cap, a line
+    search hitting the finite barrier, and a non-finite start."""
+
+    def test_early_stop_reports_the_accepted_steps(self, minimize_spy):
+        config = FitConfig(max_iterations=500, duration_cap=10)
+        rep = fit(initial_model(3, 2, 5.0, 1.5), stop_path_data(), config).fit_report
+        assert rep.converged
+        assert rep.message == f"relative change < {REL_TOL} over {PATIENCE} iterations"
+        assert rep.iterations == minimize_spy.accepted
+        assert PATIENCE < rep.iterations < config.max_iterations
+        assert rep.final_objective < rep.initial_objective
+
+    def test_iteration_cap_reports_scipys_message(self, minimize_spy):
+        config = FitConfig(max_iterations=3, duration_cap=10)
+        rep = fit(initial_model(3, 2, 5.0, 1.5), stop_path_data(), config).fit_report
+        assert not rep.converged
+        assert rep.message == str(minimize_spy.result.message)
+        assert "ITERATIONS REACHED LIMIT" in rep.message
+        assert rep.iterations == minimize_spy.accepted == 3
+
+    def test_barrier_probes_end_at_an_evaluated_point(self, monkeypatch):
+        # the likelihood refuses every lengthscale below 3, so line searches
+        # toward the generating lengthscale of 1 meet the finite barrier
+        fit_module = sys.modules["switchgp.fit"]
+        real = fit_module.nll_and_gradients
+        evaluated, refused = {}, []
+
+        def guarded(model, data):
+            if min(e.temporal.lengthscale for e in model.emissions) < 3.0:
+                refused.append(model)
+                raise NonPositiveDefiniteError("lengthscale below 3")
+            val, acc = real(model, data)
+            evaluated[json.dumps(model_to_dict(model))] = val
+            return val, acc
+
+        monkeypatch.setattr(fit_module, "nll_and_gradients", guarded)
+        truth = helpers.random_model(A=2, P=2, cap=10, seed=0, lengthscale=1.0)
+        data = [generate_synthetic(truth, 300, seed=3000)]
+        fitted = fit(initial_model(2, 2, 5.0, 1.5), data, FitConfig(duration_cap=10))
+        rep = fitted.fit_report
+        assert refused
+        assert evaluated[json.dumps(model_to_dict(fitted))] == rep.final_objective
+        assert rep.final_objective <= rep.initial_objective
+
+    def test_non_finite_start_raises(self, monkeypatch):
+        fit_module = sys.modules["switchgp.fit"]
+        real = fit_module.nll_and_gradients
+
+        def non_finite(model, data):
+            return np.nan, real(model, data)[1]
+
+        monkeypatch.setattr(fit_module, "nll_and_gradients", non_finite)
+        start = helpers.random_model(A=3, P=2, cap=10, seed=0)
+        with pytest.raises(NonFiniteObjectiveError) as exc:
+            fit_emissions(stop_path_data(), start)
+        assert exc.value.params is not None and np.isfinite(exc.value.params).all()

@@ -1,6 +1,7 @@
 """Model containers, estimators, and the save/load round trip."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ import pytest
 import helpers
 import oracles
 from switchgp.data import generate_synthetic
-from switchgp.errors import DegenerateDurationError, InsufficientDataError
+from switchgp.errors import DegenerateDurationError, FormatError, InsufficientDataError
 from switchgp.filtering import forward_init, forward_step, state_posterior
 from switchgp.fit import FitConfig
 from switchgp.kernels import MaternKernel, NoiseModel, TaskCovariance
@@ -69,6 +70,7 @@ class TestContainers:
             emissions=m.emissions,
             noise=m.noise,
             duration_cap=2,
+            shared_task=False,
         )
         np.testing.assert_allclose(m2.initial, np.full(3, 1.0 / 3.0))
 
@@ -85,6 +87,7 @@ def _with_initial(initial):
         noise=m.noise,
         duration_cap=2,
         initial=initial,
+        shared_task=False,
     )
 
 
@@ -149,6 +152,39 @@ class TestNonFiniteParameters:
         assert "Infinity" in path.read_text()
         with pytest.raises(ValueError, match=key):
             load_model(path)
+
+
+class TestSharedTaskAndUntrainedStates:
+    """A shared task factor is one factor by value, and ``untrained_states``
+    names distinct states of the model while leaving one trained."""
+
+    def test_shared_task_with_differing_factors_is_rejected(self):
+        model = helpers.random_model(A=3, P=2, cap=6, seed=1)
+        with pytest.raises(ValueError, match="shared_task"):
+            replace(model, shared_task=True)
+
+    def test_shared_task_compares_factor_values_not_objects(self):
+        model = helpers.random_model(A=2, P=2, seed=1)
+        emissions = tuple(replace(e, task=TaskCovariance(np.eye(2))) for e in model.emissions)
+        assert replace(model, emissions=emissions, shared_task=True).shared_task
+
+    @pytest.mark.parametrize(
+        "untrained",
+        [(7,), (3,), (-1,), (0, 0), (1.0,), (True,)],
+        ids=["past-the-end", "A", "negative", "repeated", "float", "bool"],
+    )
+    def test_untrained_states_outside_the_model_are_rejected(self, untrained):
+        with pytest.raises(ValueError, match="untrained_states"):
+            replace(helpers.random_model(A=3, P=1), untrained_states=untrained)
+
+    def test_every_state_untrained_is_rejected(self):
+        with pytest.raises(ValueError, match="untrained_states"):
+            replace(helpers.random_model(A=3, P=1), untrained_states=(2, 0, 1))
+
+    def test_untrained_states_are_kept_as_ints(self):
+        model = replace(helpers.random_model(A=3, P=1), untrained_states=[np.int64(2), 0])
+        assert model.untrained_states == (2, 0)
+        assert all(type(u) is int for u in model.untrained_states)
 
 
 class TestSegmentSeries:
@@ -387,6 +423,26 @@ class TestRoundTrip:
         model = _with_pca(model, pca_doc)
         back = model_from_dict(model_to_dict(model))
         assert back.pca == pca_doc
+
+    @pytest.mark.parametrize(
+        "key", ["durations", "transitions", "emissions", "noise_variances", "shared_task"]
+    )
+    def test_file_missing_a_key_is_a_format_error(self, tmp_path, key):
+        doc = model_to_dict(helpers.random_model(A=2, P=2, seed=3))
+        del doc[key]
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(FormatError, match=key) as exc:
+            load_model(path)
+        assert exc.value.path == str(path)
+
+    def test_emission_missing_a_key_is_a_format_error(self, tmp_path):
+        doc = model_to_dict(helpers.random_model(A=2, P=2, seed=3))
+        del doc["emissions"][1]["lengthscale"]
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(FormatError, match="lengthscale"):
+            load_model(path)
 
     def test_format_marker_present(self):
         doc = model_to_dict(helpers.random_model())
