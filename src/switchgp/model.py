@@ -379,31 +379,89 @@ def model_to_dict(model: SwitchingGPModel) -> dict:
     return doc
 
 
+_JSON_TYPES = {
+    "object": dict, "array": list, "number": (int, float), "integer": int, "boolean": bool
+}
+
+
+def _field(doc: dict, key: str, kind: str, where: str = ""):
+    """``doc[key]``, which must hold a JSON ``kind``; a FormatError naming
+    the field otherwise. Booleans are not numbers here."""
+    name = where + key
+    if key not in doc:
+        raise FormatError(f"no {name!r} entry")
+    value = doc[key]
+    if not isinstance(value, _JSON_TYPES[kind]) or (isinstance(value, bool) and kind != "boolean"):
+        raise FormatError(f"{name!r} must be a JSON {kind}, got {json.dumps(value)[:40]}")
+    return value
+
+
+def _numbers(doc: dict, key: str, where: str = "") -> np.ndarray:
+    """``doc[key]`` as an array, which must nest lists of numbers evenly."""
+    try:
+        arr = np.array(_field(doc, key, "array", where))
+    except ValueError:
+        arr = None
+    if arr is None or arr.dtype.kind not in "if":
+        raise FormatError(f"{where + key!r} must nest JSON arrays of numbers evenly")
+    return arr
+
+
+def _objects(doc: dict, key: str):
+    """The JSON array of objects ``doc[key]``: (field prefix, object) pairs."""
+    for j, entry in enumerate(_field(doc, key, "array")):
+        if not isinstance(entry, dict):
+            raise FormatError(f"'{key}[{j}]' must be a JSON object, got {json.dumps(entry)[:40]}")
+        yield f"{key}[{j}].", entry
+
+
 def model_from_dict(doc: dict) -> SwitchingGPModel:
-    if doc.get("format") != "switchgp-model":
-        raise ValueError("not a switchgp model document")
-    shared = bool(doc["shared_task"])
-    shared_task = TaskCovariance(np.array(doc["task_cholesky"])) if shared else None
+    """The model a `model_to_dict` document describes.
+
+    A missing entry, an entry of the wrong JSON type, a ``version`` other
+    than 1, or a ``num_states``/``num_features`` count that disagrees with
+    the entries is a FormatError naming the field.
+    """
+    if not isinstance(doc, dict) or doc.get("format") != "switchgp-model":
+        raise FormatError("not a switchgp model document")
+    version = _field(doc, "version", "integer")
+    if version != 1:
+        raise FormatError(f"'version' is {version}, but this reader knows only version 1")
+    shared = _field(doc, "shared_task", "boolean")
+    shared_task = TaskCovariance(_numbers(doc, "task_cholesky")) if shared else None
     emissions = []
-    for entry in doc["emissions"]:
-        task = shared_task if shared else TaskCovariance(np.array(entry["task_cholesky"]))
+    for where, entry in _objects(doc, "emissions"):
+        task = shared_task if shared else TaskCovariance(_numbers(entry, "task_cholesky", where))
         kern = MaternKernel(
-            variance=entry["variance"],
-            lengthscale=entry["lengthscale"],
-            smoothness=entry["smoothness"],
+            *(_field(entry, k, "number", where) for k in ("variance", "lengthscale", "smoothness"))
         )
-        emissions.append(StateEmission(np.array(entry["mean"]), kern, task))
-    return SwitchingGPModel(
-        durations=tuple(GammaDuration(d["shape"], d["scale"]) for d in doc["durations"]),
-        transitions=TransitionMatrix(np.array(doc["transitions"])),
-        emissions=tuple(emissions),
-        noise=NoiseModel(np.array(doc["noise_variances"])),
-        duration_cap=int(doc["duration_cap"]),
-        initial=np.array(doc["initial"]),
-        shared_task=shared,
-        untrained_states=tuple(doc.get("untrained_states", ())),
-        pca=doc.get("pca"),
+        emissions.append(StateEmission(_numbers(entry, "mean", where), kern, task))
+    durations = tuple(
+        GammaDuration(_field(d, "shape", "number", where), _field(d, "scale", "number", where))
+        for where, d in _objects(doc, "durations")
     )
+    untrained = _field(doc, "untrained_states", "array") if "untrained_states" in doc else []
+    pca = doc.get("pca")
+    if pca is not None:
+        pca = _field(doc, "pca", "object")
+        for key in ("component_matrix", "feature_means", "explained_variance"):
+            _numbers(pca, key, "pca.")
+    model = SwitchingGPModel(
+        durations=durations,
+        transitions=TransitionMatrix(_numbers(doc, "transitions")),
+        emissions=tuple(emissions),
+        noise=NoiseModel(_numbers(doc, "noise_variances")),
+        duration_cap=_field(doc, "duration_cap", "integer"),
+        initial=_numbers(doc, "initial"),
+        shared_task=shared,
+        untrained_states=tuple(untrained),
+        pca=pca,
+    )
+    for key in ("num_states", "num_features"):
+        count = _field(doc, key, "integer")
+        if count != getattr(model, key):
+            raise FormatError(f"{key!r} is {count}, but the entries build {getattr(model, key)}")
+    return model
 
 
 def save_model(model: SwitchingGPModel, path) -> None:
@@ -414,8 +472,11 @@ def save_model(model: SwitchingGPModel, path) -> None:
 
 def load_model(path) -> SwitchingGPModel:
     with open(path) as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise FormatError(f"{path}: not JSON: {exc}", path=str(path), line=exc.lineno) from None
     try:
         return model_from_dict(doc)
-    except KeyError as exc:
-        raise FormatError(f"no {exc.args[0]!r} entry in {path}", path=str(path)) from None
+    except FormatError as exc:
+        raise FormatError(f"{path}: {exc}", path=str(path)) from None

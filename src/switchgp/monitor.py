@@ -1,10 +1,10 @@
 """Adaptive sensor-group selection for the streaming filter.
 
-At each step the monitor scores every candidate feature group m by a Monte
-Carlo estimate of the expected posterior state entropy after observing only
-that group, plus an energy cost proportional to the group size. All
-candidate groups are scored against the same set of simulated next rows
-(common random numbers), drawn once per step from the full-feature
+At each step the monitor picks the candidate feature group m with the least
+loss: a Monte Carlo estimate of the expected posterior state entropy after
+observing only that group, plus an energy cost proportional to the group
+size. Every group it scores is scored against the same set of simulated next
+rows (common random numbers), drawn once per step from the full-feature
 predictive mixture; this cancels most of the sampling noise out of the
 comparison between groups, and makes duplicated groups at different costs
 order exactly by cost.
@@ -24,7 +24,9 @@ polynomial in the sample, and one matrix product per group evaluates it for
 every entry and sample. Samples and means are first centered on the heaviest
 entry's mean, which keeps the polynomial's terms near the scale of the
 residuals. A logsumexp per state and the entropy per sample follow.
-`select_group` makes one such call per group size. The sweep is elementwise
+`select_group` makes at most one such call per group size, cheapest size
+first, and leaves out the groups whose cost alone already rules them out
+(the bounding step of branch and bound). The sweep is elementwise
 over all the entries and groups of a chunk at once, with no factorization
 per entry and group, which keeps the cost of each live entry small next to
 the rest of the step however many entries are live. The stack is cut into
@@ -106,13 +108,15 @@ class GroupCatalog:
 
     @functools.cached_property
     def stacks(self) -> tuple:
-        """Per group size, in order of first appearance: the catalog indices
-        of the groups of that size and their (G, m) stack."""
+        """Per group size, in order of the size's minimum cost (ties in order
+        of first appearance): the catalog indices of the groups of that size
+        and their (G, m) stack."""
         by_size = {}
         for g, group in enumerate(self.groups):
             by_size.setdefault(len(group), []).append(g)
+        ordered = sorted(by_size.values(), key=lambda rows: self.costs[rows].min())
         return tuple(
-            (np.array(rows), np.array([self.groups[g] for g in rows])) for rows in by_size.values()
+            (np.array(rows), np.array([self.groups[g] for g in rows])) for rows in ordered
         )
 
     @functools.cached_property
@@ -332,11 +336,15 @@ def _columns_of(key: bytes, m: int, num_features: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SelectionRecord:
-    """Outcome of one selection step; the chosen group attains min(losses)."""
+    """Outcome of one selection step; the chosen group attains min(losses)
+    under the tie rule. ``scored`` marks the groups whose entropy was
+    estimated; every other group's loss is its cost, a lower bound that
+    already could not beat the chosen loss."""
 
     time_index: int
     group: tuple
     losses: np.ndarray
+    scored: np.ndarray
     num_samples: int
     expected_entropy: float
     stderr: float
@@ -353,8 +361,12 @@ def select_group(
 ):
     """Pick the group minimizing expected entropy plus energy cost.
 
-    One shared sample set scores every candidate (common random numbers),
-    with one `expected_entropy_mc` call per group size.
+    One shared sample set scores every candidate (common random numbers).
+    The group sizes are visited in order of their minimum cost
+    (`GroupCatalog.stacks`), each with one `expected_entropy_mc` call over
+    the groups that can still win. An entropy estimate is never negative,
+    so a group whose cost exceeds the best loss so far, or equals it and
+    ranks after the best in the tie order, is not scored.
     Ties break toward smaller groups, then lexicographic feature order.
     Returns (group, SelectionRecord).
     """
@@ -364,22 +376,34 @@ def select_group(
     if pred is None:
         pred = step_predictives(state, model)
     samples = posterior_samples(state, model, num_samples, rng, pred=pred)
+    costs, rank = catalog.costs, catalog.tie_rank
+    losses = costs.copy()
+    scored = np.zeros(len(catalog), dtype=bool)
     ents = np.empty(len(catalog))
     errs = np.empty(len(catalog))
+    best = None
     for rows, stack in catalog.stacks:
+        if best is not None:
+            bound = losses[best]
+            can_win = (costs[rows] < bound) | ((costs[rows] == bound) & (rank[rows] < rank[best]))
+            rows, stack = rows[can_win], stack[can_win]
+            if rows.size == 0:
+                continue
         ents[rows], errs[rows] = expected_entropy_mc(
             state, model, stack, samples=samples, pred=pred
         )
-    losses = ents + catalog.costs
-    best = int(np.lexsort((catalog.tie_rank, losses))[0])
+        scored[rows] = True
+        losses[rows] += ents[rows]
+        best = int(np.lexsort((rank, np.where(scored, losses, np.inf)))[0])
     record = SelectionRecord(
         time_index=state.time_index + 1,
         group=catalog.groups[best],
         losses=losses,
+        scored=scored,
         num_samples=samples.shape[0],
         expected_entropy=float(ents[best]),
         stderr=float(errs[best]),
-        cost=float(catalog.costs[best]),
+        cost=float(costs[best]),
     )
     return catalog.groups[best], record
 

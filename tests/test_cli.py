@@ -514,6 +514,16 @@ class TestErrorRecords:
                          "untrained_states", id="every-state-untrained"),
             pytest.param(lambda doc: doc.pop("durations"), "FormatError", "durations",
                          id="no-durations"),
+            pytest.param(lambda doc: doc.update(untrained_states=7), "FormatError",
+                         "untrained_states", id="untrained-number"),
+            pytest.param(lambda doc: doc.update(durations=5), "FormatError", "durations",
+                         id="durations-number"),
+            pytest.param(lambda doc: doc["emissions"][0].update(lengthscale="4"), "FormatError",
+                         "emissions[0].lengthscale", id="lengthscale-string"),
+            pytest.param(lambda doc: doc.update(version=99), "FormatError", "version",
+                         id="version-99"),
+            pytest.param(lambda doc: doc.update(num_features=doc["num_features"] + 1),
+                         "FormatError", "num_features", id="num-features-off"),
         ],
     )
     def test_malformed_model_file_is_an_error_record(self, workspace, tmp_path, edit, error,
@@ -532,6 +542,29 @@ class TestErrorRecords:
         assert field in record["message"]
         if error == "FormatError":
             assert record["path"] == str(path)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            pytest.param(lambda doc: json.dumps([doc]), "not a switchgp model document",
+                         id="json-list"),
+            pytest.param(lambda doc: json.dumps(doc)[:-40], "not JSON", id="truncated"),
+        ],
+    )
+    def test_model_file_that_is_no_model_document_is_an_error_record(
+        self, workspace, tmp_path, text, message
+    ):
+        path = tmp_path / "model.json"
+        path.write_text(text(json.loads(workspace.model_path.read_text())))
+        rc, out, err = run_cli(
+            ["filter", "--model", str(path), "--data-dir", str(workspace.data_dir)]
+        )
+        assert rc == 1
+        assert out == ""
+        (record,) = json_lines(err)
+        assert record["error"] == "FormatError"
+        assert record["path"] == str(path)
+        assert message in record["message"]
 
     def test_missing_required_argument_exits_nonzero(self):
         with pytest.raises(SystemExit) as exc:

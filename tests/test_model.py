@@ -425,7 +425,17 @@ class TestRoundTrip:
         assert back.pca == pca_doc
 
     @pytest.mark.parametrize(
-        "key", ["durations", "transitions", "emissions", "noise_variances", "shared_task"]
+        "key",
+        [
+            "durations",
+            "transitions",
+            "emissions",
+            "noise_variances",
+            "shared_task",
+            "version",
+            "num_states",
+            "num_features",
+        ],
     )
     def test_file_missing_a_key_is_a_format_error(self, tmp_path, key):
         doc = model_to_dict(helpers.random_model(A=2, P=2, seed=3))
@@ -442,6 +452,67 @@ class TestRoundTrip:
         path = tmp_path / "model.json"
         path.write_text(json.dumps(doc))
         with pytest.raises(FormatError, match="lengthscale"):
+            load_model(path)
+
+    @pytest.mark.parametrize(
+        "edit, field",
+        [
+            pytest.param(lambda doc: doc.update(untrained_states=7), "untrained_states",
+                         id="untrained-number"),
+            pytest.param(lambda doc: doc.update(durations=5), "durations", id="durations-number"),
+            pytest.param(lambda doc: doc.update(durations=[5, 5]), "durations[0]",
+                         id="duration-entry-number"),
+            pytest.param(lambda doc: doc["durations"][1].update(shape="2"), "durations[1].shape",
+                         id="duration-shape-string"),
+            pytest.param(lambda doc: doc.update(emissions={"mean": [0.0]}), "emissions",
+                         id="emissions-object"),
+            pytest.param(lambda doc: doc["emissions"][0].update(variance=[1.0]),
+                         "emissions[0].variance", id="variance-list"),
+            pytest.param(lambda doc: doc["emissions"][1].update(mean=[0.0, None]),
+                         "emissions[1].mean", id="mean-with-null"),
+            pytest.param(lambda doc: doc.update(transitions=[[0.0, 1.0], [1.0]]), "transitions",
+                         id="ragged-transitions"),
+            pytest.param(lambda doc: doc.update(noise_variances="0.5"), "noise_variances",
+                         id="noise-string"),
+            pytest.param(lambda doc: doc.update(initial=[True, False]), "initial",
+                         id="initial-booleans"),
+            pytest.param(lambda doc: doc.update(duration_cap=4.0), "duration_cap",
+                         id="cap-float"),
+            pytest.param(lambda doc: doc.update(shared_task="no"), "shared_task",
+                         id="shared-string"),
+            pytest.param(lambda doc: doc.update(pca=[1.0]), "pca", id="pca-list"),
+            pytest.param(lambda doc: doc.update(pca={"component_matrix": [[1.0]]}),
+                         "pca.feature_means", id="pca-missing-means"),
+            pytest.param(lambda doc: doc.update(version="1"), "version", id="version-string"),
+        ],
+    )
+    def test_entry_of_the_wrong_json_type_is_a_format_error(self, tmp_path, edit, field):
+        doc = model_to_dict(helpers.random_model(A=2, P=2, seed=3))
+        edit(doc)
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(FormatError) as exc:
+            load_model(path)
+        assert repr(field) in str(exc.value) and str(path) in str(exc.value)
+        assert exc.value.path == str(path)
+
+    @pytest.mark.parametrize("doc", [[], [{"format": "switchgp-model"}], "model", 3])
+    def test_document_that_is_not_an_object_is_a_format_error(self, tmp_path, doc):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(FormatError, match="not a switchgp model document") as exc:
+            load_model(path)
+        assert exc.value.path == str(path)
+
+    @pytest.mark.parametrize(
+        "field, value", [("version", 99), ("version", 0), ("num_states", 3), ("num_features", 1)]
+    )
+    def test_header_disagreeing_with_the_entries_is_a_format_error(self, tmp_path, field, value):
+        doc = model_to_dict(helpers.random_model(A=2, P=2, seed=3))
+        doc[field] = value
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(FormatError, match=f"'{field}' is {value}"):
             load_model(path)
 
     def test_format_marker_present(self):

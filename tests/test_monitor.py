@@ -1,11 +1,14 @@
 """Adaptive sensing: entropy, MC estimator, selection loss, closed loop."""
 
+import functools
 import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 import scipy.special
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import helpers
 import oracles
@@ -326,6 +329,133 @@ class TestBatchedScoring:
         catalog = GroupCatalog(MIXED_GROUPS, np.zeros(len(MIXED_GROUPS)))
         select_group(state, model, catalog, num_samples=8, rng=0, pred=pred)
         assert sorted(len(c[0]) for c in calls) == [1, 2, 3, 4]
+
+
+@functools.lru_cache(maxsize=None)
+def bounded_setting(num_states, seed):
+    """A filtered state on a 4-feature model and its predictives; with one
+    state every hypothetical posterior is [1.0], so every entropy is 0."""
+    model = helpers.random_model(A=num_states, P=4, cap=5, seed=seed)
+    state = run_filter(model, generate_synthetic(model, 8, seed=seed).observations)
+    return model, state, step_predictives(state, model)
+
+
+def exhaustive_selection(state, model, catalog, samples, pred):
+    """Every group scored on ``samples``; the best by (loss, tie rank)."""
+    ents = np.empty(len(catalog))
+    errs = np.empty(len(catalog))
+    for rows, stack in catalog.stacks:
+        ents[rows], errs[rows] = expected_entropy_mc(
+            state, model, stack, samples=samples, pred=pred
+        )
+    losses = ents + catalog.costs
+    best = int(np.lexsort((catalog.tie_rank, losses))[0])
+    return best, ents, errs, losses
+
+
+def assert_bounds_hold(catalog, record):
+    """Every unscored group's loss is its cost, and that cost cannot beat the
+    chosen loss: it is larger, or equal with the group after the chosen one
+    in the tie order."""
+    best = next(
+        g
+        for g in np.flatnonzero(record.scored)
+        if catalog.groups[g] == record.group and catalog.costs[g] == record.cost
+    )
+    chosen = record.losses[best]
+    skipped = np.flatnonzero(~record.scored)
+    np.testing.assert_array_equal(record.losses[skipped], catalog.costs[skipped])
+    for g in skipped:
+        assert catalog.costs[g] >= chosen
+        if catalog.costs[g] == chosen:
+            assert catalog.tie_rank[g] > catalog.tie_rank[best]
+
+
+class TestBoundedSelection:
+    """`select_group` leaves out the groups whose cost alone rules them out;
+    what it does score, and what it picks, is bitwise the exhaustive
+    scorer's."""
+
+    def test_a_size_that_cannot_win_is_never_scored(self, monkeypatch):
+        # an entropy over three states is at most log 3 < 2, so no pair at
+        # cost 2 can beat a single feature at cost 0
+        model, state, pred = bounded_setting(3, 41)
+        calls = []
+        scorer = monitor.expected_entropy_mc
+
+        def counted(*args, **kwargs):
+            calls.append(args[2])
+            return scorer(*args, **kwargs)
+
+        monkeypatch.setattr(monitor, "expected_entropy_mc", counted)
+        groups = ((0, 1), (0,), (2, 3), (1,), (3,))
+        catalog = GroupCatalog(groups, np.array([2.0, 0.0, 2.0, 0.0, 0.0]))
+        group, record = select_group(state, model, catalog, num_samples=16, rng=0, pred=pred)
+        assert [len(c[0]) for c in calls] == [1]
+        np.testing.assert_array_equal(record.scored, [False, True, False, True, True])
+        assert len(group) == 1
+        assert_bounds_hold(catalog, record)
+
+    def test_groups_costlier_than_the_best_loss_are_skipped_within_a_size(self):
+        model, state, pred = bounded_setting(3, 42)
+        groups = ((0,), (1,), (0, 1), (2, 3))
+        catalog = GroupCatalog(groups, np.array([0.0, 0.5, 0.0, 5.0]))
+        _, record = select_group(state, model, catalog, num_samples=16, rng=1, pred=pred)
+        np.testing.assert_array_equal(record.scored, [True, True, True, False])
+        assert_bounds_hold(catalog, record)
+
+    def test_unscored_groups_keep_their_cost_as_loss(self):
+        # single state: entropy exactly 0, so a group costing the best loss
+        # ties it and only the tie order decides whether it is scored
+        model, state, pred = bounded_setting(1, 43)
+        groups = ((0, 1), (2,), (0,), (1, 2, 3), (1,), (0, 1))
+        catalog = GroupCatalog(groups, np.array([0.1, 0.1, 0.1, 0.1, 0.3, 0.0]))
+        group, record = select_group(state, model, catalog, num_samples=8, rng=2, pred=pred)
+        assert group == (0, 1) and record.cost == 0.0
+        # the pairs stack (cost 0) comes first; every other group costs more
+        np.testing.assert_array_equal(record.scored, [True, False, False, False, False, True])
+        assert_bounds_hold(catalog, record)
+        ties = GroupCatalog(groups, np.array([0.1, 0.1, 0.1, 0.1, 0.3, 0.1]))
+        group, record = select_group(state, model, ties, num_samples=8, rng=2, pred=pred)
+        # (0,) and (2,) tie the best pair's loss and rank before it: scored
+        assert group == (0,)
+        np.testing.assert_array_equal(record.scored, [True, True, True, False, False, True])
+        assert_bounds_hold(ties, record)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        num_states=st.sampled_from([1, 1, 2, 3]),
+        seed=st.integers(0, 3),
+        entries=st.lists(
+            st.tuples(
+                st.lists(st.integers(0, 3), min_size=1, max_size=4, unique=True).map(tuple),
+                st.one_of(st.sampled_from([0.0, 0.1, 0.25, 0.5]), st.floats(0.0, 2.0)),
+            ),
+            min_size=1,
+            max_size=10,
+        ),
+        duplicates=st.integers(0, 3),
+        num_samples=st.sampled_from([1, 5, 16]),
+    )
+    def test_matches_the_exhaustive_scorer(
+        self, num_states, seed, entries, duplicates, num_samples
+    ):
+        model, state, pred = bounded_setting(num_states, seed)
+        entries = entries + entries[:duplicates]
+        catalog = GroupCatalog(tuple(g for g, _ in entries), np.array([c for _, c in entries]))
+        group, record = select_group(
+            state, model, catalog, num_samples=num_samples, rng=seed, pred=pred
+        )
+        samples = posterior_samples(state, model, num_samples, seed, pred=pred)
+        best, ents, errs, losses = exhaustive_selection(state, model, catalog, samples, pred)
+        assert group == catalog.groups[best]
+        assert record.expected_entropy == ents[best]
+        assert record.stderr == errs[best]
+        assert record.cost == catalog.costs[best]
+        assert record.scored[best]
+        np.testing.assert_array_equal(record.losses[record.scored], losses[record.scored])
+        assert int(np.lexsort((catalog.tie_rank, record.losses))[0]) == best
+        assert_bounds_hold(catalog, record)
 
 
 class TestCatalog:
