@@ -8,6 +8,11 @@ order into one series (on the published files every subject's rows are
 contiguous, so each series is one block of rows). `load_har` reads this
 layout and `save_har` writes it.
 
+`fit_pca` fits the projection on training rows and `apply_pca` projects
+and whitens rows with it. The projection is `model.PcaProjection` (imported
+here, so `switchgp.data.PcaProjection` names it too): a model component that
+checks its shapes, finiteness and variances once, when it is built.
+
 The synthetic generator samples the exact generative model the filter
 assumes, including the discretized, truncated duration law, so generated
 streams double as oracles for parameter-recovery and consistency tests.
@@ -16,7 +21,6 @@ streams double as oracles for parameter-recovery and consistency tests.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +28,7 @@ import numpy as np
 from .errors import FormatError, InsufficientRankError, NonPositiveDefiniteError
 from .filtering import build_duration_table
 from .kernels import matern_eval
-from .model import SegmentedSeries, SwitchingGPModel
+from .model import PcaProjection, SegmentedSeries, SwitchingGPModel
 
 NUM_ACTIVITY_LABELS = 6
 DEFAULT_NUM_COMPONENTS = 10
@@ -128,46 +132,6 @@ def save_har(data_dir, split: str, series_list) -> None:
     np.savetxt(base / sf, subjects[:, None], fmt="%d")
 
 
-@dataclass(frozen=True)
-class PcaProjection:
-    """Centered orthonormal projection onto the top principal components."""
-
-    component_matrix: np.ndarray  # (k, F), rows orthonormal
-    feature_means: np.ndarray  # (F,)
-    explained_variance: np.ndarray  # (k,), non-increasing
-
-    def __post_init__(self):
-        cm = np.asarray(self.component_matrix, dtype=float)
-        fm = np.asarray(self.feature_means, dtype=float)
-        ev = np.asarray(self.explained_variance, dtype=float)
-        if cm.ndim != 2 or fm.shape != (cm.shape[1],) or ev.shape != (cm.shape[0],):
-            raise ValueError("inconsistent projection shapes")
-        if np.any(np.diff(ev) > 0):
-            raise ValueError("explained variance must be non-increasing")
-        object.__setattr__(self, "component_matrix", cm)
-        object.__setattr__(self, "feature_means", fm)
-        object.__setattr__(self, "explained_variance", ev)
-
-    @property
-    def num_components(self) -> int:
-        return self.component_matrix.shape[0]
-
-    def to_dict(self) -> dict:
-        return {
-            "component_matrix": self.component_matrix.tolist(),
-            "feature_means": self.feature_means.tolist(),
-            "explained_variance": self.explained_variance.tolist(),
-        }
-
-    @staticmethod
-    def from_dict(doc: dict) -> "PcaProjection":
-        return PcaProjection(
-            np.array(doc["component_matrix"], dtype=float),
-            np.array(doc["feature_means"], dtype=float),
-            np.array(doc["explained_variance"], dtype=float),
-        )
-
-
 def fit_pca(features, num_components: int = DEFAULT_NUM_COMPONENTS) -> PcaProjection:
     """Fit the projection on training rows only.
 
@@ -201,10 +165,7 @@ def fit_pca(features, num_components: int = DEFAULT_NUM_COMPONENTS) -> PcaProjec
 def apply_pca(proj: PcaProjection, features) -> np.ndarray:
     """Project rows onto the components, scaled to unit training variance."""
     X = np.asarray(features, dtype=float)
-    ev = proj.explained_variance
-    if np.any(ev <= 0):
-        raise ValueError("cannot whiten with non-positive explained variance")
-    return (X - proj.feature_means) @ proj.component_matrix.T / np.sqrt(ev)
+    return (X - proj.feature_means) @ proj.component_matrix.T / np.sqrt(proj.explained_variance)
 
 
 def generate_synthetic(model: SwitchingGPModel, num_steps: int, seed=0) -> SegmentedSeries:

@@ -8,10 +8,11 @@ parses flags, calls one function here and writes what it returns.
 
 All three experiments run on lists of SegmentedSeries in model units.
 `prepare_series` is the one path from raw rows to those units, for training
-and evaluation alike: when a model carries a PCA projection, raw feature rows
-are projected and whitened by the training explained variances, so errors
-are reported in PCA-normalized units (unit prior variance per component on
-the training split).
+and evaluation alike: when a model carries a PCA projection (``model.pca``, a
+`model.PcaProjection`), raw feature rows are projected and whitened by the
+training explained variances, so errors are reported in PCA-normalized units
+(unit prior variance per component on the training split). Rows whose width
+is not the projection's raw feature count are a FormatError.
 
 Adaptive runs are summarized by `monitor.AdaptiveSummary` alone: it folds
 the one series of `monitor_steps`, and pools all the series of a sweep
@@ -30,14 +31,15 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from . import filtering, monitor
-from .data import PcaProjection, apply_pca, fit_pca, generate_synthetic
-from .errors import UndefinedMetricError
+from .data import apply_pca, fit_pca, generate_synthetic
+from .errors import FormatError, UndefinedMetricError
 from .fit import FitConfig
 from .gp_predict import joint_conditional, trajectory_metrics
 from .kernels import MaternKernel, NoiseModel, TaskCovariance
 from .likelihood import negative_loglik
 from .model import (
     GammaDuration,
+    PcaProjection,
     StateEmission,
     SwitchingGPModel,
     TransitionMatrix,
@@ -89,13 +91,21 @@ def prepare_series(model: SwitchingGPModel, series_list) -> list:
     """Project raw series into model units via the model's stored PCA.
 
     Every component loads on every raw feature, so a row with a missing raw
-    entry becomes a fully masked row of scores.
+    entry becomes a fully masked row of scores. A series whose width is not
+    the projection's raw feature count is a FormatError naming
+    ``pca.feature_means``.
     """
-    if model.pca is None:
+    proj = model.pca
+    if proj is None:
         return list(series_list)
-    proj = PcaProjection.from_dict(model.pca)
+    width = proj.feature_means.shape[0]
     out = []
     for s in series_list:
+        if s.num_features != width:
+            raise FormatError(
+                f"series {s.subject_id} has {s.num_features} raw features, "
+                f"but pca.feature_means has {width}"
+            )
         scores = apply_pca(proj, s.observations)
         mask = np.repeat(np.all(s.mask, axis=1, keepdims=True), scores.shape[1], axis=1)
         out.append(replace(s, observations=scores, mask=mask))
@@ -139,7 +149,7 @@ def train(raw, num_components, lengthscale, smoothness, duration_cap=None, max_i
     """
     pca = None
     if 0 < num_components < raw[0].num_features:
-        pca = split_pca(raw, num_components).to_dict()
+        pca = split_pca(raw, num_components)
     A = max(int(s.labels.max()) for s in raw)
     P = raw[0].num_features if pca is None else num_components
     start = initial_model(A, P, lengthscale, smoothness, pca)

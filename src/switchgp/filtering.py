@@ -134,9 +134,14 @@ class ForwardState:
     cache: object
 
 
+# Entries more than this many nats below the heaviest (a weight ratio under
+# 1e-13) are left out of the predictive mixture.
+PRUNE_LOG_WEIGHT = 30.0
+
+
 @dataclass(frozen=True)
 class PredictiveMixture:
-    """Gaussian mixture over the next row restricted to a feature group."""
+    """Gaussian mixture over the next row: the live entries of `Predictives`."""
 
     log_weights: np.ndarray
     states: np.ndarray  # (C,) state index of each entry
@@ -172,9 +177,18 @@ class Predictives:
 
     @functools.cached_property
     def live(self) -> PredictiveMixture:
-        """`mixture_from_predictives` over all features, built on first use:
-        the live set that the monitor samples from and scores, once per step."""
-        return mixture_from_predictives(self, range(self.fresh_mean.shape[-1]))
+        """The entries within PRUNE_LOG_WEIGHT of the heaviest, built on first
+        use: fresh entries by state, then continuing entries (j, d) in
+        row-major order. The monitor samples from it and scores it, once per
+        step."""
+        A, D, P = self.cont_mean.shape
+        logw = np.concatenate([self.fresh_logw, self.cont_logw.ravel()])
+        keep = logw >= logw[np.isfinite(logw)].max() - PRUNE_LOG_WEIGHT
+        states = np.concatenate([np.arange(A), np.repeat(np.arange(A), D)])[keep]
+        means = np.concatenate([self.fresh_mean, self.cont_mean.reshape(-1, P)])[keep]
+        covs = np.concatenate([self.fresh_cov, self.cont_cov.reshape(-1, P, P)])[keep]
+        logw = logw[keep]
+        return PredictiveMixture(logw - logsumexp(logw), states, means, covs)
 
 
 class KalmanBackend:
@@ -403,26 +417,3 @@ def state_posterior(state: ForwardState) -> np.ndarray:
     """Filtered distribution over states: p(j) proportional to sum_d alpha(j, d)."""
     p = np.exp(state.log_alpha).sum(axis=1)  # log_alpha is normalized
     return p / p.sum()
-
-
-# Entries more than this many nats below the heaviest (a weight ratio under
-# 1e-13) are left out of the predictive mixture.
-PRUNE_LOG_WEIGHT = 30.0
-
-
-def mixture_from_predictives(pred: Predictives, group) -> PredictiveMixture:
-    """The entries within PRUNE_LOG_WEIGHT of the heaviest, restricted to a
-    feature group: fresh entries by state, then continuing entries (j, d) in
-    row-major order."""
-    idx = np.array([int(g) for g in group], dtype=int)
-    if idx.size == 0:
-        raise ValueError("feature group must be non-empty")
-    A, D, P = pred.cont_mean.shape
-    logw = np.concatenate([pred.fresh_logw, pred.cont_logw.ravel()])
-    keep = logw >= logw[np.isfinite(logw)].max() - PRUNE_LOG_WEIGHT
-    states = np.concatenate([np.arange(A), np.repeat(np.arange(A), D)])[keep]
-    means = np.concatenate([pred.fresh_mean, pred.cont_mean.reshape(-1, P)])[keep]
-    covs = np.concatenate([pred.fresh_cov, pred.cont_cov.reshape(-1, P, P)])[keep]
-    logw = logw[keep]
-    logw = logw - logsumexp(logw)
-    return PredictiveMixture(logw, states, means[:, idx], covs[:, idx[:, None], idx])

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 import scipy.stats
@@ -89,6 +89,48 @@ class StateEmission:
 
 
 @dataclass(frozen=True)
+class PcaProjection:
+    """Centered orthonormal projection of R raw features onto P principal
+    components, whitened by the training variances.
+
+    A shape that disagrees, an entry that is not finite, or a variance that
+    is not positive or increases is a ValueError naming the ``pca.`` field.
+    """
+
+    component_matrix: np.ndarray  # (P, R), rows orthonormal
+    feature_means: np.ndarray  # (R,)
+    explained_variance: np.ndarray  # (P,), positive and non-increasing
+
+    def __post_init__(self):
+        names = [f.name for f in fields(self)]
+        cm, fm, ev = (np.asarray(getattr(self, k), dtype=float) for k in names)
+        if cm.ndim != 2:
+            raise ValueError(f"pca.component_matrix must be a matrix, got shape {cm.shape}")
+        P, R = cm.shape
+        for name, arr, want in (("feature_means", fm, (R,)), ("explained_variance", ev, (P,))):
+            if arr.shape != want:
+                raise ValueError(
+                    f"pca.component_matrix is {P}x{R}, so pca.{name} must have shape "
+                    f"{want}, got {arr.shape}"
+                )
+        for name, arr in zip(names, (cm, fm, ev)):
+            if not np.isfinite(arr).all():
+                raise ValueError(f"pca.{name} entries must be finite")
+            object.__setattr__(self, name, arr)
+        if not (ev > 0).all():
+            raise ValueError("pca.explained_variance entries must be positive")
+        if np.any(np.diff(ev) > 0):
+            raise ValueError("pca.explained_variance must be non-increasing")
+
+    @property
+    def num_components(self) -> int:
+        return self.component_matrix.shape[0]
+
+    def to_dict(self) -> dict:
+        return {f.name: getattr(self, f.name).tolist() for f in fields(self)}
+
+
+@dataclass(frozen=True)
 class FitReport:
     """Optimizer outcome for the emission-parameter fit."""
 
@@ -111,7 +153,7 @@ class SwitchingGPModel:
     initial: np.ndarray = None
     shared_task: bool = True
     untrained_states: tuple = ()
-    pca: dict | None = None
+    pca: PcaProjection | None = None
     fit_report: FitReport | None = field(default=None, compare=False)
 
     def __post_init__(self):
@@ -122,6 +164,11 @@ class SwitchingGPModel:
         for e in self.emissions:
             if e.num_features != P:
                 raise ValueError("inconsistent feature counts across model components")
+        if self.pca is not None and self.pca.num_components != P:
+            raise ValueError(
+                f"pca.component_matrix has {self.pca.num_components} components, "
+                f"but the model has {P} features"
+            )
         factors = [e.task.cholesky_factor for e in self.emissions]
         if self.shared_task and not all(np.array_equal(L, factors[0]) for L in factors):
             raise ValueError("shared_task needs every state's task cholesky_factor to be equal")
@@ -360,7 +407,7 @@ def model_to_dict(model: SwitchingGPModel) -> dict:
         "shared_task": model.shared_task,
         "noise_variances": model.noise.per_feature_variance.tolist(),
         "untrained_states": list(model.untrained_states),
-        "pca": model.pca,
+        "pca": None if model.pca is None else model.pca.to_dict(),
     }
     if model.shared_task:
         doc["task_cholesky"] = model.emissions[0].task.cholesky_factor.tolist()
@@ -420,7 +467,8 @@ def model_from_dict(doc: dict) -> SwitchingGPModel:
 
     A missing entry, an entry of the wrong JSON type, a ``version`` other
     than 1, or a ``num_states``/``num_features`` count that disagrees with
-    the entries is a FormatError naming the field.
+    the entries is a FormatError naming the field; a component that rejects
+    its numbers (a ``pca`` block of the wrong shape, say) raises ValueError.
     """
     if not isinstance(doc, dict) or doc.get("format") != "switchgp-model":
         raise FormatError("not a switchgp model document")
@@ -444,8 +492,7 @@ def model_from_dict(doc: dict) -> SwitchingGPModel:
     pca = doc.get("pca")
     if pca is not None:
         pca = _field(doc, "pca", "object")
-        for key in ("component_matrix", "feature_means", "explained_variance"):
-            _numbers(pca, key, "pca.")
+        pca = PcaProjection(*(_numbers(pca, f.name, "pca.") for f in fields(PcaProjection)))
     model = SwitchingGPModel(
         durations=durations,
         transitions=TransitionMatrix(_numbers(doc, "transitions")),
@@ -480,3 +527,5 @@ def load_model(path) -> SwitchingGPModel:
         return model_from_dict(doc)
     except FormatError as exc:
         raise FormatError(f"{path}: {exc}", path=str(path)) from None
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None

@@ -216,10 +216,44 @@ class TestTrainDefaultProjection:
     def test_exits_zero_with_a_projected_model(self, wide):
         assert wide.rc == 0, wide.err
         model = load_model(wide.path)
-        proj = PcaProjection.from_dict(model.pca)
+        proj = model.pca
         assert proj.num_components == DEFAULT_NUM_COMPONENTS
         assert proj.component_matrix.shape == (DEFAULT_NUM_COMPONENTS, 12)
         assert model.num_features == DEFAULT_NUM_COMPONENTS
+
+    @pytest.mark.parametrize(
+        "edit, error, field",
+        [
+            pytest.param(lambda pca: pca.update(component_matrix=[[1.0]]), "ValueError",
+                         "pca.component_matrix", id="1x1-matrix"),
+            pytest.param(lambda pca: pca.update(
+                component_matrix=[row[:5] for row in pca["component_matrix"]],
+                feature_means=pca["feature_means"][:5],
+            ), "FormatError", "pca.feature_means", id="five-raw-features"),
+            pytest.param(lambda pca: pca.update(
+                component_matrix=pca["component_matrix"][:4],
+                explained_variance=pca["explained_variance"][:4],
+            ), "ValueError", "pca.component_matrix", id="four-components"),
+            pytest.param(lambda pca: pca["feature_means"].__setitem__(1, float("nan")),
+                         "ValueError", "pca.feature_means", id="nan-mean"),
+            pytest.param(lambda pca: pca["explained_variance"].__setitem__(-1, 0.0),
+                         "ValueError", "pca.explained_variance", id="zero-variance"),
+        ],
+    )
+    def test_broken_pca_block_is_an_error_record(self, wide, tmp_path, edit, error, field):
+        assert wide.rc == 0, wide.err
+        doc = json.loads(wide.path.read_text())
+        edit(doc["pca"])
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        rc, out, err = run_cli(
+            ["filter", "--model", str(path), "--data-dir", str(wide.data_dir)]
+        )
+        assert rc == 1
+        assert out == ""
+        (record,) = json_lines(err)
+        assert record["error"] == error
+        assert field in record["message"]
 
     def test_train_nll_is_that_of_the_evaluation_units(self, wide):
         assert wide.rc == 0, wide.err
@@ -424,7 +458,7 @@ class TestPca:
             ]
         )
         assert rc == 0, err
-        proj = PcaProjection.from_dict(json.loads(out.read_text()))
+        proj = PcaProjection(**json.loads(out.read_text()))
         assert proj.component_matrix.shape == (1, 2)
         assert np.linalg.norm(proj.component_matrix[0]) == pytest.approx(1.0, abs=1e-8)
         report = json_lines(stdout)[-1]

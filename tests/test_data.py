@@ -199,7 +199,7 @@ class TestPca:
     def test_dict_round_trip(self):
         rng = np.random.default_rng(7)
         proj = fit_pca(rng.normal(size=(25, 10)), 10)
-        back = PcaProjection.from_dict(proj.to_dict())
+        back = PcaProjection(**proj.to_dict())
         assert np.array_equal(back.component_matrix, proj.component_matrix)
         assert np.array_equal(back.feature_means, proj.feature_means)
         assert np.array_equal(back.explained_variance, proj.explained_variance)

@@ -10,7 +10,7 @@ import pytest
 import helpers
 from golden import regenerate
 from switchgp.data import fit_pca, apply_pca, generate_synthetic, load_har, save_har
-from switchgp.errors import UndefinedMetricError
+from switchgp.errors import FormatError, UndefinedMetricError
 from switchgp.experiments import (
     SWEEP_COLUMNS,
     ExperimentConfig,
@@ -216,7 +216,7 @@ class TestPrepareSeries:
         raw_train = rng.normal(size=(80, 6)) * np.linspace(3.0, 0.5, 6)
         proj = fit_pca(raw_train, 2)
         model = helpers.random_model(A=2, P=2, cap=3, seed=13)
-        model = replace(model, pca=proj.to_dict())
+        model = replace(model, pca=proj)
         raw = SegmentedSeries(
             observations=rng.normal(size=(20, 6)),
             labels=np.ones(20, dtype=int),
@@ -231,7 +231,7 @@ class TestPrepareSeries:
         rng = np.random.default_rng(15)
         proj = fit_pca(rng.normal(size=(80, 6)), 3)
         model = helpers.random_model(A=2, P=3, cap=3, seed=16)
-        model = replace(model, pca=proj.to_dict())
+        model = replace(model, pca=proj)
         raw = rng.normal(size=(50, 6))
         mask = np.ones(raw.shape, dtype=bool)
         mask[4, 2] = False
@@ -242,6 +242,14 @@ class TestPrepareSeries:
         assert np.delete(prepped.mask, 4, axis=0).all()
         want = apply_pca(proj, np.delete(raw, 4, axis=0))
         np.testing.assert_allclose(np.delete(prepped.observations, 4, axis=0), want, atol=1e-12)
+
+    def test_rows_of_another_width_are_a_format_error(self):
+        rng = np.random.default_rng(17)
+        proj = fit_pca(rng.normal(size=(80, 5)), 3)
+        model = replace(helpers.random_model(A=2, P=3, cap=3, seed=18), pca=proj)
+        raw = SegmentedSeries(rng.normal(size=(20, 12)), subject_id=4)
+        with pytest.raises(FormatError, match=r"series 4 has 12 .* pca\.feature_means has 5"):
+            prepare_series(model, [raw])
 
     def test_identity_without_pca(self):
         model = helpers.random_model(A=2, P=2, cap=3, seed=14)

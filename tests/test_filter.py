@@ -28,7 +28,6 @@ from switchgp.filtering import (
     forward_init,
     forward_step,
     map_state,
-    mixture_from_predictives,
     state_posterior,
     step_predictives,
 )
@@ -379,15 +378,15 @@ class TestStatePosterior:
             np.testing.assert_allclose(state_posterior(state), [0.5, 0.5], atol=1e-9)
 
 
-def one_step_mixture(state, model, group):
-    return mixture_from_predictives(step_predictives(state, model), group)
+def one_step_mixture(state, model):
+    return step_predictives(state, model).live
 
 
 class TestPredictiveMixture:
     def test_single_hypothesis_is_fresh_predictive(self):
         model = helpers.random_model(A=1, P=2, cap=1, seed=15)
         state = forward_init(model, np.array([0.5, -0.2]))
-        mix = one_step_mixture(state, model, (0, 1))
+        mix = one_step_mixture(state, model)
         assert mix.log_weights.shape == (1,)
         assert mix.log_weights[0] == pytest.approx(0.0, abs=1e-12)
         e = model.emissions[0]
@@ -401,7 +400,7 @@ class TestPredictiveMixture:
         model = helpers.random_model(A=2, P=2, cap=3, seed=16)
         series = generate_synthetic(model, 5, seed=4)
         state = run_filter(model, series.observations)
-        mix = one_step_mixture(state, model, (0, 1))
+        mix = one_step_mixture(state, model)
         assert scipy.special.logsumexp(mix.log_weights) == pytest.approx(0.0, abs=1e-12)
         for cov in mix.covariances:
             assert np.min(np.linalg.eigvalsh(cov)) > -1e-10
@@ -410,23 +409,11 @@ class TestPredictiveMixture:
         model = helpers.random_model(A=2, P=2, cap=3, seed=18)
         series = generate_synthetic(model, 4, seed=6)
         state = run_filter(model, series.observations)
-        mix = one_step_mixture(state, model, (0, 1))
+        mix = one_step_mixture(state, model)
         analytic = np.exp(mix.log_weights) @ mix.means
         draws = mix.sample(1_000_000, np.random.default_rng(0))
         se = draws.std(axis=0, ddof=1) / math.sqrt(draws.shape[0])
         np.testing.assert_array_less(np.abs(draws.mean(axis=0) - analytic), 3 * se)
-
-    def test_group_restriction_is_marginalization(self):
-        model = helpers.random_model(A=2, P=3, cap=2, seed=20)
-        series = generate_synthetic(model, 3, seed=9)
-        state = run_filter(model, series.observations)
-        full = one_step_mixture(state, model, (0, 1, 2))
-        sub = one_step_mixture(state, model, (2,))
-        np.testing.assert_allclose(sub.log_weights, full.log_weights, atol=1e-12)
-        np.testing.assert_allclose(sub.means[:, 0], full.means[:, 2], atol=1e-12)
-        np.testing.assert_allclose(
-            sub.covariances[:, 0, 0], full.covariances[:, 2, 2], atol=1e-12
-        )
 
     def test_live_set_keeps_near_entries_with_their_states(self):
         model = helpers.random_model(A=3, P=4, cap=6, seed=33)
@@ -456,7 +443,7 @@ class TestPredictiveMixture:
         for _ in range(7):
             state = forward_step(state, row, model)
         pred = step_predictives(state, model)
-        mix = one_step_mixture(state, model, (0,))
+        mix = pred.live
 
         logw, means, covs = [], [], []
         for j in range(2):
@@ -485,12 +472,6 @@ class TestPredictiveMixture:
         pruned = density(mix.log_weights, mix.means[:, 0], mix.covariances[:, 0, 0])
         tv = 0.5 * np.trapezoid(np.abs(unpruned - pruned), grid)
         assert tv < 1e-9
-
-    def test_empty_group_rejected(self):
-        model = helpers.random_model(A=1, P=2, cap=2, seed=21)
-        state = forward_init(model, np.zeros(2))
-        with pytest.raises(ValueError):
-            one_step_mixture(state, model, ())
 
 
 class TestEvidenceProperties:

@@ -15,6 +15,7 @@ from switchgp.fit import FitConfig
 from switchgp.kernels import MaternKernel, NoiseModel, TaskCovariance
 from switchgp.model import (
     GammaDuration,
+    PcaProjection,
     SegmentedSeries,
     StateEmission,
     SwitchingGPModel,
@@ -413,16 +414,50 @@ class TestRoundTrip:
         assert "task_cholesky" in doc
         assert all("task_cholesky" not in s for s in doc["emissions"])
 
-    def test_dict_round_trip_preserves_pca_block(self):
-        model = helpers.random_model(A=2, P=2, seed=1)
-        pca_doc = {
-            "component_matrix": [[1.0, 0.0], [0.0, 1.0]],
-            "feature_means": [0.25, -0.5],
-            "explained_variance": [2.0, 1.0],
-        }
-        model = _with_pca(model, pca_doc)
-        back = model_from_dict(model_to_dict(model))
-        assert back.pca == pca_doc
+    def test_dict_round_trip_preserves_pca_block(self, tmp_path):
+        model = _with_pca(helpers.random_model(A=2, P=3, seed=1))
+        first, second = tmp_path / "first.json", tmp_path / "second.json"
+        save_model(model, first)
+        back = load_model(first)
+        save_model(back, second)
+        assert second.read_bytes() == first.read_bytes()
+        assert isinstance(back.pca, PcaProjection)
+        for name in ("component_matrix", "feature_means", "explained_variance"):
+            assert np.array_equal(getattr(back.pca, name), getattr(model.pca, name))
+
+    @pytest.mark.parametrize(
+        "edit, field",
+        [
+            pytest.param(lambda pca: pca.update(component_matrix=[[1.0]]),
+                         "pca.component_matrix", id="1x1-matrix"),
+            pytest.param(lambda pca: pca.update(component_matrix=pca["component_matrix"][0]),
+                         "pca.component_matrix", id="vector-matrix"),
+            pytest.param(lambda pca: pca.update(
+                component_matrix=pca["component_matrix"][:2],
+                explained_variance=pca["explained_variance"][:2],
+            ), "pca.component_matrix", id="two-components-for-three-features"),
+            pytest.param(lambda pca: pca.update(explained_variance=pca["explained_variance"][:2]),
+                         "pca.explained_variance", id="variance-shape"),
+            pytest.param(lambda pca: pca.update(feature_means=pca["feature_means"][:4]),
+                         "pca.feature_means", id="means-shape"),
+            pytest.param(lambda pca: pca["feature_means"].__setitem__(1, float("nan")),
+                         "pca.feature_means", id="nan-mean"),
+            pytest.param(lambda pca: pca["component_matrix"][0].__setitem__(2, float("inf")),
+                         "pca.component_matrix", id="inf-loading"),
+            pytest.param(lambda pca: pca["explained_variance"].__setitem__(-1, 0.0),
+                         "pca.explained_variance", id="zero-variance"),
+            pytest.param(lambda pca: pca["explained_variance"].reverse(),
+                         "pca.explained_variance", id="increasing-variance"),
+        ],
+    )
+    def test_broken_pca_block_fails_to_load(self, tmp_path, edit, field):
+        doc = model_to_dict(_with_pca(helpers.random_model(A=2, P=3, seed=1)))
+        edit(doc["pca"])
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError) as exc:
+            load_model(path)
+        assert field in str(exc.value) and str(path) in str(exc.value)
 
     @pytest.mark.parametrize(
         "key",
@@ -529,10 +564,13 @@ def _with_durations(model, pairs):
     )
 
 
-def _with_pca(model, pca_doc):
-    from dataclasses import replace
-
-    return replace(model, pca=pca_doc)
+def _with_pca(model, raw_features=5):
+    """``model`` with a projection of ``raw_features`` raw features onto its
+    features: orthonormal loadings and distinct decreasing variances."""
+    rng = np.random.default_rng(model.num_features)
+    q, _ = np.linalg.qr(rng.normal(size=(raw_features, model.num_features)))
+    variances = np.arange(model.num_features, 0, -1) + 0.5
+    return replace(model, pca=PcaProjection(q.T, rng.normal(size=raw_features), variances))
 
 
 def _skeleton_like(model):
