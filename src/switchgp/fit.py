@@ -27,7 +27,7 @@ from .errors import (
     OptimizerContractError,
 )
 from .kernels import MaternKernel, NoiseModel, TaskCovariance
-from .likelihood import nll_and_gradients
+from .likelihood import nll_and_gradients, segment_layout
 from .model import FitReport, SwitchingGPModel
 
 # Box bound (in log / raw coordinates) keeping every evaluation finite.
@@ -144,13 +144,15 @@ def fit_emissions(data, init: SwitchingGPModel, config: FitConfig | None = None)
     packing = _Packing(init)
     model0 = packing.rescaled_init(init)
     x0 = packing.pack(model0)
+    # The means are not fitted here, so every call reads one segment layout.
+    layout = segment_layout(model0, data)
     barrier = None
 
     def objective(x):
         m = packing.unpack(x, model0)
         packing.set_L_cache(m)
         try:
-            val, acc = nll_and_gradients(m, data)
+            val, acc = nll_and_gradients(m, layout)
         except (NonPositiveDefiniteError, np.linalg.LinAlgError):
             # Line searches may probe parameters whose covariance is
             # numerically degenerate. A finite penalty (zero gradient) makes

@@ -196,10 +196,12 @@ def logsumexp(a: np.ndarray, axis: int | None = None) -> np.ndarray:
     log1p(rest / k) + log(k) + max, so exact ties in the inputs stay ties.
     All--inf input gives -inf, and NaN propagates.
     """
-    peak = np.max(a, axis=axis, keepdims=True)
+    peak = np.maximum.reduce(a, axis=axis, keepdims=True)
     at_peak = a == peak
-    count = np.sum(at_peak, axis=axis, keepdims=True)
+    count = np.add.reduce(at_peak, axis=axis, keepdims=True)
     with np.errstate(divide="ignore", invalid="ignore"):
-        rest = np.sum(np.exp(np.where(at_peak, -np.inf, a - peak)), axis=axis, keepdims=True)
+        shifted = a - peak
+        np.copyto(shifted, -np.inf, where=at_peak)
+        rest = np.add.reduce(np.exp(shifted, out=shifted), axis=axis, keepdims=True)
         out = np.log1p(rest / count) + np.log(count) + peak
     return np.squeeze(out, axis=axis)[()]

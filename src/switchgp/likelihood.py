@@ -21,7 +21,13 @@ matching the unconstrained optimizer parameterization in `fit`.
 Both paths walk the segments of `collect_segments`: the fully observed
 segments of each state in state order, shortest first, then partially
 observed segments in data order, so the total is deterministic for a fixed
-ordering.
+ordering. The dense path reads them through `segment_layout`: each state's
+residuals stacked and zero-padded to Tmax rows, with the segment counts and
+the grid's lag index. None of that depends on the kernel, task or noise
+parameters, so `fit` builds one layout per fit, and each objective call only
+rotates the residuals into the channel basis, gathers the Toeplitz kernel
+matrices by the lag index and factors each channel in place. The FFT path
+never builds a layout, whose lag index alone would hold Tmax^2 entries.
 """
 
 from __future__ import annotations
@@ -29,7 +35,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 from scipy.linalg.lapack import dlauum, dpotrf, dtrtri
 
 from .circulant import fast_segment_loglik
@@ -76,15 +81,65 @@ def collect_segments(model: SwitchingGPModel, data):
     return {j: sorted(full[j], key=len) for j in sorted(full)}, masked
 
 
-def _state_nll(model: SwitchingGPModel, j: int, resids, basis, gradients: bool = False):
-    """Exact dense NLL of the fully observed segments ``resids`` of state ``j``.
+@dataclass(frozen=True)
+class _StateSegments:
+    """The fully observed segments of one state on the grid of its longest
+    (T rows): everything `_state_nll` reads that the kernel, task and noise
+    parameters do not move."""
+
+    resid: np.ndarray  # (P, T, n) residual channels, zero past each end
+    inside: np.ndarray  # (T, n): row k lies inside segment i
+    w: np.ndarray  # (T,): segments longer than k
+    lag: np.ndarray  # (T, T): |k - l|, the Toeplitz index of the grid
+
+
+@dataclass(frozen=True)
+class SegmentLayout:
+    """Labeled data laid out for the dense likelihood under fixed emission
+    means: the fully observed segments of each state stacked as
+    `_StateSegments`, and the partially observed ones. A fit does not move
+    the means, so one layout serves every objective call of it."""
+
+    means: np.ndarray  # (A, P) means the residuals were taken from
+    states: dict  # state (0-based) -> _StateSegments
+    masked: list  # _MaskedSegment, in data order
+
+
+def _means(model: SwitchingGPModel) -> np.ndarray:
+    return np.array([e.mean for e in model.emissions])
+
+
+def segment_layout(model: SwitchingGPModel, data) -> SegmentLayout:
+    """The `SegmentLayout` of labeled series ``data`` under the means of ``model``."""
+    full, masked = collect_segments(model, data)
+    states = {}
+    for j, resids in full.items():
+        lengths = np.array([len(r) for r in resids])
+        T = int(lengths.max())
+        resid = np.zeros((model.num_features, T, len(resids)))
+        for i, r in enumerate(resids):
+            resid[:, : len(r), i] = r.T
+        grid = np.arange(T)
+        inside = grid[:, None] < lengths[None, :]
+        w = inside.sum(axis=1).astype(float)
+        lag = np.abs(grid[:, None] - grid[None, :])
+        states[j] = _StateSegments(resid, inside, w, lag)
+    return SegmentLayout(_means(model), states, masked)
+
+
+def _state_nll(
+    model: SwitchingGPModel, j: int, seg: _StateSegments, basis, gradients: bool = False
+):
+    """Exact dense NLL of the fully observed segments ``seg`` of state ``j``.
 
     Each channel p of the state's channel basis ``basis`` = (mu, W) is
-    factored once on the grid 0..Tmax-1: A_p = mu_p K + I = C_p C_p^T,
-    Li_p = C_p^-1. With the rotated residuals r zero-padded to Tmax,
-    z = Li_p r cut to each segment's rows gives the quadratic form, and
-    with w_k the number of segments longer than k,
-    sum_i log det A_{T_i} = 2 sum_k w_k log C_kk.
+    factored once on the grid 0..T-1 of the longest segment:
+    A_p = mu_p K + I = C_p C_p^T, Li_p = C_p^-1, with K gathered from the
+    kernel row by the grid's lag index. With the rotated residuals r
+    zero-padded to T rows, z = Li_p r cut to each segment's rows gives the
+    quadratic form, and with w_k the number of segments longer than k,
+    sum_i log det A_{T_i} = 2 sum_k w_k log C_kk. Channels are factored
+    ``FACTOR_CHUNK_ELEMENTS`` entries at a time, each in place by LAPACK.
 
     Returns ``(value, grads)``. ``grads`` is None unless ``gradients`` is
     set; then it holds the ``temporal``, ``task`` and ``noise`` blocks of
@@ -94,23 +149,19 @@ def _state_nll(model: SwitchingGPModel, j: int, resids, basis, gradients: bool =
     P = model.num_features
     Dn = model.noise.per_feature_variance
     mu, W = basis
-    lengths = np.array([len(r) for r in resids])
-    T = int(lengths.max())
-    R = np.zeros((P, T, len(resids)))  # rotated residuals, zero past each end
-    for i, r in enumerate(resids):
-        R[:, : len(r), i] = (r @ W).T
-    inside = np.arange(T)[:, None] < lengths[None, :]  # (T, n)
-    w = inside.sum(axis=1).astype(float)  # segments longer than k
+    T = len(seg.w)
+    R = (W.T @ seg.resid.reshape(P, -1)).reshape(seg.resid.shape)  # rotated residuals
     k_row, dk_row = matern_grad(e.temporal, np.arange(T, dtype=float))
     # Kernel values under eps^2 of the variance are dropped. That moves A_p
     # by less than rounding does even at condition number 1/eps, and keeps
     # the factorization out of subnormal arithmetic, which made factoring a
     # segment of a thousand rows about three times slower.
     tail = k_row < np.finfo(float).eps ** 2 * k_row[0]
-    K = scipy.linalg.toeplitz(np.where(tail, 0.0, k_row))
+    kernel_rows = np.stack([k_row, dk_row]) if gradients else k_row[None]
+    KdK = np.where(tail, 0.0, kernel_rows)[:, seg.lag]  # Toeplitz K, then dK
+    K = KdK[0]
     if gradients:
-        dK = scipy.linalg.toeplitz(np.where(tail, 0.0, dk_row))
-        sqrt_w = np.sqrt(w)[:, None]
+        sqrt_w = np.sqrt(seg.w)[:, None]
         alpha = np.empty_like(R)  # A_{T_i}^-1 r, exactly zero past each end
         traces = np.empty((3, P))  # sum_i tr(A_{T_i}^-1 X) for X = I, K, dK
     eye = np.eye(T)
@@ -118,35 +169,44 @@ def _state_nll(model: SwitchingGPModel, j: int, resids, basis, gradients: bool =
     step = max(1, FACTOR_CHUNK_ELEMENTS // (T * T))
     for lo in range(0, P, step):
         sl = slice(lo, min(lo + step, P))
-        Li = np.empty((sl.stop - lo, T, T))
-        for k, m in enumerate(mu[sl]):
-            C, info = dpotrf(m * K + eye, lower=1, clean=1)
+        # A_p is symmetric, so L.T is a Fortran-ordered view of it: LAPACK's
+        # upper factor C_p^T of that view is C_p in L, and inverting it in
+        # place leaves Li_p there.
+        Li = mu[sl, None, None] * K + eye
+        for L in Li:
+            _, info = dpotrf(L.T, lower=0, clean=1, overwrite_a=1)
             if info == 0:
-                logdet += 2.0 * float(w @ np.log(np.diag(C)))
-                Li[k], info = dtrtri(C, lower=1)
+                _, info = dtrtri(L.T, lower=0, overwrite_c=1)
             if info != 0:
                 raise NonPositiveDefiniteError(
                     f"emission covariance not positive definite for state {j + 1}", state=j
                 )
-        z = (Li @ R[sl]) * inside
+        # the diagonal of Li_p is 1 / diag(C_p)
+        logdet -= 2.0 * float(np.sum(np.log(np.diagonal(Li, axis1=1, axis2=2)) @ seg.w))
+        z = (Li @ R[sl]) * seg.inside
         quad += float(np.sum(z**2))
         if gradients:
             alpha[sl] = np.swapaxes(Li, 1, 2) @ z
             # sum_i tr(A_{T_i}^-1 X) = sum_k w_k (Li X Li^T)_kk = <X, B> with
-            # B = Li^T diag(w) Li. dlauum forms the lower triangle of B, so
+            # B = Li^T diag(w) Li. dlauum forms the lower triangle of B in
+            # place from the rows of Li scaled by sqrt(w), so
             # <X, B> = 2 <X, tril B> - X_00 tr B for symmetric Toeplitz X.
-            B = np.stack([dlauum(sqrt_w * L, lower=1)[0] for L in Li])
-            tr_B = np.einsum("ckk->c", B)
+            Li *= sqrt_w
+            for L in Li:
+                dlauum(L.T, lower=0, overwrite_c=1)
+            tr_B = np.einsum("ckk->c", Li)
             traces[0, sl] = tr_B
-            for row, X in zip(traces[1:], (K, dK)):
-                row[sl] = 2.0 * (B.reshape(len(B), -1) @ X.ravel()) - X[0, 0] * tr_B
-    rows = int(lengths.sum())
+            traces[1:, sl] = (
+                2.0 * (KdK.reshape(2, -1) @ Li.reshape(len(Li), -1).T)
+                - KdK[:, 0, 0, None] * tr_B
+            )
+    rows = int(seg.w.sum())  # every segment's rows
     value = 0.5 * (quad + logdet + rows * (float(np.sum(np.log(Dn))) + P * LOG_2PI))
     if not gradients:
         return value, None
 
     tr_I, tr_K, tr_dK = traces
-    Ka, dKa = K @ alpha, dK @ alpha
+    Ka, dKa = K @ alpha, KdK[1] @ alpha
     # Temporal: dNLL = 0.5 sum_p mu_p [sum_i tr(A^-1 dK) - alpha^T dK alpha],
     # where dK/dlog(variance) = K.
     grad_t = 0.5 * np.array(
@@ -172,24 +232,27 @@ def negative_loglik(model: SwitchingGPModel, data, use_fft: bool = False) -> flo
     representable there); a structurally singular embedding falls back to the
     dense path for that segment.
     """
-    full, masked = collect_segments(model, data)
-    if use_fft and masked:
-        raise InsufficientDataError("the FFT likelihood path requires fully observed segments")
-    zero = np.zeros(model.num_features)
-    bases = {} if use_fft else channel_bases(model.emissions, model.noise, full)
+    if use_fft:
+        full, masked = collect_segments(model, data)
+        if masked:
+            raise InsufficientDataError("the FFT likelihood path requires fully observed segments")
+        zero = np.zeros(model.num_features)
+        total = 0.0
+        for j, resids in full.items():
+            e = model.emissions[j]
+            for resid in resids:
+                try:
+                    ll = fast_segment_loglik(e, model.noise, resid, means=zero)
+                except SingularEmbeddingError:
+                    ll = segment_emission_loglik(e, model.noise, resid, means=zero)
+                total -= ll
+        return total
+    layout = segment_layout(model, data)
+    bases = channel_bases(model.emissions, model.noise, layout.states)
     total = 0.0
-    for j, resids in full.items():
-        if not use_fft:
-            total += _state_nll(model, j, resids, bases[j])[0]
-            continue
-        e = model.emissions[j]
-        for resid in resids:
-            try:
-                ll = fast_segment_loglik(e, model.noise, resid, means=zero)
-            except SingularEmbeddingError:
-                ll = segment_emission_loglik(e, model.noise, resid, means=zero)
-            total -= ll
-    for seg in masked:
+    for j, seg in layout.states.items():
+        total += _state_nll(model, j, seg, bases[j])[0]
+    for seg in layout.masked:
         e = model.emissions[seg.state]
         total -= segment_emission_loglik(e, model.noise, seg.values, mask=seg.mask)
     return total
@@ -211,12 +274,24 @@ class GradientAccumulator:
 
 
 def nll_and_gradients(model: SwitchingGPModel, data):
-    """Exact dense NLL and its gradient pieces for every parameter block."""
+    """Exact dense NLL and its gradient pieces for every parameter block.
+
+    ``data`` is labeled series, or their `segment_layout` under the emission
+    means of ``model``, which a fit builds once for all its calls.
+    """
     A, P = model.num_states, model.num_features
-    full, masked = collect_segments(model, data)
-    bases = channel_bases(model.emissions, model.noise, full)
-    terms = [(j, *_state_nll(model, j, r, bases[j], gradients=True)) for j, r in full.items()]
-    for seg in masked:
+    if isinstance(data, SegmentLayout):
+        if not np.array_equal(data.means, _means(model)):
+            raise ValueError("the segment layout was built for other emission means")
+        layout = data
+    else:
+        layout = segment_layout(model, data)
+    bases = channel_bases(model.emissions, model.noise, layout.states)
+    terms = [
+        (j, *_state_nll(model, j, seg, bases[j], gradients=True))
+        for j, seg in layout.states.items()
+    ]
+    for seg in layout.masked:
         e = model.emissions[seg.state]
         nll = window_nll(e, model.noise, seg.values, seg.mask, gradients=True, state=seg.state)
         terms.append((seg.state, *nll))

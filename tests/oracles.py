@@ -43,6 +43,20 @@ def matern_value(variance, lengthscale, smoothness, lag):
     return float(variance) * shape
 
 
+def split_peak_logsumexp(a, axis=None):
+    """log(sum(exp(a))) by the split-peak formula of `kernels.logsumexp`,
+    written with numpy's reductions and a masked copy: the k maxima are split
+    off and the rest summed relative to them, as
+    log1p(rest / k) + log(k) + max."""
+    peak = np.max(a, axis=axis, keepdims=True)
+    at_peak = a == peak
+    count = np.sum(at_peak, axis=axis, keepdims=True)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rest = np.sum(np.exp(np.where(at_peak, -np.inf, a - peak)), axis=axis, keepdims=True)
+        out = np.log1p(rest / count) + np.log(count) + peak
+    return np.squeeze(out, axis=axis)[()]
+
+
 def dense_gram(kernel, num_steps):
     """(T+1)x(T+1) temporal Gram matrix built entry by entry."""
     n = num_steps + 1

@@ -10,6 +10,7 @@ import pytest
 import scipy.optimize
 
 import helpers
+from switchgp import likelihood
 from switchgp.data import generate_synthetic
 from switchgp.errors import NonFiniteObjectiveError, NonPositiveDefiniteError
 from switchgp.experiments import initial_model
@@ -217,3 +218,25 @@ class TestStopPaths:
         with pytest.raises(NonFiniteObjectiveError) as exc:
             fit_emissions(stop_path_data(), start)
         assert exc.value.params is not None and np.isfinite(exc.value.params).all()
+
+
+class TestSegmentLayout:
+    def test_one_layout_per_fit(self, monkeypatch):
+        fit_module = sys.modules["switchgp.fit"]
+        collect, objective = likelihood.collect_segments, fit_module.nll_and_gradients
+        builds, calls = [], []
+
+        def counted_collect(model, data):
+            builds.append(data)
+            return collect(model, data)
+
+        def counted_objective(model, data):
+            calls.append(data)
+            return objective(model, data)
+
+        monkeypatch.setattr(likelihood, "collect_segments", counted_collect)
+        monkeypatch.setattr(fit_module, "nll_and_gradients", counted_objective)
+        start = helpers.random_model(A=3, P=2, cap=10, seed=0)
+        fit_emissions(stop_path_data(), start, FitConfig(max_iterations=20))
+        assert len(builds) == 1
+        assert len(calls) >= 10

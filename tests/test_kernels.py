@@ -10,6 +10,8 @@ import numpy as np
 import pytest
 import scipy.special
 import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from switchgp.kernels import (
@@ -164,3 +166,25 @@ class TestLogsumexp:
         assert np.isnan(logsumexp(a))
         got = logsumexp(a, axis=1)
         assert np.isnan(got[0]) and got[1] == pytest.approx(scipy.special.logsumexp(a[1]))
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(
+        rows=st.integers(1, 6),
+        cols=st.integers(1, 8),
+        axis=st.sampled_from([None, 0, 1, -1]),
+        seed=st.integers(0, 10_000),
+    )
+    def test_bitwise_equal_to_the_split_peak_oracle(self, rows, cols, axis, seed):
+        rng = np.random.default_rng(seed)
+        # few distinct values, so ties within a row, a column or the whole
+        # array are common
+        a = rng.choice([-3.5, -1.0, 0.0, 0.25, 2.0, 700.0], size=(rows, cols))
+        a += rng.normal(scale=40.0, size=a.shape) * (rng.random(a.shape) < 0.3)
+        a[rng.random(a.shape) < 0.2] = -np.inf
+        a[rng.integers(rows)] = -np.inf  # an all--inf row
+        if rng.random() < 0.3:
+            a[rng.integers(rows), rng.integers(cols)] = np.nan
+        got = np.asarray(logsumexp(a, axis=axis))
+        want = np.asarray(oracles.split_peak_logsumexp(a, axis=axis))
+        assert got.shape == want.shape
+        np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))

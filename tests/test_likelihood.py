@@ -1,6 +1,7 @@
 """Population likelihood tests: dense path, FFT path, analytic gradients."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -306,21 +307,40 @@ class TestPrefixFactors:
         negative_loglik(model, data)
         assert len(calls) == 2 * factors
 
-    @pytest.mark.parametrize("use_gradients", [False, True])
-    def test_failed_factorization_names_the_state(self, monkeypatch, use_gradients):
+    def test_chunks_bound_the_working_memory(self, monkeypatch):
+        # one 400-row segment of ten channels, one channel per chunk: the
+        # working set is a few T x T arrays, not one per channel
+        T, P = 400, 10
+        model = prefix_model(1.5, False, P=P)
+        rng = np.random.default_rng(11)
+        data = [labeled(rng.normal(size=(T, P)), np.ones(T, dtype=int))]
+        layout = likelihood.segment_layout(model, data)
+        monkeypatch.setattr(likelihood, "FACTOR_CHUNK_ELEMENTS", T * T)
+        calls = (lambda: nll_and_gradients(model, layout), lambda: negative_loglik(model, data))
+        for call in calls:
+            tracemalloc.start()
+            try:
+                call()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 8 * T * T * np.dtype(float).itemsize  # eight T x T arrays
+
+    @staticmethod
+    def assert_failure_names_the_state(monkeypatch, routine, use_gradients):
         model = prefix_model(1.5, False)
         P = model.num_features
         data = [prefix_series(P, seed=7)]
         calls = []
-        factor = likelihood.dpotrf
+        real = getattr(likelihood, routine)
 
         def failing(a, **kwargs):
             calls.append(a.shape)
-            c, info = factor(a, **kwargs)
-            # the third channel of the second state is not positive definite
+            c, info = real(a, **kwargs)
+            # the third channel of the second state fails
             return c, (1 if len(calls) == P + 3 else info)
 
-        monkeypatch.setattr(likelihood, "dpotrf", failing)
+        monkeypatch.setattr(likelihood, routine, failing)
         with pytest.raises(NonPositiveDefiniteError) as err:
             if use_gradients:
                 nll_and_gradients(model, data)
@@ -328,3 +348,46 @@ class TestPrefixFactors:
                 negative_loglik(model, data)
         assert err.value.state == 1
         assert len(calls) == P + 3
+
+    @pytest.mark.parametrize("use_gradients", [False, True])
+    def test_failed_factorization_names_the_state(self, monkeypatch, use_gradients):
+        self.assert_failure_names_the_state(monkeypatch, "dpotrf", use_gradients)
+
+    @pytest.mark.parametrize("use_gradients", [False, True])
+    def test_failed_inversion_names_the_state(self, monkeypatch, use_gradients):
+        self.assert_failure_names_the_state(monkeypatch, "dtrtri", use_gradients)
+
+
+class TestSegmentLayout:
+    """The dense likelihood reads labeled data through one `segment_layout`,
+    which a fit builds once for all its objective calls."""
+
+    def test_layout_call_is_bitwise_the_raw_series_call(self):
+        model = prefix_model(2.5, True)
+        data = [prefix_series(model.num_features, seed=3)]
+        value, acc = nll_and_gradients(model, data)
+        got_value, got = nll_and_gradients(model, likelihood.segment_layout(model, data))
+        assert got_value == value
+        for block in ("temporal", "task", "noise"):
+            np.testing.assert_array_equal(getattr(got, block), getattr(acc, block))
+
+    def test_layout_for_other_means_is_refused(self):
+        model = prefix_model(1.5, False)
+        layout = likelihood.segment_layout(model, [prefix_series(model.num_features, seed=3)])
+        moved = replace(model.emissions[1], mean=model.emissions[1].mean + 1.0)
+        other = replace(model, emissions=(model.emissions[0], moved))
+        with pytest.raises(ValueError, match="other emission means"):
+            nll_and_gradients(other, layout)
+
+    def test_fft_path_builds_no_dense_layout(self, monkeypatch):
+        model = prefix_model(1.5, False)
+        data = [prefix_series(model.num_features, seed=3)]
+        full = [replace(s, mask=np.ones_like(s.mask)) for s in data]
+
+        def refused(*args):
+            raise AssertionError("dense segment layout built")
+
+        monkeypatch.setattr(likelihood, "segment_layout", refused)
+        assert np.isfinite(negative_loglik(model, full, use_fft=True))
+        with pytest.raises(AssertionError, match="dense segment layout"):
+            negative_loglik(model, full)
