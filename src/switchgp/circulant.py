@@ -108,15 +108,15 @@ def toeplitz_matvec(spec: CirculantSpec, vec: np.ndarray) -> np.ndarray:
     return np.fft.ifft(spectrum, axis=0).real[:m]
 
 
-def circulant_logdet_solve(spec: CirculantSpec, rhs: np.ndarray, tol: float = SINGULAR_TOL):
+def circulant_logdet_solve(spec: CirculantSpec, rhs: np.ndarray):
     """Log-determinant of the circulant and the solution of spec @ x = rhs.
 
     Requires a positive-definite circulant: any eigenvalue with real part at
-    or below ``tol * max |eigenvalue|`` raises SingularEmbeddingError so the
-    caller can fall back to the dense path.
+    or below ``SINGULAR_TOL * max |eigenvalue|`` raises SingularEmbeddingError
+    so the caller can fall back to the dense path.
     """
     lam = spec.eigenvalues.real
-    floor = tol * max(np.max(np.abs(lam)), 1.0)
+    floor = SINGULAR_TOL * max(np.max(np.abs(lam)), 1.0)
     bad = np.nonzero(lam <= floor)[0]
     if bad.size:
         raise SingularEmbeddingError(

@@ -48,16 +48,29 @@ def _read_matrix(path: Path) -> np.ndarray:
     except OSError as exc:
         raise FormatError(f"cannot read {path}: {exc}", path=str(path)) from exc
     except ValueError as exc:
-        line = None
-        import re
-
-        m = re.search(r"(?:line|row) (\d+)", str(exc))
-        if m:
-            line = int(m.group(1))
-        raise FormatError(f"malformed matrix in {path}: {exc}", path=str(path), line=line) from exc
+        line = _first_bad_line(path)
+        where = "" if line is None else f" at line {line}"
+        message = f"malformed matrix in {path}{where} ({exc})"
+        raise FormatError(message, path=str(path), line=line) from exc
     if mat.shape[0] == 0:
         raise FormatError(f"no rows in {path}", path=str(path))
     return mat
+
+
+def _first_bad_line(path: Path) -> int | None:
+    """1-based line of the first data row that holds a non-number or whose
+    column count differs from the first row's."""
+    width = None
+    for number, text in enumerate(path.read_text(errors="replace").splitlines(), start=1):
+        tokens = text.split("#", 1)[0].split()
+        width = width or len(tokens)
+        try:
+            list(map(float, tokens))
+        except ValueError:
+            return number
+        if len(tokens) not in (0, width):
+            return number
+    return None
 
 
 def _read_int_vector(path: Path, name: str) -> np.ndarray:

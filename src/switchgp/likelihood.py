@@ -18,21 +18,22 @@ Gradients are with respect to log(variance), log(lengthscale), raw
 lower-triangular task entries with log-diagonal, and log noise variances,
 matching the unconstrained optimizer parameterization in `fit`.
 
-Both paths walk the segments of `collect_segments`: the fully observed
-segments of each state in state order, shortest first, then partially
-observed segments in data order, so the total is deterministic for a fixed
-ordering. The dense path reads them through `segment_layout`: each state's
-residuals stacked and zero-padded to Tmax rows, with the segment counts and
-the grid's lag index. None of that depends on the kernel, task or noise
+Both paths walk one `segment_layout`: each state's fully observed residual
+windows in state order, shortest first, then partially observed segments in
+data order, so the total is deterministic. On first dense use the layout
+stacks each state's windows zero-padded to Tmax rows, with the segment counts
+and the grid's lag index; none of that moves with the kernel, task or noise
 parameters, so `fit` builds one layout per fit, and each objective call only
-rotates the residuals into the channel basis, gathers the Toeplitz kernel
-matrices by the lag index and factors each channel in place. The FFT path
-never builds a layout, whose lag index alone would hold Tmax^2 entries.
+rotates, gathers the Toeplitz kernel matrices by the lag index and factors
+each channel in place. One generator, `_terms`, scores the dense terms of
+`negative_loglik` and `nll_and_gradients`. The FFT path reads the windows and
+never stacks them: the lag index alone would hold Tmax^2 entries.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg.lapack import dlauum, dpotrf, dtrtri
@@ -56,13 +57,54 @@ class _MaskedSegment:
     mask: np.ndarray
 
 
-def collect_segments(model: SwitchingGPModel, data):
-    """Residuals of fully observed segments by state; partial masks kept separate.
+@dataclass(frozen=True)
+class _StateSegments:
+    """The fully observed segments of one state on the grid of its longest
+    (T rows): everything `_state_nll` reads that the kernel, task and noise
+    parameters do not move."""
 
-    Returns ``(full, masked)``. ``full`` maps each state (0-based, in order)
-    to the residual windows (T, P) of its fully observed segments, shortest
-    first and in data order among equal lengths.
-    """
+    resid: np.ndarray  # (P, T, n) residual channels, zero past each end
+    inside: np.ndarray  # (T, n): row k lies inside segment i
+    w: np.ndarray  # (T,): segments longer than k
+    lag: np.ndarray  # (T, T): |k - l|, the Toeplitz index of the grid
+
+    @classmethod
+    def stack(cls, resids) -> _StateSegments:
+        """The residual windows ``resids`` (T_i, P), zero-padded to the longest."""
+        lengths = np.array([len(r) for r in resids])
+        T = int(lengths.max())
+        resid = np.zeros((resids[0].shape[1], T, len(resids)))
+        for i, r in enumerate(resids):
+            resid[:, : len(r), i] = r.T
+        grid = np.arange(T)
+        inside = grid[:, None] < lengths[None, :]
+        return cls(resid, inside, inside.sum(axis=1).astype(float), np.abs(grid[:, None] - grid))
+
+
+@dataclass(frozen=True)
+class SegmentLayout:
+    """Labeled data laid out under fixed emission means: the residual windows
+    of each state's fully observed segments, and the partially observed
+    segments. A fit does not move the means, so one layout serves every
+    objective call of it."""
+
+    means: np.ndarray  # (A, P) means the residuals were taken from
+    full: dict  # state (0-based, in order) -> residual windows (T, P), shortest first
+    masked: list  # _MaskedSegment, in data order
+
+    @cached_property
+    def stacks(self) -> dict:
+        """state -> `_StateSegments`, stacked on first dense use."""
+        return {j: _StateSegments.stack(resids) for j, resids in self.full.items()}
+
+
+def _means(model: SwitchingGPModel) -> np.ndarray:
+    return np.array([e.mean for e in model.emissions])
+
+
+def segment_layout(model: SwitchingGPModel, data) -> SegmentLayout:
+    """The `SegmentLayout` of labeled series ``data`` under the means of
+    ``model``: full windows shortest first, in data order among equal lengths."""
     full = {}
     masked = []
     for series in data:
@@ -78,53 +120,8 @@ def collect_segments(model: SwitchingGPModel, data):
                 full.setdefault(j, []).append(vals - model.emissions[j].mean[None, :])
             else:
                 masked.append(_MaskedSegment(j, vals, m))
-    return {j: sorted(full[j], key=len) for j in sorted(full)}, masked
-
-
-@dataclass(frozen=True)
-class _StateSegments:
-    """The fully observed segments of one state on the grid of its longest
-    (T rows): everything `_state_nll` reads that the kernel, task and noise
-    parameters do not move."""
-
-    resid: np.ndarray  # (P, T, n) residual channels, zero past each end
-    inside: np.ndarray  # (T, n): row k lies inside segment i
-    w: np.ndarray  # (T,): segments longer than k
-    lag: np.ndarray  # (T, T): |k - l|, the Toeplitz index of the grid
-
-
-@dataclass(frozen=True)
-class SegmentLayout:
-    """Labeled data laid out for the dense likelihood under fixed emission
-    means: the fully observed segments of each state stacked as
-    `_StateSegments`, and the partially observed ones. A fit does not move
-    the means, so one layout serves every objective call of it."""
-
-    means: np.ndarray  # (A, P) means the residuals were taken from
-    states: dict  # state (0-based) -> _StateSegments
-    masked: list  # _MaskedSegment, in data order
-
-
-def _means(model: SwitchingGPModel) -> np.ndarray:
-    return np.array([e.mean for e in model.emissions])
-
-
-def segment_layout(model: SwitchingGPModel, data) -> SegmentLayout:
-    """The `SegmentLayout` of labeled series ``data`` under the means of ``model``."""
-    full, masked = collect_segments(model, data)
-    states = {}
-    for j, resids in full.items():
-        lengths = np.array([len(r) for r in resids])
-        T = int(lengths.max())
-        resid = np.zeros((model.num_features, T, len(resids)))
-        for i, r in enumerate(resids):
-            resid[:, : len(r), i] = r.T
-        grid = np.arange(T)
-        inside = grid[:, None] < lengths[None, :]
-        w = inside.sum(axis=1).astype(float)
-        lag = np.abs(grid[:, None] - grid[None, :])
-        states[j] = _StateSegments(resid, inside, w, lag)
-    return SegmentLayout(_means(model), states, masked)
+    full = {j: sorted(full[j], key=len) for j in sorted(full)}
+    return SegmentLayout(_means(model), full, masked)
 
 
 def _state_nll(
@@ -224,6 +221,17 @@ def _state_nll(
     return value, {"temporal": grad_t, "task": grad_task, "noise": grad_noise}
 
 
+def _terms(model: SwitchingGPModel, layout: SegmentLayout, gradients: bool):
+    """``(state, value, grads)`` of every dense term of ``layout``: each
+    state's stack by `_state_nll`, then each masked segment by `window_nll`."""
+    bases = channel_bases(model.emissions, model.noise, layout.full)
+    for j, seg in layout.stacks.items():
+        yield j, *_state_nll(model, j, seg, bases[j], gradients)
+    for seg in layout.masked:
+        e, j = model.emissions[seg.state], seg.state
+        yield j, *window_nll(e, model.noise, seg.values, seg.mask, gradients=gradients, state=j)
+
+
 def negative_loglik(model: SwitchingGPModel, data, use_fft: bool = False) -> float:
     """Total Gaussian NLL over all labeled segments of all subjects.
 
@@ -232,29 +240,21 @@ def negative_loglik(model: SwitchingGPModel, data, use_fft: bool = False) -> flo
     representable there); a structurally singular embedding falls back to the
     dense path for that segment.
     """
-    if use_fft:
-        full, masked = collect_segments(model, data)
-        if masked:
-            raise InsufficientDataError("the FFT likelihood path requires fully observed segments")
-        zero = np.zeros(model.num_features)
-        total = 0.0
-        for j, resids in full.items():
-            e = model.emissions[j]
-            for resid in resids:
-                try:
-                    ll = fast_segment_loglik(e, model.noise, resid, means=zero)
-                except SingularEmbeddingError:
-                    ll = segment_emission_loglik(e, model.noise, resid, means=zero)
-                total -= ll
-        return total
     layout = segment_layout(model, data)
-    bases = channel_bases(model.emissions, model.noise, layout.states)
+    if not use_fft:
+        return sum((value for _, value, _ in _terms(model, layout, gradients=False)), 0.0)
+    if layout.masked:
+        raise InsufficientDataError("the FFT likelihood path requires fully observed segments")
+    zero = np.zeros(model.num_features)
     total = 0.0
-    for j, seg in layout.states.items():
-        total += _state_nll(model, j, seg, bases[j])[0]
-    for seg in layout.masked:
-        e = model.emissions[seg.state]
-        total -= segment_emission_loglik(e, model.noise, seg.values, mask=seg.mask)
+    for j, resids in layout.full.items():
+        e = model.emissions[j]
+        for resid in resids:
+            try:
+                ll = fast_segment_loglik(e, model.noise, resid, means=zero)
+            except SingularEmbeddingError:
+                ll = segment_emission_loglik(e, model.noise, resid, means=zero)
+            total -= ll
     return total
 
 
@@ -280,27 +280,14 @@ def nll_and_gradients(model: SwitchingGPModel, data):
     means of ``model``, which a fit builds once for all its calls.
     """
     A, P = model.num_states, model.num_features
-    if isinstance(data, SegmentLayout):
-        if not np.array_equal(data.means, _means(model)):
-            raise ValueError("the segment layout was built for other emission means")
-        layout = data
-    else:
-        layout = segment_layout(model, data)
-    bases = channel_bases(model.emissions, model.noise, layout.states)
-    terms = [
-        (j, *_state_nll(model, j, seg, bases[j], gradients=True))
-        for j, seg in layout.states.items()
-    ]
-    for seg in layout.masked:
-        e = model.emissions[seg.state]
-        nll = window_nll(e, model.noise, seg.values, seg.mask, gradients=True, state=seg.state)
-        terms.append((seg.state, *nll))
-
+    layout = data if isinstance(data, SegmentLayout) else segment_layout(model, data)
+    if not np.array_equal(layout.means, _means(model)):
+        raise ValueError("the segment layout was built for other emission means")
     total = 0.0
     d_temporal = np.zeros((A, 2))
     task_acc = [np.zeros((P, P)) for _ in range(1 if model.shared_task else A)]
     noise_grad = np.zeros(P)
-    for j, val, grads in terms:
+    for j, val, grads in _terms(model, layout, gradients=True):
         total += val
         d_temporal[j] += grads["temporal"]
         task_acc[0 if model.shared_task else j] += grads["task"]

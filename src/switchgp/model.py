@@ -20,6 +20,8 @@ from .errors import DegenerateDurationError, FormatError, InsufficientDataError
 from .kernels import MaternKernel, NoiseModel, TaskCovariance
 
 TRANSITION_ROW_TOL = 1e-12
+# Gamma quantile of each state's durations that the derived duration cap covers.
+DURATION_CAP_QUANTILE = 0.999
 
 
 @dataclass(frozen=True)
@@ -34,10 +36,6 @@ class GammaDuration:
             raise ValueError(f"shape must be positive and finite, got {self.shape}")
         if not (self.scale > 0 and math.isfinite(self.scale)):
             raise ValueError(f"scale must be positive and finite, got {self.scale}")
-
-    @property
-    def mean(self) -> float:
-        return self.shape * self.scale
 
 
 @dataclass(frozen=True)
@@ -325,11 +323,10 @@ def compute_state_means(data, num_states: int) -> np.ndarray:
     return means
 
 
-def duration_cap_from(durations, quantile: float = 0.999) -> int:
+def duration_cap_from(durations) -> int:
     """Common duration cap: the largest per-state Gamma quantile, rounded up."""
-    caps = [
-        scipy.stats.gamma.ppf(quantile, a=g.shape, scale=g.scale) for g in durations
-    ]
+    q = DURATION_CAP_QUANTILE
+    caps = [scipy.stats.gamma.ppf(q, a=g.shape, scale=g.scale) for g in durations]
     return max(1, int(math.ceil(max(caps))))
 
 

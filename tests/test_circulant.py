@@ -13,6 +13,7 @@ import scipy.linalg
 
 import helpers
 from switchgp import circulant, likelihood
+from switchgp.data import generate_synthetic
 from switchgp.circulant import (
     CirculantSpec,
     circulant_logdet_solve,
@@ -29,6 +30,7 @@ from switchgp.model import (
     StateEmission,
     SwitchingGPModel,
     TransitionMatrix,
+    segment_series,
 )
 
 
@@ -272,3 +274,31 @@ class TestSolveGrids:
         exact = quadratic_gap(exact_segment_loglik, e, model.noise, values)
         assert fast == pytest.approx(exact, rel=1e-9)
         assert least_block and min(least_block) > 0
+
+
+class TestConjugateGradientFailure:
+    """A quadratic-form solve still short of its tolerance after
+    `CG_MAXITER` iterations is a singular embedding; the FFT likelihood then
+    scores the segment densely."""
+
+    def test_unconverged_solve_raises(self, monkeypatch):
+        monkeypatch.setattr(circulant, "CG_MAXITER", 1)
+        model = helpers.random_model(A=1, P=3, seed=3, lengthscale=4.0)
+        e = model.emissions[0]
+        values = e.mean + np.random.default_rng(3).normal(size=(40, 3))
+        with pytest.raises(SingularEmbeddingError, match="failed to converge") as err:
+            fast_segment_loglik(e, model.noise, values)
+        assert err.value.fourier_index is None
+
+    def test_fft_likelihood_falls_back_to_the_dense_value(self, monkeypatch):
+        model = helpers.random_model(A=2, P=2, cap=30, seed=5, lengthscale=4.0)
+        series = generate_synthetic(model, 120, seed=6)
+        dense = 0.0
+        for label, start, dur in segment_series(series.labels):
+            rows = series.observations[start : start + dur]
+            dense -= exact_segment_loglik(model.emissions[label - 1], model.noise, rows)
+        fft = likelihood.negative_loglik(model, [series], use_fft=True)
+        assert fft != pytest.approx(dense, rel=1e-9)  # the embedding is an approximation
+        monkeypatch.setattr(circulant, "CG_MAXITER", 1)
+        got = likelihood.negative_loglik(model, [series], use_fft=True)
+        assert got == pytest.approx(dense, rel=1e-12)

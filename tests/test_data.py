@@ -96,6 +96,23 @@ class TestLoadHar:
             load_har(tmp_path, split="train")
         assert err.value.line == 2
 
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            ("x 1\n2 3\n4 5\n", 1),  # a non-number on the first line
+            ("1 2\n3 4\nnan6 5\n", 3),
+            ("1 2\n3 4 5\n6 7\n", 2),  # a ragged row
+            ("# header\n1 2\n\n3 x\n", 4),  # comments and blank lines count
+        ],
+        ids=["value-on-line-1", "value-on-line-3", "ragged-row", "after-comment-and-blank"],
+    )
+    def test_malformed_feature_row_reports_its_file_line(self, tmp_path, text, line):
+        write_split(tmp_path, "train", np.zeros((3, 2)), [1, 1, 1], [1, 1, 1])
+        (tmp_path / "train" / "X_train.txt").write_text(text)
+        with pytest.raises(FormatError, match="malformed matrix") as err:
+            load_har(tmp_path, split="train")
+        assert err.value.line == line
+
     def test_multi_column_label_file_rejected(self, tmp_path):
         d = tmp_path / "train"
         d.mkdir(parents=True)

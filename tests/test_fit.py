@@ -206,6 +206,40 @@ class TestStopPaths:
         assert evaluated[json.dumps(model_to_dict(fitted))] == rep.final_objective
         assert rep.final_objective <= rep.initial_objective
 
+    def test_degenerate_start_raises(self, monkeypatch):
+        def degenerate(model, data):
+            raise NonPositiveDefiniteError("degenerate start", state=0)
+
+        monkeypatch.setattr(sys.modules["switchgp.fit"], "nll_and_gradients", degenerate)
+        start = helpers.random_model(A=3, P=2, cap=10, seed=0)
+        with pytest.raises(NonPositiveDefiniteError, match="degenerate start"):
+            fit_emissions(stop_path_data(), start)
+
+    def test_non_finite_probe_is_rejected(self, monkeypatch):
+        # the first point past the start evaluates NaN: it gets the barrier,
+        # and the fit goes on from the start point
+        fit_module = sys.modules["switchgp.fit"]
+        real = fit_module.nll_and_gradients
+        evaluated, probes = {}, []
+
+        def nan_probe(model, data):
+            val, acc = real(model, data)
+            key = json.dumps(model_to_dict(model))
+            if evaluated and key not in evaluated and not probes:
+                probes.append(key)
+                return np.nan, acc
+            evaluated[key] = val
+            return val, acc
+
+        monkeypatch.setattr(fit_module, "nll_and_gradients", nan_probe)
+        start = helpers.random_model(A=3, P=2, cap=10, seed=0)
+        fitted = fit_emissions(stop_path_data(), start, FitConfig(max_iterations=20))
+        rep = fitted.fit_report
+        assert probes and rep.iterations >= 1
+        final = evaluated[json.dumps(model_to_dict(fitted))]
+        assert final == rep.final_objective and np.isfinite(final)
+        assert rep.final_objective < rep.initial_objective
+
     def test_non_finite_start_raises(self, monkeypatch):
         fit_module = sys.modules["switchgp.fit"]
         real = fit_module.nll_and_gradients
@@ -223,20 +257,25 @@ class TestStopPaths:
 class TestSegmentLayout:
     def test_one_layout_per_fit(self, monkeypatch):
         fit_module = sys.modules["switchgp.fit"]
-        collect, objective = likelihood.collect_segments, fit_module.nll_and_gradients
+        stack, objective = likelihood._StateSegments.stack, fit_module.nll_and_gradients
         builds, calls = [], []
 
-        def counted_collect(model, data):
-            builds.append(data)
-            return collect(model, data)
+        def counted_stack(resids):
+            builds.append(len(resids))
+            return stack(resids)
 
         def counted_objective(model, data):
             calls.append(data)
             return objective(model, data)
 
-        monkeypatch.setattr(likelihood, "collect_segments", counted_collect)
+        monkeypatch.setattr(likelihood._StateSegments, "stack", staticmethod(counted_stack))
         monkeypatch.setattr(fit_module, "nll_and_gradients", counted_objective)
         start = helpers.random_model(A=3, P=2, cap=10, seed=0)
-        fit_emissions(stop_path_data(), start, FitConfig(max_iterations=20))
-        assert len(builds) == 1
+        data = stop_path_data()
+        states = likelihood.segment_layout(start, data).full  # lays out, does not stack
+        assert builds == []
+        fit_emissions(data, start, FitConfig(max_iterations=20))
+        # each state's segments are stacked once for the whole fit
+        assert builds == [len(resids) for resids in states.values()]
+        assert len(states) == 3
         assert len(calls) >= 10

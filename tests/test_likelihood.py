@@ -357,6 +357,29 @@ class TestPrefixFactors:
     def test_failed_inversion_names_the_state(self, monkeypatch, use_gradients):
         self.assert_failure_names_the_state(monkeypatch, "dtrtri", use_gradients)
 
+    @pytest.mark.parametrize("use_gradients", [False, True])
+    def test_failed_masked_window_names_the_state(self, monkeypatch, use_gradients):
+        # masked segments are scored in data order: states 2, 1 and 2
+        model = prefix_model(1.5, False)
+        data = [prefix_series(model.num_features, seed=7)]
+        calls = []
+        real = np.linalg.cholesky
+
+        def failing(a):
+            calls.append(a.shape)
+            if len(calls) == 2:
+                raise np.linalg.LinAlgError("not positive definite")
+            return real(a)
+
+        monkeypatch.setattr(np.linalg, "cholesky", failing)
+        with pytest.raises(NonPositiveDefiniteError, match="for state 1") as err:
+            if use_gradients:
+                nll_and_gradients(model, data)
+            else:
+                negative_loglik(model, data)
+        assert err.value.state == 0
+        assert len(calls) == 2
+
 
 class TestSegmentLayout:
     """The dense likelihood reads labeled data through one `segment_layout`,
@@ -380,14 +403,24 @@ class TestSegmentLayout:
             nll_and_gradients(other, layout)
 
     def test_fft_path_builds_no_dense_layout(self, monkeypatch):
+        # the stacks, and with them the grid's Tmax x Tmax lag index, are
+        # built on first dense use only
         model = prefix_model(1.5, False)
         data = [prefix_series(model.num_features, seed=3)]
         full = [replace(s, mask=np.ones_like(s.mask)) for s in data]
 
-        def refused(*args):
-            raise AssertionError("dense segment layout built")
+        layouts, build = [], likelihood.segment_layout
 
-        monkeypatch.setattr(likelihood, "segment_layout", refused)
+        def kept(model, data):
+            layouts.append(build(model, data))
+            return layouts[-1]
+
+        def refused(resids):
+            raise AssertionError("dense stacks built")
+
+        monkeypatch.setattr(likelihood, "segment_layout", kept)
+        monkeypatch.setattr(likelihood._StateSegments, "stack", staticmethod(refused))
         assert np.isfinite(negative_loglik(model, full, use_fft=True))
-        with pytest.raises(AssertionError, match="dense segment layout"):
+        assert len(layouts) == 1 and layouts[0].full and "stacks" not in vars(layouts[0])
+        with pytest.raises(AssertionError, match="dense stacks built"):
             negative_loglik(model, full)
