@@ -22,13 +22,15 @@ second-order spectral constant (the classical strong Szego term) computed
 from the same block spectrum.
 
 Two grids serve a segment of T rows. The minimal embedding, n = 2T - 2 for
-the lags 0..T-1, defines the approximation: its block log-determinant, Szego
-term and positive-definiteness check. The exact solve only needs a circulant
-whose leading T x T block is K_T, which the kernel's periodic row
-C(min(k, m - k)) gives on any grid m >= n; it runs on the 5-smooth
-m = next_fast_len(n), where real FFTs are fast, and on n when a block of the
-m-grid is not positive. Every spectrum is symmetric, so real transforms over
-the half spectrum carry it.
+the lags 0..T-1 (n = 1 for a single row), defines the approximation: its
+block log-determinant, Szego term and positive-definiteness check. The exact
+solve only needs a circulant whose leading T x T block is K_T, which the
+kernel's periodic row C(min(k, m - k)) gives on any grid m >= n; it runs on
+the 5-smooth m = next_fast_len(n), where real FFTs are fast, and on n when a
+block of the m-grid is not positive. Every spectrum is symmetric, so real
+transforms over the half spectrum carry it. Every length takes this formula:
+at one row the embedding is the 1 x 1 Toeplitz matrix itself, the Szego sum
+is empty and conjugate gradients converge in one step, so the value is exact.
 """
 
 from __future__ import annotations
@@ -39,14 +41,7 @@ import numpy as np
 import scipy.fft
 
 from .errors import SingularEmbeddingError
-from .kernels import (
-    LOG_2PI,
-    NoiseModel,
-    channel_basis,
-    gaussian_logpdf,
-    matern_eval,
-    task_cov_assemble,
-)
+from .kernels import LOG_2PI, NoiseModel, channel_basis, matern_eval
 
 # Relative eigenvalue floor below which a circulant is treated as singular.
 SINGULAR_TOL = 1e-12
@@ -142,15 +137,15 @@ def fast_segment_loglik(
 
     Residuals of the T x P ``values`` matrix against ``means`` are scored
     under kron(K^Y, K_T) + kron(D, I). The log-determinant is the
-    approximation of the minimal embedding n = 2T - 2; the quadratic form is
-    exact, solved by conjugate gradients on the 5-smooth grid
-    m = next_fast_len(n) (on n where a block of the m-grid is not positive),
-    at O(P m log m) per iteration. Raises SingularEmbeddingError when any
-    Fourier-index block of the minimal embedding is not positive definite;
-    callers fall back to the dense path.
+    approximation of the minimal embedding n = max(2T - 2, 1), exact for a
+    single row; the quadratic form is exact, solved by conjugate gradients
+    on the 5-smooth grid m = next_fast_len(n) (on n where a block of the
+    m-grid is not positive), at O(P m log m) per iteration. Raises
+    SingularEmbeddingError when any Fourier-index block of the minimal
+    embedding is not positive definite; callers fall back to the dense path.
 
-    ``emission`` provides ``temporal`` (MaternKernel) and ``task``
-    (TaskCovariance) plus an optional ``mean`` used when ``means`` is None.
+    ``emission`` provides ``temporal`` (MaternKernel), ``task``
+    (TaskCovariance) and the ``mean`` used when ``means`` is None.
     """
     values = np.asarray(values, dtype=float)
     if values.ndim != 2:
@@ -159,11 +154,6 @@ def fast_segment_loglik(
     resid = values - _resolve_means(emission, means, T, P)
 
     Dn = noise.per_feature_variance
-    if T == 1:
-        # Single timestep: no embedding effect, score exactly.
-        cov = matern_eval(emission.temporal, 0.0) * task_cov_assemble(emission.task)
-        return float(gaussian_logpdf(resid[0], np.linalg.cholesky(cov + np.diag(Dn))))
-
     # Decouple features: W^T diag(Dn) W = I and W^T K^Y W = diag(mu), so the
     # transformed channels are independent GPs with kernel mu_p * k_T plus
     # unit noise, and the Fourier-index blocks lambda_k K^Y + D have
@@ -171,7 +161,7 @@ def fast_segment_loglik(
     mu, W = channel_basis(emission.task, noise)
     Rt = (resid @ W).T  # (P, T) decoupled channels, one per row
 
-    n = 2 * T - 2
+    n = max(2 * T - 2, 1)
     m = scipy.fft.next_fast_len(n, real=True)
     lags = matern_eval(emission.temporal, np.arange(m // 2 + 1, dtype=float))
     lam_mu = mu[:, None] * _half_spectrum(lags, n)  # (P, n/2 + 1)
@@ -220,10 +210,7 @@ def _resolve_means(emission, means, T: int, P: int) -> np.ndarray:
         if means.shape != (T, P):
             raise ValueError(f"means shape {means.shape} incompatible with segment ({T}, {P})")
         return means
-    mean = getattr(emission, "mean", None)
-    if mean is None:
-        return np.zeros((T, P))
-    return np.broadcast_to(np.asarray(mean, dtype=float), (T, P))
+    return np.broadcast_to(emission.mean, (T, P))
 
 
 def _block_preconditioned_cg(m, lam_mu, B):

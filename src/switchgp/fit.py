@@ -10,8 +10,11 @@ removes the flat direction without restricting the model class).
 The optimizer contract is kept in the callback of scipy's L-BFGS-B, which
 reads each accepted iterate's objective: no accepted step may increase it, and
 the run stops, converged, once its relative change stays below ``REL_TOL`` for
-``PATIENCE`` iterations. Degenerate line-search probes get a finite barrier
-value; a non-finite objective at the start aborts with a parameter snapshot.
+``PATIENCE`` iterations. The start is L-BFGS-B's first evaluation, made at
+the start vector clipped into the ``PARAM_BOUND`` box; its objective is the
+report's initial one and scales the barrier. Degenerate line-search probes
+get that finite barrier value; a start that does not evaluate aborts, a
+non-finite one with a parameter snapshot.
 """
 
 from __future__ import annotations
@@ -146,34 +149,32 @@ def fit_emissions(data, init: SwitchingGPModel, config: FitConfig | None = None)
     x0 = packing.pack(model0)
     # The means are not fitted here, so every call reads one segment layout.
     layout = segment_layout(model0, data)
-    barrier = None
+    # objective at the start (L-BFGS-B's first evaluation) and at each
+    # accepted iterate
+    history = []
 
     def objective(x):
         m = packing.unpack(x, model0)
         packing.set_L_cache(m)
         try:
             val, acc = nll_and_gradients(m, layout)
-        except (NonPositiveDefiniteError, np.linalg.LinAlgError):
+            grad = packing.pack_gradient(acc)
+            if not np.isfinite(val) or not np.all(np.isfinite(grad)):
+                raise NonFiniteObjectiveError(
+                    "objective or gradient evaluated non-finite", params=x.copy()
+                )
+        except (NonPositiveDefiniteError, NonFiniteObjectiveError, np.linalg.LinAlgError):
             # Line searches may probe parameters whose covariance is
-            # numerically degenerate. A finite penalty (zero gradient) makes
-            # the sufficient-decrease test fail so the step is rejected and
-            # backtracked; the initial point must evaluate.
-            if barrier is None:
+            # numerically degenerate or whose objective is not finite. A
+            # finite penalty (zero gradient) makes the sufficient-decrease
+            # test fail so the step is rejected and backtracked; the start
+            # point must evaluate.
+            if not history:
                 raise
-            return barrier, np.zeros(packing.size)
-        grad = packing.pack_gradient(acc)
-        if not np.isfinite(val) or not np.all(np.isfinite(grad)):
-            if barrier is not None:
-                return barrier, np.zeros(packing.size)
-            raise NonFiniteObjectiveError(
-                "objective or gradient evaluated non-finite", params=x.copy()
-            )
+            return 1e6 * (1.0 + abs(history[0])), np.zeros(packing.size)
+        if not history:
+            history.append(val)
         return val, grad
-
-    f0, _ = objective(x0)
-    barrier = 1e6 * (1.0 + abs(f0))
-    # objective at the start and at each accepted iterate
-    history = [f0]
 
     def stalled():
         prev = history[-1 - PATIENCE] if len(history) > PATIENCE else np.inf
@@ -203,7 +204,7 @@ def fit_emissions(data, init: SwitchingGPModel, config: FitConfig | None = None)
     # res.x is the last accepted iterate; res.fun is the last evaluation,
     # which after a failed line search is a rejected probe.
     report = FitReport(
-        initial_objective=float(f0),
+        initial_objective=float(history[0]),
         final_objective=float(history[-1]),
         iterations=len(history) - 1,
         converged=early or bool(res.success),

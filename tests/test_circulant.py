@@ -5,6 +5,7 @@ segment likelihood is compared against the O((TP)^3) exact path.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -150,14 +151,29 @@ class TestLogdetSolve:
 
 
 class TestFastSegmentLoglik:
-    def test_single_step_is_exact(self):
-        model = helpers.random_model(A=1, P=3, seed=2)
+    @pytest.mark.parametrize("P", [1, 3, 5])
+    @pytest.mark.parametrize("nu", [0.5, 1.5, 2.5])
+    def test_single_step_is_exact(self, nu, P):
+        # at one row the embedding is the 1 x 1 Toeplitz matrix itself
+        model = helpers.random_model(A=1, P=P, seed=2)
         e = model.emissions[0]
-        rng = np.random.default_rng(0)
-        values = rng.normal(size=(1, 3))
+        e = replace(e, temporal=replace(e.temporal, smoothness=nu))
+        values = np.random.default_rng(0).normal(size=(1, P))
         fast = fast_segment_loglik(e, model.noise, values)
         exact = exact_segment_loglik(e, model.noise, values)
-        assert fast == pytest.approx(exact, abs=1e-10)
+        assert fast == pytest.approx(exact, rel=1e-12)
+
+    def test_single_step_takes_the_embedding_formula(self, monkeypatch):
+        solve, solved = circulant._block_preconditioned_cg, []
+
+        def spy(m, lam_mu, B):
+            solved.append((m, B.shape))
+            return solve(m, lam_mu, B)
+
+        monkeypatch.setattr(circulant, "_block_preconditioned_cg", spy)
+        model = helpers.random_model(A=1, P=3, seed=2)
+        fast_segment_loglik(model.emissions[0], model.noise, np.ones((1, 3)))
+        assert solved == [(1, (3, 1))]
 
     @pytest.mark.parametrize("T", [16, 32, 64])
     def test_scalar_channel_close_to_exact(self, T):
@@ -193,6 +209,12 @@ class TestFastSegmentLoglik:
         shifted = fast_segment_loglik(e, model.noise, values + 1.5, means=means + 1.5)
         base = fast_segment_loglik(e, model.noise, values, means=means)
         assert shifted == pytest.approx(base, abs=1e-9)
+
+    def test_means_of_another_shape_are_refused(self):
+        model = helpers.random_model(A=1, P=2, seed=8)
+        values = np.zeros((12, 2))
+        with pytest.raises(ValueError, match=r"means shape \(11, 2\)"):
+            fast_segment_loglik(model.emissions[0], model.noise, values, means=np.zeros((11, 2)))
 
     def test_approximation_gap_shrinks_with_length(self):
         # normalized fast-vs-exact gap decreases as the segment grows

@@ -12,7 +12,11 @@ import scipy.optimize
 import helpers
 from switchgp import likelihood
 from switchgp.data import generate_synthetic
-from switchgp.errors import NonFiniteObjectiveError, NonPositiveDefiniteError
+from switchgp.errors import (
+    NonFiniteObjectiveError,
+    NonPositiveDefiniteError,
+    OptimizerContractError,
+)
 from switchgp.experiments import initial_model
 from switchgp.fit import PATIENCE, REL_TOL, FitConfig, fit_emissions
 from switchgp.kernels import MaternKernel, NoiseModel, TaskCovariance
@@ -252,6 +256,42 @@ class TestStopPaths:
         with pytest.raises(NonFiniteObjectiveError) as exc:
             fit_emissions(stop_path_data(), start)
         assert exc.value.params is not None and np.isfinite(exc.value.params).all()
+
+
+class TestStartAndContract:
+    """The start is L-BFGS-B's own first evaluation, and an accepted step
+    that raises the objective breaks the optimizer contract."""
+
+    def test_the_start_is_evaluated_once(self, monkeypatch):
+        fit_module = sys.modules["switchgp.fit"]
+        real = fit_module.nll_and_gradients
+        calls = []
+
+        def spy(model, data):
+            val, acc = real(model, data)
+            calls.append((json.dumps(model_to_dict(model)), val))
+            return val, acc
+
+        monkeypatch.setattr(fit_module, "nll_and_gradients", spy)
+        start = helpers.random_model(A=3, P=2, cap=10, seed=0)
+        rep = fit_emissions(stop_path_data(), start, FitConfig(max_iterations=5)).fit_report
+        assert len(calls) >= 2 and calls[0][0] != calls[1][0]
+        assert rep.initial_objective == calls[0][1]
+
+    def test_an_increase_across_an_accepted_step_raises(self, monkeypatch):
+        seen = []
+
+        def increasing(fun, x0, *args, callback, **kwargs):
+            f0, _ = fun(x0)
+            seen.append(f0)
+            callback(intermediate_result=scipy.optimize.OptimizeResult(x=x0, fun=f0 + 1.0))
+            raise AssertionError("the callback accepted an increase")
+
+        monkeypatch.setattr(scipy.optimize, "minimize", increasing)
+        start = helpers.random_model(A=3, P=2, cap=10, seed=0)
+        with pytest.raises(OptimizerContractError) as err:
+            fit_emissions(stop_path_data(), start)
+        assert f"{seen[0]} -> {seen[0] + 1.0}" in str(err.value)
 
 
 class TestSegmentLayout:

@@ -10,6 +10,7 @@ import helpers
 import oracles
 from switchgp.data import generate_synthetic
 from switchgp.errors import DegenerateDurationError, FormatError, InsufficientDataError
+from switchgp.experiments import initial_model
 from switchgp.filtering import forward_init, forward_step, state_posterior
 from switchgp.fit import FitConfig
 from switchgp.kernels import MaternKernel, NoiseModel, TaskCovariance
@@ -345,6 +346,23 @@ class TestFit:
         st = forward_init(fitted, series.observations[0])
         st = forward_step(st, series.observations[1], fitted)
         assert state_posterior(st)[2] == 0.0
+
+    def test_single_state_training(self):
+        # series of different lengths: equal ones would make every duration
+        # sample equal, which the dwell-law estimator refuses
+        truth = helpers.random_model(A=1, P=2, cap=8, seed=3)
+        data = [generate_synthetic(truth, 40, seed=1), generate_synthetic(truth, 55, seed=2)]
+        fitted = fit(initial_model(1, 2, 5.0, 1.5), data)
+        np.testing.assert_array_equal(fitted.transitions.probs, [[0.0]])
+        assert fitted.untrained_states == ()
+        assert fitted.fit_report.converged
+        rows = data[0].observations[:5]
+        st = forward_init(fitted, rows[0])
+        for row in rows[1:]:
+            st = forward_step(st, row, fitted)
+        assert st.log_evidence == pytest.approx(
+            oracles.enumerate_log_evidence(fitted, rows), abs=1e-8
+        )
 
     def test_refit_on_own_samples_is_stable(self):
         # drift is measured on the identified quantities: duration means,
