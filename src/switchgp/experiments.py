@@ -14,6 +14,10 @@ training explained variances, so errors are reported in PCA-normalized units
 (unit prior variance per component on the training split). Rows whose width
 is not the projection's raw feature count are a FormatError.
 
+Trajectory prediction conditions in the channel basis of
+`kernels.channel_basis`, as the likelihoods and the filter do: its exact
+means cost one eigendecomposition per segment, with no joint covariance.
+
 Adaptive runs are summarized by `monitor.AdaptiveSummary` alone: it folds
 the one series of `monitor_steps`, and pools all the series of a sweep
 row. Sweep seeding is hierarchical: each (lambda index, series index) cell
@@ -32,10 +36,10 @@ import numpy as np
 
 from . import filtering, monitor
 from .data import apply_pca, fit_pca, generate_synthetic
-from .errors import FormatError, UndefinedMetricError
+from .errors import FormatError, NonFiniteObservationError, UndefinedMetricError
 from .fit import FitConfig
-from .gp_predict import joint_conditional, trajectory_metrics
-from .kernels import MaternKernel, NoiseModel, TaskCovariance
+from .gp_predict import trajectory_metrics
+from .kernels import MaternKernel, NoiseModel, TaskCovariance, channel_basis, matern_eval
 from .likelihood import negative_loglik
 from .model import (
     GammaDuration,
@@ -205,48 +209,71 @@ def _limit(config: ExperimentConfig, series_list) -> list:
 def experiment_trajectory(config: ExperimentConfig, model: SwitchingGPModel, data) -> dict:
     """Known-state signal prediction with interleaved observed rows.
 
-    Every ``stride``-th row of each stream is observed; the rest are
-    predicted from the observed rows of the same (true-label) segment via
-    the state's GP posterior. Reports MSE/ABS overall and per activity.
+    Every ``stride``-th row of each stream is observed; the rest are held
+    out and predicted by the state's GP posterior mean given the observed
+    rows of the same (true-label) segment. Reports MSE/ABS overall and per
+    activity over the held-out entries the mask observes. Only fully
+    observed stride rows condition: a partially observed one is a ValueError
+    naming the subject and 1-based row. Held-out rows with no observed entry
+    are skipped, and a non-finite observed entry is a
+    NonFiniteObservationError.
     """
     stride = config.stride
-    preds, truths, labels_all = [], [], []
+    preds, truths, masks, labels_all = [], [], [], []
     num_observed = 0
 
     for series in _limit(config, data):
         if series.labels is None:
             raise ValueError("trajectory experiment requires labeled series")
-        Y = series.observations
-        P = Y.shape[1]
+        Y, M = series.observations, series.mask
+        bad = M & ~np.isfinite(Y)
+        if bad.any():
+            t = int(np.argmax(bad.any(axis=1)))
+            features = np.flatnonzero(bad[t]).tolist()
+            raise NonFiniteObservationError(
+                f"series {series.subject_id} row {t + 1} has non-finite observed values at "
+                f"features {features} (0-based); mask missing values instead",
+                time_index=t + 1,
+                features=features,
+            )
+        on_stride, seen = np.arange(Y.shape[0]) % stride == 0, M.any(axis=1)
+        cond, scored = on_stride & M.all(axis=1), ~on_stride & seen
+        partial = np.flatnonzero(on_stride & seen & ~cond)
+        if partial.size:
+            raise ValueError(
+                f"series {series.subject_id} row {partial[0] + 1} is a partially observed "
+                "stride row; trajectory prediction conditions on whole rows"
+            )
         for state, start, dur in segment_series(series.labels):
-            e = model.emissions[state - 1]
-            rel = np.arange(dur)
-            obs_rel = rel[(start + rel) % stride == 0]
-            held_rel = rel[(start + rel) % stride != 0]
-            num_observed += obs_rel.size
-            if held_rel.size == 0:
+            obs = start + np.flatnonzero(cond[start : start + dur])
+            held = start + np.flatnonzero(scored[start : start + dur])
+            num_observed += obs.size
+            if held.size == 0:
                 continue
-            ot = np.repeat(obs_rel.astype(float), P)
-            of = np.tile(np.arange(P), obs_rel.size)
-            ov = Y[start + obs_rel].reshape(-1)
-            qt = np.repeat(held_rel.astype(float), P)
-            qf = np.tile(np.arange(P), held_rel.size)
-            mean, _ = joint_conditional(e, model.noise, ot, of, ov, qt, qf)
-            preds.append(mean.reshape(held_rel.size, P))
-            truths.append(Y[start + held_rel])
-            labels_all.append(np.full(held_rel.size, state))
+            e = model.emissions[state - 1]
+            # channel p of the rotated residuals has covariance mu_p K + I,
+            # and every channel shares the eigenvectors U of K
+            mu, W = channel_basis(e.task, model.noise, state - 1)
+            lam, U = np.linalg.eigh(matern_eval(e.temporal, np.subtract.outer(obs, obs)))
+            Z = (U.T @ ((Y[obs] - e.mean) @ W)) * mu / (1.0 + np.outer(lam, mu))
+            F = matern_eval(e.temporal, np.subtract.outer(held, obs)) @ (U @ Z)
+            # W^-1 = W^T D, since W^T D W = I
+            preds.append(e.mean + F @ (W.T * model.noise.per_feature_variance))
+            truths.append(Y[held])
+            masks.append(M[held])
+            labels_all.append(np.full(held.size, state))
 
     if not preds:
-        raise UndefinedMetricError(f"no segment holds out a row at a stride of {stride}")
+        raise UndefinedMetricError(f"no segment holds out an observed row at a stride of {stride}")
     pred = np.vstack(preds)
     truth = np.vstack(truths)
+    mask = np.vstack(masks)
     lab = np.concatenate(labels_all)
-    full = np.ones(pred.shape, dtype=bool)
-    mse, mabs = trajectory_metrics(pred, truth, full)
+    mse, mabs = trajectory_metrics(pred, truth, mask)
     per_state = {}
     for j in sorted(set(lab.tolist())):
         rows = lab == j
-        s_mse, s_abs = trajectory_metrics(pred[rows], truth[rows], full[rows])
+        s_mse, s_abs = trajectory_metrics(pred[rows], truth[rows], mask[rows])
         per_state[int(j)] = {"mse": s_mse, "abs": s_abs, "num_rows": int(rows.sum())}
     return {
         "mse": mse,
@@ -278,13 +305,6 @@ def filter_steps(model: SwitchingGPModel, series):
         prev = state.log_evidence
 
 
-def _adaptive_steps(config: ExperimentConfig, model, catalog, series, energy_weight, rng):
-    """`monitor.adaptive_steps` on one series with the config's sample count."""
-    return monitor.adaptive_steps(
-        model, series.observations, catalog, energy_weight, config.num_samples, rng, series.mask
-    )
-
-
 def monitor_steps(
     config: ExperimentConfig, model: SwitchingGPModel, series, energy_weight: float
 ):
@@ -302,7 +322,8 @@ def monitor_steps(
     catalog = monitor.default_catalog(model.num_features, sizes=config.group_sizes)
     t0 = time.perf_counter()
     fold = monitor.AdaptiveSummary(model.num_features)
-    steps = _adaptive_steps(config, model, catalog, series, energy_weight, config.seed)
+    steps = monitor.adaptive_steps(model, series.observations, catalog, energy_weight,
+                                   config.num_samples, config.seed, series.mask)
     for rec in fold.feed(steps, series.labels):
         sel = rec.selection
         if sel is None:
@@ -384,7 +405,8 @@ def experiment_sweep(config: ExperimentConfig, model: SwitchingGPModel, data) ->
             child = np.random.default_rng(
                 np.random.SeedSequence(config.seed, spawn_key=(li, si))
             )
-            steps = _adaptive_steps(config, model, catalog, series, lam, child)
+            steps = monitor.adaptive_steps(model, series.observations, catalog, lam,
+                                           config.num_samples, child, series.mask)
             for _ in fold.feed(steps, series.labels):
                 pass
         row = {"lambda": float(lam), "accuracy": float("nan")}  # kept if no row is labeled

@@ -2,15 +2,20 @@
 monitor stream, energy sweep."""
 
 import json
+import tracemalloc
 from dataclasses import fields, replace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import helpers
 from golden import regenerate
+from switchgp import experiments
 from switchgp.data import fit_pca, apply_pca, generate_synthetic, load_har, save_har
-from switchgp.errors import FormatError, UndefinedMetricError
+from switchgp.errors import FormatError, NonFiniteObservationError, UndefinedMetricError
 from switchgp.experiments import (
     SWEEP_COLUMNS,
     ExperimentConfig,
@@ -25,6 +30,7 @@ from switchgp.experiments import (
     write_sweep_csv,
 )
 from switchgp.filtering import forward_init, forward_step, state_posterior
+from switchgp.gp_predict import joint_conditional
 from switchgp.kernels import MaternKernel, NoiseModel
 from switchgp.model import SegmentedSeries, TransitionMatrix, model_to_dict, segment_series
 from switchgp import monitor
@@ -132,6 +138,179 @@ class TestTrajectory:
         series = SegmentedSeries(observations=np.zeros((10, 2)))
         with pytest.raises(ValueError):
             experiment_trajectory(ExperimentConfig(), model=model, data=[series])
+
+
+def masked_trajectory_case():
+    """A 97-row, two-state series (subject 7) and the stride-5 config."""
+    model = helpers.random_model(A=2, P=2, cap=4, seed=5)
+    series = replace(generate_synthetic(model, 97, seed=6), subject_id=7)
+    return model, series, ExperimentConfig(observed_fraction=0.2)
+
+
+def with_entries(series, rows, cols, value=None, observed=None):
+    """A copy of the series with entries (rows, cols) set to ``value`` and/or
+    their mask set to ``observed``."""
+    obs, mask = series.observations.copy(), series.mask.copy()
+    if value is not None:
+        obs[rows, cols] = value
+    if observed is not None:
+        mask[rows, cols] = observed
+    return replace(series, observations=obs, mask=mask)
+
+
+class TestTrajectoryMask:
+    """Row 2 (0-based 1) is held out and row 11 (0-based 10) is a stride row."""
+
+    @pytest.mark.parametrize("row", [1, 10])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_a_non_finite_observed_entry_is_refused(self, row, value):
+        model, series, cfg = masked_trajectory_case()
+        bad = with_entries(series, row, 1, value)
+        with pytest.raises(NonFiniteObservationError, match="series 7 row") as info:
+            experiment_trajectory(cfg, model=model, data=[bad])
+        assert info.value.time_index == row + 1
+        assert info.value.features == (1,)
+
+    def test_a_masked_held_entry_is_not_scored(self):
+        model, series, cfg = masked_trajectory_case()
+        masked = with_entries(series, 1, 1, observed=False)
+        out = experiment_trajectory(cfg, model=model, data=[masked])
+        assert out == experiment_trajectory(
+            cfg, model=model, data=[with_entries(masked, 1, 1, np.nan)]
+        )
+        full = experiment_trajectory(cfg, model=model, data=[series])
+        assert out["num_held_rows"] == full["num_held_rows"]
+        assert out["mse"] != full["mse"]
+
+    def test_a_fully_masked_stride_row_does_not_condition(self):
+        model, series, cfg = masked_trajectory_case()
+        masked = with_entries(series, 10, slice(None), observed=False)
+        out = experiment_trajectory(cfg, model=model, data=[masked])
+        for value in (np.nan, 1e3):
+            assert out == experiment_trajectory(
+                cfg, model=model, data=[with_entries(masked, 10, slice(None), value)]
+            )
+        full = experiment_trajectory(cfg, model=model, data=[series])
+        assert out["num_observed_rows"] == full["num_observed_rows"] - 1
+        assert out["mse"] != full["mse"]
+
+    def test_a_partially_masked_stride_row_is_refused(self):
+        model, series, cfg = masked_trajectory_case()
+        partial = with_entries(series, 10, 0, np.nan, observed=False)
+        with pytest.raises(ValueError, match="series 7 row 11 is a partially observed"):
+            experiment_trajectory(cfg, model=model, data=[partial])
+
+    def test_a_held_row_with_no_observed_entry_is_skipped(self):
+        model, series, cfg = masked_trajectory_case()
+        masked = with_entries(series, 1, slice(None), np.nan, observed=False)
+        out = experiment_trajectory(cfg, model=model, data=[masked])
+        full = experiment_trajectory(cfg, model=model, data=[series])
+        assert out["num_held_rows"] == full["num_held_rows"] - 1
+        assert sum(v["num_rows"] for v in out["per_state"].values()) == out["num_held_rows"]
+        assert out["num_observed_rows"] == full["num_observed_rows"]
+
+
+def dense_held_means(model, series, stride):
+    """Held-out means of every segment from `gp_predict.joint_conditional`,
+    conditioned on the fully observed stride rows."""
+    P = series.num_features
+    full, seen = series.mask.all(axis=1), series.mask.any(axis=1)
+    out = []
+    for state, start, dur in segment_series(series.labels):
+        rows = np.arange(start, start + dur)
+        obs = rows[(rows % stride == 0) & full[rows]]
+        held = rows[(rows % stride != 0) & seen[rows]]
+        if held.size:
+            mean, _ = joint_conditional(
+                model.emissions[state - 1],
+                model.noise,
+                np.repeat(obs.astype(float), P),
+                np.tile(np.arange(P), obs.size),
+                series.observations[obs].reshape(-1),
+                np.repeat(held.astype(float), P),
+                np.tile(np.arange(P), held.size),
+            )
+            out.append(mean.reshape(held.size, P))
+    return np.vstack(out)
+
+
+class TestTrajectoryAgreement:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        smoothness=st.sampled_from([0.5, 1.5, 2.5]),
+        stride=st.integers(2, 5),
+        rows=st.integers(1, 200),
+        lead=st.integers(0, 4),
+        P=st.integers(1, 4),
+        lengthscale=st.floats(0.3, 30.0),
+        keep=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**16),
+    )
+    def test_matches_the_dense_conditional(
+        self, smoothness, stride, rows, lead, P, lengthscale, keep, seed
+    ):
+        # `lead` rows of state 2, then one segment of state 1; each stride
+        # row is kept with probability `keep`, the rest are fully masked
+        model = helpers.random_model(A=2, P=P, seed=seed, lengthscale=lengthscale,
+                                     noise_floor=0.1)
+        model = replace(model, emissions=tuple(
+            replace(e, temporal=replace(e.temporal, smoothness=smoothness))
+            for e in model.emissions
+        ))
+        rng = np.random.default_rng(seed)
+        T = lead + rows
+        dropped = (np.arange(T) % stride == 0) & (rng.uniform(size=T) >= keep)
+        series = SegmentedSeries(
+            observations=2.0 * rng.normal(size=(T, P)),
+            labels=np.r_[np.full(lead, 2), np.ones(rows, dtype=int)],
+            mask=np.repeat(~dropped[:, None], P, axis=1),
+        )
+        cfg = ExperimentConfig(observed_fraction=1.0 / stride)
+        held = np.arange(T) % stride != 0
+        if not held.any():
+            with pytest.raises(UndefinedMetricError):
+                experiment_trajectory(cfg, model=model, data=[series])
+            return
+        with mock.patch.object(
+            experiments, "trajectory_metrics", wraps=experiments.trajectory_metrics
+        ) as spy:
+            experiment_trajectory(cfg, model=model, data=[series])
+        predicted = spy.call_args_list[0].args[0]
+        dense = dense_held_means(model, series, stride)
+        assert predicted.shape == dense.shape
+        assert np.max(np.abs(predicted - dense)) <= 1e-10 * np.max(np.abs(dense))
+
+    def test_a_segment_with_no_observed_row_predicts_the_state_mean(self):
+        model, series, cfg = masked_trajectory_case()
+        series = replace(series, observations=series.observations[:4],
+                         labels=np.array([1, 2, 2, 2]), mask=series.mask[:4])
+        with mock.patch.object(
+            experiments, "trajectory_metrics", wraps=experiments.trajectory_metrics
+        ) as spy:
+            experiment_trajectory(cfg, model=model, data=[series])
+        np.testing.assert_array_equal(
+            spy.call_args_list[0].args[0], np.tile(model.emissions[1].mean, (3, 1))
+        )
+
+
+class TestTrajectoryLength:
+    @pytest.mark.parametrize("rows, bound_mb", [(400, 10), (4000, 150)])
+    def test_memory_peak(self, rows, bound_mb):
+        # one segment at a stride of 5; the dense joint of the held-out
+        # entries alone would be (0.8 * rows * 10)^2 doubles
+        model = helpers.random_model(A=1, P=10, seed=0, lengthscale=4.0, noise_floor=0.1)
+        rng = np.random.default_rng(rows)
+        series = SegmentedSeries(
+            observations=rng.normal(size=(rows, 10)), labels=np.ones(rows, dtype=int)
+        )
+        tracemalloc.start()
+        try:
+            out = experiment_trajectory(ExperimentConfig(), model=model, data=[series])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out["num_held_rows"] == rows - rows // 5
+        assert peak < bound_mb * 1e6
 
 
 def permuted_two_state(model):
