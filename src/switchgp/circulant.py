@@ -233,26 +233,26 @@ def _block_preconditioned_cg(m, lam_mu, B):
     active = np.arange(P)
     R = B.copy()
     bnorm = np.maximum(np.linalg.norm(B, axis=1), 1e-300)
-    Z = circulant(inv, R)
-    Pdir = Z.copy()
-    rz = np.sum(R * Z, axis=1)
+    Pdir = rz = None
     for _ in range(CG_MAXITER):
+        # converged channels drop out before their residual is preconditioned
         done = np.linalg.norm(R, axis=1) <= CG_RTOL * bnorm[active]
         if np.any(done):
             keep = ~done
             if not np.any(keep):
                 return X
             active = active[keep]
-            R, Z, Pdir, rz = R[keep], Z[keep], Pdir[keep], rz[keep]
-            lam, inv = lam[keep], inv[keep]
+            R, lam, inv = R[keep], lam[keep], inv[keep]
+            if Pdir is not None:
+                Pdir, rz = Pdir[keep], rz[keep]
+        Z = circulant(inv, R)
+        rz_new = np.sum(R * Z, axis=1)
+        Pdir = Z if Pdir is None else Z + (rz_new / rz)[:, None] * Pdir
+        rz = rz_new
         Ap = circulant(lam, Pdir) + Pdir
         alpha = rz / np.sum(Pdir * Ap, axis=1)
         X[active] += alpha[:, None] * Pdir
         R = R - alpha[:, None] * Ap
-        Z = circulant(inv, R)
-        rz_new = np.sum(R * Z, axis=1)
-        Pdir = Z + (rz_new / rz)[:, None] * Pdir
-        rz = rz_new
     resid = np.linalg.norm(R, axis=1) / bnorm[active]
     if np.max(resid) > 1e-6:
         raise SingularEmbeddingError(

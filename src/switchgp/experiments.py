@@ -91,13 +91,30 @@ class ExperimentConfig:
         return int(round(1.0 / self.observed_fraction))
 
 
+def _refuse_non_finite(series) -> None:
+    """Raise NonFiniteObservationError at the first row of ``series`` with a
+    non-finite observed value, naming its 1-based row and 0-based features."""
+    bad = series.mask & ~np.isfinite(series.observations)
+    if bad.any():
+        t = int(np.argmax(bad.any(axis=1)))
+        features = np.flatnonzero(bad[t]).tolist()
+        raise NonFiniteObservationError(
+            f"series {series.subject_id} row {t + 1} has non-finite observed values at "
+            f"features {features} (0-based); mask missing values instead",
+            time_index=t + 1,
+            features=features,
+        )
+
+
 def prepare_series(model: SwitchingGPModel, series_list) -> list:
     """Project raw series into model units via the model's stored PCA.
 
     Every component loads on every raw feature, so a row with a missing raw
     entry becomes a fully masked row of scores. A series whose width is not
     the projection's raw feature count is a FormatError naming
-    ``pca.feature_means``.
+    ``pca.feature_means``. A non-finite observed raw value, in any row, is a
+    NonFiniteObservationError naming its row and raw features, raised
+    before projecting, which would spread it to every component.
     """
     proj = model.pca
     if proj is None:
@@ -110,6 +127,7 @@ def prepare_series(model: SwitchingGPModel, series_list) -> list:
                 f"series {s.subject_id} has {s.num_features} raw features, "
                 f"but pca.feature_means has {width}"
             )
+        _refuse_non_finite(s)
         scores = apply_pca(proj, s.observations)
         mask = np.repeat(np.all(s.mask, axis=1, keepdims=True), scores.shape[1], axis=1)
         out.append(replace(s, observations=scores, mask=mask))
@@ -117,7 +135,10 @@ def prepare_series(model: SwitchingGPModel, series_list) -> list:
 
 
 def split_pca(raw, num_components: int) -> PcaProjection:
-    """The PCA projection fitted on all rows of a split's raw series."""
+    """The PCA projection fitted on all rows of a split's raw series; a
+    non-finite observed value is refused as in `prepare_series`."""
+    for s in raw:
+        _refuse_non_finite(s)
     return fit_pca(np.vstack([s.observations for s in raw]), num_components)
 
 
@@ -225,17 +246,8 @@ def experiment_trajectory(config: ExperimentConfig, model: SwitchingGPModel, dat
     for series in _limit(config, data):
         if series.labels is None:
             raise ValueError("trajectory experiment requires labeled series")
+        _refuse_non_finite(series)
         Y, M = series.observations, series.mask
-        bad = M & ~np.isfinite(Y)
-        if bad.any():
-            t = int(np.argmax(bad.any(axis=1)))
-            features = np.flatnonzero(bad[t]).tolist()
-            raise NonFiniteObservationError(
-                f"series {series.subject_id} row {t + 1} has non-finite observed values at "
-                f"features {features} (0-based); mask missing values instead",
-                time_index=t + 1,
-                features=features,
-            )
         on_stride, seen = np.arange(Y.shape[0]) % stride == 0, M.any(axis=1)
         cond, scored = on_stride & M.all(axis=1), ~on_stride & seen
         partial = np.flatnonzero(on_stride & seen & ~cond)

@@ -188,6 +188,32 @@ def gaussian_logpdf(diff: np.ndarray, chol: np.ndarray) -> np.ndarray:
     return -0.5 * (np.sum(w**2, axis=-1) + logdet + diff.shape[-1] * LOG_2PI)
 
 
+def sweep(blocks: np.ndarray, m: int) -> np.ndarray:
+    """Sweep pivots 0..m-1 of the (m+1, m+1, ...) bordered blocks
+    [[C, v], [v^T, 0]] in place, leaving [[-C^-1, C^-1 v], [., -v^T C^-1
+    v]]; returns log det C (Goodnight 1979). A non-positive pivot raises
+    np.linalg.LinAlgError.
+
+    Every operation is elementwise over the trailing batch axes, so a
+    block's result does not depend on the batch, and no block is factored
+    alone. Two callers: the monitor's scorer (each live entry's predictive
+    covariance and mean, on each candidate group) and the Kalman filter's
+    joint update (each slot's innovation covariance and innovation).
+    """
+    logdet = np.zeros(blocks.shape[2:])
+    for k in range(m):
+        d = blocks[k, k].copy()
+        if not np.all(d > 0.0):
+            raise np.linalg.LinAlgError("covariance block is not positive definite")
+        col = blocks[:, k] / d
+        blocks -= col[:, None] * blocks[k]
+        blocks[:, k] = col
+        blocks[k] = col
+        blocks[k, k] = -1.0 / d
+        logdet += np.log(d)
+    return logdet
+
+
 def logsumexp(a: np.ndarray, axis: int | None = None) -> np.ndarray:
     """log(sum(exp(a))) over ``axis`` (all entries when None).
 

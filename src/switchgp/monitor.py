@@ -16,14 +16,15 @@ of the heaviest, so leaving them out of a hypothetical posterior moves its
 entropy by rounding-level amounts; on a HAR-sized model (6 states, duration
 cap 80) a handful of the 486 entries stay live, and at times near a hundred.
 `expected_entropy_mc` scores a stack of same-size groups in one batched
-pass. For each live entry and group it sweeps the (m+1)-square block
-[[C, mu], [mu^T, 0]] of the entry's covariance C and mean mu on the group:
-the swept block holds C^-1, C^-1 mu and mu^T C^-1 mu, and the pivots give
-log det C. The entry's log weight after a sample is then a quadratic
-polynomial in the sample, and one matrix product per group evaluates it for
-every entry and sample. Samples and means are first centered on the heaviest
-entry's mean, which keeps the polynomial's terms near the scale of the
-residuals. A logsumexp per state and the entropy per sample follow.
+pass. For each live entry and group it sweeps (`kernels.sweep`, the
+conditioning kernel the Kalman filter's joint update shares) the
+(m+1)-square block [[C, mu], [mu^T, 0]] of the entry's covariance C and
+mean mu on the group: the swept block holds C^-1, C^-1 mu and mu^T C^-1 mu,
+and the pivots give log det C. The entry's log weight after a sample is
+then a quadratic polynomial in the sample, and one matrix product per group
+evaluates it for every entry and sample. Samples and means are first
+centered on the heaviest entry's mean, which keeps the polynomial's terms
+near the scale of the residuals. A logsumexp per state and the entropy per sample follow.
 `select_group` makes at most one such call per group size, cheapest size
 first, and leaves out the groups whose cost alone already rules them out
 (the bounding step of branch and bound). The sweep is elementwise
@@ -63,7 +64,7 @@ from .filtering import (
     state_posterior,
     step_predictives,
 )
-from .kernels import LOG_2PI
+from .kernels import LOG_2PI, sweep
 from .model import SwitchingGPModel
 
 DEFAULT_GROUP_SIZES = (4, 7, 10)
@@ -255,7 +256,7 @@ def _hypothetical_entropies(live: PredictiveMixture, samples: np.ndarray, stack)
     for lo in range(0, G, step):
         sl = slice(lo, lo + step)
         blocks = aug[border[:, None, sl], border[None, :, sl]]  # (m+1, m+1, g, H)
-        logdet = _sweep(blocks, m)
+        logdet = sweep(blocks, m)
         # log weight of entry h after sample y on the group, logw - (log det
         # C + m log 2pi + (y - mu)^T C^-1 (y - mu)) / 2, as coefficients of
         # the features [y_a y_b (a <= b), y_a, 1]: (g, H, K)
@@ -279,25 +280,6 @@ def _hypothetical_entropies(live: PredictiveMixture, samples: np.ndarray, stack)
             terms = np.where(probs > 0.0, probs * np.log(probs), 0.0)
         ents[sl] = -np.sum(terms, axis=0)
     return ents
-
-
-def _sweep(blocks: np.ndarray, m: int) -> np.ndarray:
-    """Sweep pivots 0..m-1 of the (m+1, m+1, ...) bordered blocks
-    [[C, mu], [mu^T, 0]] in place, leaving [[-C^-1, C^-1 mu], [., -mu^T
-    C^-1 mu]]; returns log det C. Every operation is elementwise over the
-    trailing batch axes, so a block's result does not depend on the batch."""
-    logdet = np.zeros(blocks.shape[2:])
-    for k in range(m):
-        d = blocks[k, k].copy()
-        if not np.all(d > 0.0):
-            raise np.linalg.LinAlgError("predictive covariance block is not positive definite")
-        col = blocks[:, k] / d
-        blocks -= col[:, None] * blocks[k]
-        blocks[:, k] = col
-        blocks[k] = col
-        blocks[k, k] = -1.0 / d
-        logdet += np.log(d)
-    return logdet
 
 
 def _quadratic_features(y: np.ndarray) -> np.ndarray:

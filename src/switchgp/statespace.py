@@ -33,7 +33,9 @@ each call is one batched pass over the states. Slots come in two kinds, and
   channel by channel, in the rotated residual ``W^T (y - mean_j)``;
 - joint slots, with (n, n) covariances of their own. A row with missing
   features couples the channels, so after one the covariances depend on
-  which features each row observed, and every slot turns joint.
+  which features each row observed, and every slot turns joint. Their
+  update reads only the channels' position components, and conditions
+  every slot at once by the bordered sweep of `kernels.sweep`.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ from typing import NamedTuple
 import numpy as np
 import scipy.linalg
 
-from .kernels import LOG_2PI, MaternKernel, channel_bases, gaussian_logpdf
+from .kernels import LOG_2PI, MaternKernel, channel_bases, sweep
 
 _STATE_DIM = {0.5: 1, 1.5: 2, 2.5: 3}
 
@@ -115,8 +117,9 @@ class StateSpace:
     stationary prior ``P0`` (S, P, s, s), each padded to the highest order
     among the states, and the observation of the position components
     ``Hpos = W^{-T}``. States that share a task factor share one channel
-    basis. ``A``, ``Q`` (S, n, n) and ``H`` (S, P, n) are the joint forms,
-    channel-major, that joint slots read.
+    basis. ``A`` and ``Q`` (S, n, n) are the joint forms, channel-major,
+    that joint slots read; their observation is ``Hpos`` on every
+    channel's leading (position) component.
 
     On fully observed rows the Riccati recursion does not depend on the
     data, and in the channel basis it splits into P independent
@@ -152,8 +155,6 @@ class StateSpace:
         self.mean = np.stack([e.mean for e in emissions])  # (S, P)
         self.noise = np.diag(model.noise.per_feature_variance)  # (P, P)
         self.A, self.Q = _block_diag(self.A1), _block_diag(self.Q1)
-        self.H = np.zeros((S, P, P * s))
-        self.H[..., ::s] = self.Hpos
 
         self.size = 0
         self.prior = np.empty((S, 0, P, s, s))
@@ -251,11 +252,12 @@ def observation_conditionals(ss: StateSpace, slots: Slots):
 
     Without joint slots the covariances are a read-only view of the table.
     """
-    om = slots.means @ _mT(ss.H) + ss.mean[:, None, :]
+    s = ss.dim
+    om = slots.means[..., ::s] @ _mT(ss.Hpos) + ss.mean[:, None, :]
     oc = ss.rows("ycov", 1, slots.clean + 1)
     if slots.covs.shape[1]:
-        H = ss.H[:, None]
-        joint = H @ slots.covs @ _mT(H)
+        H = ss.Hpos[:, None]
+        joint = H @ slots.covs[..., ::s, ::s] @ _mT(H)
         joint += ss.noise
         oc = np.concatenate([oc, joint], axis=1) if slots.clean else joint
     return om, oc
@@ -295,20 +297,32 @@ def update(ss: StateSpace, slots: Slots | None, row, mask, cap: int):
 
 def _update_joint(ss: StateSpace, pm, pc, row, mask):
     """Kalman measurement update of joint slots (S, d, ...) on the observed
-    features; the posterior covariances overwrite ``pc``."""
+    features; the posterior covariances overwrite ``pc``.
+
+    The row observes only the channels' position components, so the update
+    reads their rows of the covariances alone: HP = H P and the innovation
+    covariance S = H P H^T + R. One sweep of the bordered blocks [[S, v],
+    [v^T, 0]] of every slot at once gives S^-1, S^-1 v, v^T S^-1 v and
+    log det S.
+    """
     if not np.any(mask):
         return pm, pc, np.zeros(pm.shape[:2])
-    Hm = ss.H[:, mask]  # (S, m, n)
-    innov = (row[mask] - ss.mean[:, mask])[:, None, :] - pm @ _mT(Hm)  # (S, d, m)
-    PH = pc @ _mT(Hm)[:, None]  # (S, d, n, m)
-    S = Hm[:, None] @ PH + ss.noise[np.ix_(mask, mask)]
-    S = 0.5 * (S + _mT(S))
-    logdens = gaussian_logpdf(innov, np.linalg.cholesky(S))
+    s, Hm = ss.dim, ss.Hpos[:, mask]  # (S, m, P)
+    m = Hm.shape[1]
+    innov = (row[mask] - ss.mean[:, mask])[:, None, :] - pm[..., ::s] @ _mT(Hm)  # (S, d, m)
+    HP = Hm[:, None] @ pc[..., ::s, :]  # (S, d, m, n)
+    cov = HP[..., ::s] @ _mT(Hm)[:, None] + ss.noise[np.ix_(mask, mask)]
+    blocks = np.zeros((m + 1, m + 1) + pm.shape[:2])
+    blocks[:m, :m] = np.moveaxis(0.5 * (cov + _mT(cov)), (2, 3), (0, 1))
+    blocks[:m, m] = blocks[m, :m] = np.moveaxis(innov, 2, 0)
+    logdet = sweep(blocks, m)
+    logdens = 0.5 * (blocks[m, m] - logdet - m * LOG_2PI)
 
-    gain_t = np.linalg.solve(S, _mT(PH))  # K^T = S^{-1} H P, (S, d, m, n)
-    new_m = pm + (innov[..., None, :] @ gain_t)[..., 0, :]
-    work = np.matmul(PH, gain_t, out=ss.scratch(pc.shape))
-    np.subtract(pc, work, out=pc)
+    new_m = pm + (np.moveaxis(blocks[:m, m], 0, 2)[..., None, :] @ HP)[..., 0, :]
+    # P - (HP)^T S^-1 HP, with -S^-1 read off the swept blocks
+    work = ss.scratch(pc.shape)
+    np.matmul(_mT(HP), np.moveaxis(blocks[:m, :m], (0, 1), (2, 3)) @ HP, out=work)
+    pc += work
     return new_m, _symmetrize(pc, work), logdens
 
 

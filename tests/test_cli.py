@@ -255,6 +255,24 @@ class TestTrainDefaultProjection:
         assert record["error"] == error
         assert field in record["message"]
 
+    def test_non_finite_raw_entry_names_the_raw_column(self, wide, tmp_path):
+        # a NaN in raw column 0 of test row 2 is refused before projecting
+        assert wide.rc == 0, wide.err
+        data_dir = tmp_path / "data"
+        shutil.copytree(wide.data_dir, data_dir)
+        path = data_dir / "test" / "X_test.txt"
+        lines = path.read_text().splitlines(keepends=True)
+        lines[1] = "nan " + lines[1].split(None, 1)[1]
+        path.write_text("".join(lines))
+        rc, out, err = run_cli(
+            ["filter", "--model", str(wide.path), "--data-dir", str(data_dir)]
+        )
+        assert rc == 1
+        assert out == ""
+        (record,) = json_lines(err)
+        assert record["error"] == "NonFiniteObservationError"
+        assert (record["time_index"], record["features"]) == (2, [0])
+
     def test_train_nll_is_that_of_the_evaluation_units(self, wide):
         assert wide.rc == 0, wide.err
         summary = json_lines(wide.stdout)[-1]

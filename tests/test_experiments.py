@@ -422,6 +422,27 @@ class TestPrepareSeries:
         want = apply_pca(proj, np.delete(raw, 4, axis=0))
         np.testing.assert_allclose(np.delete(prepped.observations, 4, axis=0), want, atol=1e-12)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_a_non_finite_observed_raw_entry_names_the_raw_column(self, value):
+        # the projection would spread it to every component; the error names
+        # the raw row and column, and refuses it even in a late row
+        rng = np.random.default_rng(19)
+        proj = fit_pca(rng.normal(size=(80, 6)), 3)
+        model = replace(helpers.random_model(A=2, P=3, cap=3, seed=20), pca=proj)
+        raw = rng.normal(size=(50, 6))
+        raw[41, [1, 4]] = value
+        with pytest.raises(NonFiniteObservationError, match="series 9 row 42") as info:
+            prepare_series(model, [SegmentedSeries(raw, subject_id=9)])
+        assert info.value.time_index == 42
+        assert info.value.features == (1, 4)
+
+    def test_split_pca_refuses_a_non_finite_raw_entry_before_fitting(self):
+        raw = np.random.default_rng(21).normal(size=(30, 6))
+        raw[4, 3] = np.nan
+        with pytest.raises(NonFiniteObservationError, match="series 2 row 5") as info:
+            experiments.split_pca([SegmentedSeries(raw, subject_id=2)], 3)
+        assert (info.value.time_index, info.value.features) == (5, (3,))
+
     def test_rows_of_another_width_are_a_format_error(self):
         rng = np.random.default_rng(17)
         proj = fit_pca(rng.normal(size=(80, 5)), 3)

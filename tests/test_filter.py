@@ -743,6 +743,44 @@ class TestRowDensity:
             state = forward_step(state, rows[t], model)
         assert state.time_index == 21
 
+    def test_masked_stream_factors_nothing(self, monkeypatch):
+        # joint slots condition by the bordered sweep, with no LAPACK
+        # factorization or solve
+        model = mixed_smoothness_model(A=3, P=3, cap=5, seed=8)
+        rows = generate_synthetic(model, 21, seed=8).observations
+        mask = random_masks(np.random.default_rng(8), 21, 3)
+        backend = KalmanBackend(model)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("factored or solved a covariance on a masked row")
+
+        for name in ("cholesky", "solve", "inv"):
+            monkeypatch.setattr(np.linalg, name, refuse)
+        state = forward_init(model, rows[0], mask[0], backend=backend)
+        for t in range(1, 21):
+            state = forward_step(state, rows[t], model, mask[t])
+        assert state.time_index == 21
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_near_singular_masked_stream_stays_finite(self):
+        # tiny noise and a lengthscale far past the stream: each slot's
+        # innovation covariances shrink toward the noise floor on the
+        # features it observed
+        model = mixed_smoothness_model(A=3, P=3, cap=8, seed=9)
+        emissions = tuple(
+            replace(e, temporal=replace(e.temporal, lengthscale=1e4)) for e in model.emissions
+        )
+        model = replace(model, emissions=emissions, noise=NoiseModel(np.full(3, 1e-8)))
+        rng = np.random.default_rng(9)
+        rows = model.emissions[0].mean + rng.normal(size=3) + 1e-4 * rng.normal(size=(40, 3))
+        mask = random_masks(rng, 40, 3)
+        mask[0] = True
+        state = forward_init(model, rows[0], mask[0])
+        for t in range(1, 40):
+            state = forward_step(state, rows[t], model, mask[t])
+            assert np.isfinite(np.max(state.log_alpha)), t
+            assert np.isfinite(state.log_evidence), t
+
 
 class TestNonFiniteObservation:
     def test_first_row_names_the_time_and_features(self):

@@ -21,6 +21,7 @@ from switchgp.kernels import (
     logsumexp,
     matern_eval,
     matern_grad,
+    sweep,
     task_cov_assemble,
 )
 
@@ -143,6 +144,28 @@ class TestGaussianLogpdf:
         assert np.shape(got) == ()
         want = scipy.stats.multivariate_normal.logpdf(diff, cov=cov)
         assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+
+class TestSweep:
+    def test_bordered_blocks_give_inverse_solve_and_logdet(self):
+        rng = np.random.default_rng(2)
+        diff, cov = TestGaussianLogpdf.laws(rng, (3, 4), 5)
+        blocks = np.zeros((6, 6, 3, 4))
+        blocks[:5, :5] = np.moveaxis(cov, (2, 3), (0, 1))
+        blocks[:5, 5] = blocks[5, :5] = np.moveaxis(diff, 2, 0)
+        logdet = sweep(blocks, 5)
+        for k in np.ndindex(3, 4):
+            inv = np.linalg.inv(cov[k])
+            np.testing.assert_allclose(-blocks[:5, :5][(...,) + k], inv, rtol=1e-10, atol=1e-12)
+            np.testing.assert_allclose(blocks[:5, 5][(...,) + k], inv @ diff[k], rtol=1e-10)
+            assert -blocks[5, 5][k] == pytest.approx(diff[k] @ inv @ diff[k], rel=1e-10)
+            assert logdet[k] == pytest.approx(np.linalg.slogdet(cov[k])[1], rel=1e-10)
+
+    def test_non_positive_pivot_is_a_linalg_error(self):
+        blocks = np.zeros((3, 3, 2))
+        blocks[:2, :2] = np.array([[1.0, 2.0], [2.0, 1.0]])[..., None]  # indefinite
+        with pytest.raises(np.linalg.LinAlgError):
+            sweep(blocks, 2)
 
 
 class TestLogsumexp:

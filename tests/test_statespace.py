@@ -309,3 +309,43 @@ class TestCovarianceTable:
             for got, want in zip(stacked_lds, lds):
                 for a, b in zip(got, want):
                     np.testing.assert_allclose(a[j], b[0], rtol=0, atol=1e-12)
+
+
+class TestJointUpdate:
+    """Masked rows condition every slot on the observed position components
+    alone; each slot's density must be the dense conditional of its row
+    given the segment's earlier rows."""
+
+    # masks of every size 0..3 in turn, each fully observed row after a
+    # masked one updating joint slots on all P features
+    MASKS = np.array(
+        [
+            [1, 1, 1], [0, 1, 0], [1, 0, 1], [1, 1, 1], [0, 0, 0],
+            [1, 1, 1], [0, 0, 1], [1, 1, 0], [1, 1, 1], [1, 0, 0],
+        ],
+        dtype=bool,
+    )
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_padded_stack_matches_dense_for_every_mask_size(self, seed):
+        model = helpers.random_model(A=3, P=3, cap=6, seed=60 + seed)
+        emissions = tuple(
+            replace(e, temporal=replace(e.temporal, smoothness=nu))
+            for e, nu in zip(model.emissions, SMOOTHNESS)
+        )
+        model = replace(model, emissions=emissions)
+        ss = statespace.StateSpace(model, [0, 1, 2])
+        rows = np.random.default_rng(70 + seed).normal(size=(10, 3))
+        slots = None
+        for t, mask in enumerate(self.MASKS):
+            if t > 0:
+                slots = statespace.predict(ss, slots)
+            slots, ld = statespace.update(ss, slots, rows[t], mask, 6)
+            assert ld.shape == (3, min(t + 1, 6))
+            for j, e in enumerate(model.emissions):
+                for d in range(1, ld.shape[1] + 1):
+                    win, m = rows[t - d + 1 : t + 1], self.MASKS[t - d + 1 : t + 1]
+                    want = oracles.segment_logdensity(
+                        e, model.noise, win, mask=m
+                    ) - oracles.segment_logdensity(e, model.noise, win[:-1], mask=m[:-1])
+                    assert ld[j, d - 1] == pytest.approx(want, rel=0, abs=1e-9), (t, j, d)
